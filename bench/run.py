@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its result as one JSON line.
 
-    python3 bench/run.py --workload ratio_scan --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload ratio_scan --seed 1 --seconds 10 --trace 0
 
 Run from the root of a divisorlab checkout; the package is imported from
 its `src/`.  A run starts fresh worker processes one after the other,

@@ -1,6 +1,6 @@
 """Steadiness command: two interleaved sets of benchmark runs of the same code.
 
-    python3 bench/steady.py --runs 5 --seconds 15 [--workloads a,b] [--traced]
+    python3 bench/steady.py --runs 5 [--seconds 10] [--workloads a,b] [--traced]
 
 Runs every workload (or the listed ones) in a fresh process per run, one
 process at a time.  The runs alternate between set A (seeds 1..runs) and

@@ -279,7 +279,7 @@ class CliBatch(Workload):
     """One in-process CLI invocation per question, in CSV and in JSON.
 
     Tables stay at a few 1e5, so that a round takes about a second and a
-    run holds some fifteen rounds: single invocations here vary by 15-20%
+    run holds some ten rounds: single invocations here vary by 15-20%
     from process to process, far more than library rounds do.
     """
 
