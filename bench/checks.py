@@ -47,6 +47,19 @@ def check_s_full_histogram(s_full: float, hist: dict, c: float, x: int) -> None:
     require(s_full == want, f"S_full({x}, c={c}) {s_full!r} != {want!r}")
 
 
+def check_ratio_full_x(rep, hist: dict, sqf, k: int, base: float, overrides: dict) -> None:
+    """A timed report at full x: S_full equals the exact sum over the joint (omega,
+    flags) histogram of the override primes, S_small the exact sum over squarefree
+    multiples, and the ratio their quotient, each rounded once."""
+    ops = sorted(overrides)
+    full = oracles.s_full_from_flag_histogram(hist, base, [overrides[p] for p in ops])
+    small = oracles.s_small_from_squarefree(sqf, rep.x, k, base, overrides)
+    what = f"x={rep.x}, k={k}, c={base}, overrides {overrides}"
+    require(rep.s_full == float(full), f"S_full({what}) {rep.s_full!r} != {float(full)!r}")
+    require(rep.s_small == float(small), f"S_small({what}) {rep.s_small!r} != {float(small)!r}")
+    require(rep.ratio == float(small / full), f"ratio({what}) {rep.ratio!r} != {float(small / full)!r}")
+
+
 def check_pairs(full_pairs: int, small_pairs_k2: int, hist: dict, x: int) -> None:
     """Full pairs total sum mu^2(n) 2^omega(n); small pairs at k = 2 are (full + 1)/2."""
     want = oracles.pairs_from_histogram(hist)

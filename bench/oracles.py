@@ -99,14 +99,38 @@ def omega_table(limit: int, block: int = 1 << 20) -> tuple[np.ndarray, np.ndarra
     return om, sqf
 
 
+def omega_flag_histograms(om: np.ndarray, sqf: np.ndarray, keys) -> dict:
+    """For each (x, primes) in keys: {(j, flags): #squarefree n <= x with omega(n) = j}.
+
+    om and sqf are omega_table's arrays; bit i of flags is set when
+    primes[i] divides n; at most three primes.
+    """
+    code = np.where(sqf, om, 31).astype(np.uint8)  # 31 marks n that are not squarefree
+    xs_of = {}
+    for x, primes in keys:
+        xs_of.setdefault(tuple(primes), set()).add(x)
+    out = {}
+    for primes, xs in xs_of.items():
+        bits = len(primes)
+        if bits > 3:
+            raise ValueError("at most three primes")
+        key = code[1 : max(xs) + 1] << bits
+        for i, p in enumerate(primes):
+            key[p - 1 :: p] |= 1 << i
+        counts = np.zeros(32 << bits, dtype=np.int64)
+        lo = 0
+        for x in sorted(xs):  # one pass per prime set: each x adds its segment
+            counts += np.bincount(key[lo:x], minlength=32 << bits)
+            lo = x
+            out[x, primes] = {(j >> bits, j & ((1 << bits) - 1)): int(c)
+                              for j, c in enumerate(counts) if c and j >> bits != 31}
+    return out
+
+
 def omega_histograms(limit: int, xs) -> dict[int, dict[int, int]]:
     """For each x in xs: {j: #squarefree n <= x with omega(n) = j}."""
-    om, sqf = omega_table(limit)
-    out = {}
-    for x in sorted(set(xs)):
-        counts = np.bincount(om[1 : x + 1][sqf[1 : x + 1]])
-        out[x] = {j: int(c) for j, c in enumerate(counts) if c}
-    return out
+    hists = omega_flag_histograms(*omega_table(limit), [(x, ()) for x in xs])
+    return {x: {j: c for (j, _), c in hists[x, ()].items()} for x in xs}
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +171,35 @@ def s_small_exact(x: int, k: int, base: float, overrides: dict) -> Fraction:
     return total
 
 
+def s_small_from_squarefree(sqf: np.ndarray, x: int, k: int, base: float, overrides: dict) -> Fraction:
+    """S_small from a squarefree table, exact: sum over squarefree d with d**k <= x of
+    h(d) times the number of squarefree multiples n of d with d**k <= n <= x."""
+    total = Fraction(0)
+    for d in range(1, iroot(x, k) + 1):
+        if sqf[d]:
+            count = int(np.count_nonzero(sqf[d**k : x + 1 : d]))
+            total += count * math.prod((_weight(p, base, overrides) for p in factorize(d)), start=Fraction(1))
+    return total
+
+
+def s_full_from_flag_histogram(hist: dict, c: float, values) -> Fraction:
+    """S_full with weight values[i] at the i-th flagged prime and c at all others, exact:
+    sum over classes (j, flags) of count (1 + c)**(j - |flags|) prod_{i in flags} (1 + values[i])."""
+    one_c = 1 + Fraction(c)
+    one_v = [1 + Fraction(v) for v in values]
+    total = Fraction(0)
+    for (j, flags), cnt in hist.items():
+        term = cnt * one_c ** (j - flags.bit_count())
+        for i, f in enumerate(one_v):
+            if flags >> i & 1:
+                term *= f
+        total += term
+    return total
+
+
 def s_full_from_histogram(hist: dict[int, int], c: float) -> Fraction:
     """S_full with constant weight c: sum_j count_j (1 + c)**j, exact."""
-    one_c = 1 + Fraction(c)
-    return sum((cnt * one_c**j for j, cnt in hist.items()), Fraction(0))
+    return s_full_from_flag_histogram({(j, 0): cnt for j, cnt in hist.items()}, c, ())
 
 
 def pairs_from_histogram(hist: dict[int, int]) -> int:

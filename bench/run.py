@@ -9,7 +9,9 @@ least MIN_WORKERS).  Each worker sets up (imports divisorlab and builds
 the tables the workload reads, both timed), runs one round of the
 workload's operation list, and checks the outputs after the round's
 timer stops.  Round i of a run draws its parameters from (workload,
-seed, i), so every round has fresh ones.
+seed, i), so every round has fresh ones.  Set-up-only workers (import
+and table build, no round) then follow until MIN_SETUPS set-ups have
+been timed, since set-up runs once per process.
 
 One round per process is what makes the figures steady here.  On this
 kind of shared machine a whole process runs fast or slow, and a
@@ -19,8 +21,9 @@ first round in a fresh process, and wall_s is the median over several
 processes rather than over one process's rounds.
 
 --trace 0 reports the end-to-end metrics: wall_s, the median round time
-over the workers; setup_s, the median over workers of import plus table
-build; peak_rss_mb, the largest peak resident set of the workers.
+over the workers; setup_s, the median over all workers, set-up-only ones
+included, of import plus table build; peak_rss_mb, the largest peak
+resident set of the round workers.
 --trace 1 reports the per-layer metrics from traced workers; each is
 followed by an untraced twin process on the same round, whose outputs
 must be identical and whose walls give trace.overhead_s.  Spans go to
@@ -44,6 +47,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 MIN_WORKERS = 4
+MIN_SETUPS = 8
 MAX_WORKERS = 40
 WORKER_TIMEOUT_S = 170
 
@@ -91,8 +95,8 @@ def digest(outs) -> str:
     return h.hexdigest()
 
 
-def worker(workload: str, seed: int, first_round: int, rounds: int, trace: bool) -> dict:
-    """One worker process: set up, run the given rounds, check them."""
+def worker(workload: str, seed: int, round_no: int, trace: bool, setup_only: bool) -> dict:
+    """One worker process: set up, then (unless setup_only) run one round and check it."""
     t0 = time.perf_counter()
     dl = importlib.import_module("divisorlab")
     cli = importlib.import_module("divisorlab.cli")
@@ -110,38 +114,31 @@ def worker(workload: str, seed: int, first_round: int, rounds: int, trace: bool)
     t0 = time.perf_counter()
     tables = wl.setup()
     build_s = time.perf_counter() - t0
+    res = {"setup_s": import_s + build_s}
+    if setup_only:
+        return res
 
-    res = {"import_s": import_s, "build_s": build_s, "walls": [], "digests": [],
-           "attempted": 0, "failed": 0, "errors": [], "check_s": 0.0}
-    for i in range(first_round, first_round + rounds):
-        q = wl.draw(random.Random(f"{wl.name}/{seed}/{i}"))
-        ops = wl.ops(q, tables)
-        if tracer:
-            tracer.begin_round()
-        wall, outs = _run_ops(ops)
-        if tracer:
-            tracer.end_round()
-        res["walls"].append(wall)
-        res["digests"].append(digest(outs))
-        exceptions = [o for o in outs if isinstance(o, Exception)]
-        for exc in exceptions:
-            print(f"round {i}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        res["attempted"] += len(outs)
-        res["failed"] += len(exceptions)
-        if not exceptions:
-            if tracer:
-                tracer.uninstall()
-            t0 = time.perf_counter()
-            try:
-                res["failed"] += wl.check(q, outs, tables)
-            except workloads.CheckFailed as exc:
-                res["errors"].append(f"round {i}: {exc}")
-            res["check_s"] += time.perf_counter() - t0
-            if tracer:
-                tracer.install()
-        del outs
+    q = wl.draw(random.Random(f"{wl.name}/{seed}/{round_no}"))
+    ops = wl.ops(q, tables)
     if tracer:
+        tracer.begin_round()
+    wall, outs = _run_ops(ops)
+    if tracer:
+        tracer.end_round()
         tracer.uninstall()
+    exceptions = [o for o in outs if isinstance(o, Exception)]
+    for exc in exceptions:
+        print(f"round {round_no}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    res.update(wall=wall, digest=digest(outs), attempted=len(outs), errors=[])
+    t0 = time.perf_counter()
+    try:
+        # check() skips the outputs that are exceptions and checks the rest
+        res["failed"] = len(exceptions) + wl.check(q, outs, tables)
+    except workloads.CheckFailed as exc:
+        res["failed"] = len(exceptions)
+        res["errors"].append(f"round {round_no}: {exc}")
+    res["check_s"] = time.perf_counter() - t0
+    del outs
     res["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     res["records"] = wl.records
     if tracer:
@@ -149,14 +146,13 @@ def worker(workload: str, seed: int, first_round: int, rounds: int, trace: bool)
                         "build_calls": tracer.build_calls}
         out_dir = HERE / "out"
         out_dir.mkdir(exist_ok=True)
-        tracer.dump(out_dir / f"trace-{wl.name}-{seed}-{first_round}.json")
+        tracer.dump(out_dir / f"trace-{wl.name}-{seed}-{round_no}.json")
     return res
 
 
-def _spawn(workload, seed, first, rounds, trace) -> dict:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--workload", workload,
-           "--seed", str(seed), "--seconds", "0", "--first-round", str(first),
-           "--rounds", str(rounds), "--trace", str(int(trace))]
+def _spawn(workload, seed, round_no, trace, kind="round") -> dict:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", kind, "--workload", workload,
+           "--seed", str(seed), "--seconds", "0", "--round", str(round_no), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=WORKER_TIMEOUT_S)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
@@ -167,43 +163,48 @@ def _spawn(workload, seed, first, rounds, trace) -> dict:
 def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """Start one-round workers, one after the other, until the rounds fill seconds.
 
-    With trace, each traced worker is followed by an untraced twin on the
-    same round in a fresh process, so that neither sees the other's warm
-    caches; the twins' walls give the tracing overhead, and their outputs
-    must hash the same as the traced ones.
+    Untraced, set-up-only workers then follow until MIN_SETUPS set-ups
+    have been timed.  With trace, each traced worker is followed by an
+    untraced twin on the same round in a fresh process, so that neither
+    sees the other's warm caches; the twins' walls give the tracing
+    overhead, and their outputs must hash the same as the traced ones.
     """
-    parts, twins = [], []
+    parts, twins, setups = [], [], []
     measured = 0.0
     while (measured < seconds or len(parts) < MIN_WORKERS) and len(parts) < MAX_WORKERS:
-        first = len(parts)
-        part = _spawn(workload, seed, first, 1, trace)
+        round_no = len(parts)
+        part = _spawn(workload, seed, round_no, trace)
         parts.append(part)
-        measured += sum(part["walls"])
+        measured += part["wall"]
         if trace:
-            twins.append(_spawn(workload, seed, first, 1, False))
-            if twins[-1]["digests"] != part["digests"]:
-                part["errors"].append(f"round {first}: traced outputs differ from untraced")
+            twins.append(_spawn(workload, seed, round_no, False))
+            if twins[-1]["digest"] != part["digest"]:
+                part["errors"].append(f"round {round_no}: traced outputs differ from untraced")
+    while not trace and len(parts) + len(setups) < MIN_SETUPS:
+        setups.append(_spawn(workload, seed, 0, False, "setup"))
 
     import workloads
 
+    t0 = time.perf_counter()
     try:
         workloads.WORKLOADS[workload](None, None).finish([r for p in parts for r in p["records"]])
     except workloads.CheckFailed as exc:
         parts[0]["errors"].append(f"full-size recount: {exc}")
+    finish_s = time.perf_counter() - t0
 
     med = statistics.median
-    walls = [w for p in parts for w in p["walls"]]
+    walls = [p["wall"] for p in parts]
+    setup_times = [p["setup_s"] for p in parts + setups]
     errors = [e for p in parts + twins for e in p["errors"]]
     for e in errors:
         print(f"CHECK FAILED {e}", file=sys.stderr)
-    print(f"{workload} seed={seed}: walls " + " | ".join(
-        " ".join(f"{w:.3f}" for w in p["walls"]) for p in parts)
-        + "; set-up " + " ".join(f"{p['import_s'] + p['build_s']:.2f}" for p in parts)
-        + f"; checks {sum(p['check_s'] for p in parts):.1f} s", file=sys.stderr)
+    print(f"{workload} seed={seed}: walls " + " ".join(f"{w:.3f}" for w in walls)
+          + "; set-up " + " ".join(f"{s:.2f}" for s in setup_times)
+          + f"; checks {sum(p['check_s'] for p in parts):.1f} s + {finish_s:.1f} s", file=sys.stderr)
     if not trace:
         metrics = {
             "wall_s": (med(walls), "s"),
-            "setup_s": (med([p["import_s"] + p["build_s"] for p in parts]), "s"),
+            "setup_s": (med(setup_times), "s"),
             "peak_rss_mb": (max(p["peak_rss_mb"] for p in parts), "MB"),
         }
     else:
@@ -218,7 +219,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             alloc = tracing.build_alloc_mb(importlib.import_module("divisorlab").build_sieve, largest)
         metrics = tracing.summarize(
             set(traces[0]["layers"]), [r for t in traces for r in t["rounds"]], build_calls,
-            walls, [w for t in twins for w in t["walls"]], alloc)
+            walls, [t["wall"] for t in twins], alloc)
     return {
         "correct": not errors,
         "attempted": sum(p["attempted"] for p in parts),
@@ -233,9 +234,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--first-round", type=int, default=0, help=argparse.SUPPRESS)
-    ap.add_argument("--rounds", type=int, default=1, help=argparse.SUPPRESS)
+    ap.add_argument("--worker", choices=("round", "setup"), help=argparse.SUPPRESS)
+    ap.add_argument("--round", type=int, default=0, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if not (SRC / "divisorlab" / "__init__.py").is_file():
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     if args.worker:
         # divisorlab must be the first import of numpy, so that import_s holds it
         sys.path[:0] = [str(SRC), str(HERE)]
-        res = worker(args.workload, args.seed, args.first_round, args.rounds, bool(args.trace))
+        res = worker(args.workload, args.seed, args.round, bool(args.trace), args.worker == "setup")
     else:
         sys.path.insert(0, str(HERE))
         import workloads

@@ -79,6 +79,11 @@ def test_brute_force_sums_match_divisor_enumeration():
         assert oracles.s_small_exact(x, k, base, ov) == small
     hist = oracles.omega_histograms(x, [x])[x]
     assert oracles.s_full_from_histogram(hist, base) == oracles.s_full_exact(x, base, {})
+    om, sqf = oracles.omega_table(x)
+    flags = oracles.omega_flag_histograms(om, sqf, [(x, (2, 7))])[x, (2, 7)]
+    assert oracles.s_full_from_flag_histogram(flags, base, [ov[2], ov[7]]) == full
+    for k in (2, 3, 4):
+        assert oracles.s_small_from_squarefree(sqf, x, k, base, ov) == oracles.s_small_exact(x, k, base, ov)
     assert h(1) == 1.0
 
 

@@ -33,6 +33,11 @@ def _c(rng, lo, hi):
     return round(rng.uniform(lo, hi), 6)
 
 
+def failed(out) -> bool:
+    """An operation that raised; the harness counts it, and checks skip it."""
+    return isinstance(out, Exception)
+
+
 def _euler(memo: dict, z: float, shift: int) -> float:
     """Own f0 (shift 0) or f1 (shift 1) at the program's default truncation."""
     if (z, shift) not in memo:
@@ -112,40 +117,59 @@ class RatioScan(Workload):
     def check(self, q, outs, tb):
         dl = self.dl
         for (k, c, ov, xr), rep in zip(q.reqs, outs):
+            if failed(rep):
+                continue
+            require(rep.x == q.x and rep.k == k, "ratio report x, k")
             require(rep.predicted_limit == float(k) ** (-c), "predicted limit k**-c")
-            small = dl.ratio(xr, k, dl.PrimeWeight(c, ov, k_context=k), tb)
-            checks.check_ratio_small_x(small, xr, k, c, ov)
-            if not ov:
-                self.records.append(("s_full", q.x, c, rep.s_full))
+            checks.check_ratio_small_x(dl.ratio(xr, k, dl.PrimeWeight(c, ov, k_context=k), tb), xr, k, c, ov)
+            # the timed report itself against the own recounts at full x, in finish()
+            self.records.append(("ratio", q.x, k, c, sorted(ov.items()), rep.s_full, rep.s_small, rep.ratio))
         full = dl.full_class_counts(q.x, (), tb).total_pairs()
         small2 = dl.small_class_counts(q.x, 2, (), tb).total_pairs()
         self.records.append(("pairs", q.x, full, small2))
 
         dec, scan, conv = outs[len(q.reqs):]
-        w = dl.PrimeWeight(q.c, k_context=q.k, strict_mode=False)
-        s_small = dl.weighted_total(dl.small_class_counts(q.x, q.k, (), tb), w)
-        hp = Fraction(q.c)
-        require(hp * dec.a_exact + dec.b_exact == s_small, f"h(p)a + b != S_small at p={q.p}")
-        # h(p)c + d against the exact S_full of the own histogram, in finish()
-        self.records.append(("abcd", q.x, q.c, str(hp * dec.c_exact + dec.d_exact)))
-        checks.check_scan(scan, dec)
-        require(scan.verdict == "pass", f"scan verdict {scan.verdict}: {scan.notes}")
-        require(conv.target == float(q.conv_k) ** (-q.conv_c), "convergence target")
-        for xi, sf in zip(q.grid, conv.extra["s_full"]):
-            self.records.append(("s_full", xi, q.conv_c, sf))
+        if not failed(dec):
+            # h(p)a + b and h(p)c + d against the exact S_small and S_full, in finish()
+            hp = Fraction(q.c)
+            self.records.append(("abcd", q.x, q.k, q.c, str(hp * dec.a_exact + dec.b_exact),
+                                 str(hp * dec.c_exact + dec.d_exact)))
+            if not failed(scan):
+                checks.check_scan(scan, dec)
+        if not failed(scan):
+            require(scan.verdict == "pass", f"scan verdict {scan.verdict}: {scan.notes}")
+        if not failed(conv):
+            require(conv.target == float(q.conv_k) ** (-q.conv_c), "convergence target")
+            for xi, sf in zip(q.grid, conv.extra["s_full"]):
+                self.records.append(("s_full", xi, q.conv_c, sf))
         return 0
 
     def finish(self, records):
-        hists = oracles.omega_histograms(self.limit, [r[1] for r in records])
-        for kind, x, *rest in records:
-            if kind == "s_full":
+        def key(r):
+            return r[1], tuple(p for p, _ in r[4]) if r[0] == "ratio" else ()
+
+        if not records:
+            return
+        om, sqf = oracles.omega_table(max(r[1] for r in records))
+        hists = oracles.omega_flag_histograms(om, sqf, [key(r) for r in records])
+        for r in records:
+            hist = hists[key(r)]
+            plain = {j: cnt for (j, _), cnt in hist.items()}
+            kind, x, *rest = r
+            if kind == "ratio":
+                k, c, ov, s_full, s_small, ratio = rest
+                rep = SimpleNamespace(x=x, s_full=s_full, s_small=s_small, ratio=ratio)
+                checks.check_ratio_full_x(rep, hist, sqf, k, c, dict(ov))
+            elif kind == "s_full":
                 c, s_full = rest
-                checks.check_s_full_histogram(s_full, hists[x], c, x)
+                checks.check_s_full_histogram(s_full, plain, c, x)
             elif kind == "pairs":
-                checks.check_pairs(rest[0], rest[1], hists[x], x)
+                checks.check_pairs(rest[0], rest[1], plain, x)
             else:
-                c, full = rest
-                require(Fraction(full) == oracles.s_full_from_histogram(hists[x], c),
+                k, c, small, full = rest
+                require(Fraction(small) == oracles.s_small_from_squarefree(sqf, x, k, c, {}),
+                        f"h(p)a + b != S_small at x={x}")
+                require(Fraction(full) == oracles.s_full_from_histogram(plain, c),
                         f"h(p)c + d != S_full at x={x}")
 
 
@@ -196,28 +220,38 @@ class SeriesTables(Workload):
     def check(self, q, outs, tb):
         dl = self.dl
         H, h1, h2, gam, selw, selu, ek = outs
-        checks.check_cumulative(H, q.x1, h1)
-        checks.check_float_loop(float(H[q.x2]), h2, f"H[{q.x2}] against h_series")
-        checks.check_float_loop(float(H[q.xr]), oracles.h_series_loop(q.xr, q.c, q.ov, q.p),
-                                f"H[{q.xr}]")
-        require(len(gam.observed) == 50 and gam.extra["gamma_at_root"] > 0, "gamma grid")
-        require(gam.extra["symmetry_max_rel"] <= 1e-12,
-                f"gamma symmetry defect {gam.extra['symmetry_max_rel']:.3e} > 1e-12")
-        checks.check_float_loop(dl.selberg_exact(q.xr, q.zw, True, tb),
-                                oracles.selberg_weighted_loop(q.xr, q.zw), f"weighted Selberg at {q.xr}")
-        require(len(selw.observed) == 3 and all(v > 0 for v in selw.observed), "weighted Selberg trend")
-        x_top = q.gridu[-1]
-        self.records.append(("selberg", x_top, q.zu, dl.selberg_exact(x_top, q.zu, False, tb),
-                             selu.observed[-1]))
-        for x, d, obs in zip(q.gridek, ek.extra["distance"], ek.observed):
-            require(close(obs, d * math.sqrt(math.log(math.log(x)))), f"D(x) scaling at {x}")
-        for x, d in zip(q.ekr, dl.erdos_kac_distance(q.ekr, tb).extra["distance"]):
-            want = oracles.kolmogorov_distance_loop(x)
-            require(abs(d - want) <= 1e-12, f"D({x}) {d!r} vs loop {want!r}")
+        if not failed(H):
+            # h_series has no oracle at x1 or x2 but H; where H raised they go unchecked
+            if not failed(h1):
+                checks.check_cumulative(H, q.x1, h1)
+            if not failed(h2):
+                checks.check_float_loop(float(H[q.x2]), h2, f"H[{q.x2}] against h_series")
+            checks.check_float_loop(float(H[q.xr]), oracles.h_series_loop(q.xr, q.c, q.ov, q.p),
+                                    f"H[{q.xr}]")
+        if not failed(gam):
+            require(len(gam.observed) == 50 and gam.extra["gamma_at_root"] > 0, "gamma grid")
+            require(gam.extra["symmetry_max_rel"] <= 1e-12,
+                    f"gamma symmetry defect {gam.extra['symmetry_max_rel']:.3e} > 1e-12")
+        if not failed(selw):
+            checks.check_float_loop(dl.selberg_exact(q.xr, q.zw, True, tb),
+                                    oracles.selberg_weighted_loop(q.xr, q.zw), f"weighted Selberg at {q.xr}")
+            require(len(selw.observed) == 3 and all(v > 0 for v in selw.observed), "weighted Selberg trend")
+        if not failed(selu):
+            x_top = q.gridu[-1]
+            self.records.append(("selberg", x_top, q.zu, dl.selberg_exact(x_top, q.zu, False, tb),
+                                 selu.observed[-1]))
+        if not failed(ek):
+            for x, d, obs in zip(q.gridek, ek.extra["distance"], ek.observed):
+                require(close(obs, d * math.sqrt(math.log(math.log(x)))), f"D(x) scaling at {x}")
+            for x, d in zip(q.ekr, dl.erdos_kac_distance(q.ekr, tb).extra["distance"]):
+                want = oracles.kolmogorov_distance_loop(x)
+                require(abs(d - want) <= 1e-12, f"D({x}) {d!r} vs loop {want!r}")
         return 0
 
     def finish(self, records):
-        hists = oracles.omega_histograms(self.limit, [r[1] for r in records])
+        if not records:
+            return
+        hists = oracles.omega_histograms(max(r[1] for r in records), [r[1] for r in records])
         for _, x, z, got, observed in records:
             exact = oracles.selberg_unweighted_exact(hists[x], z)
             require(got == float(exact), f"unweighted Selberg at x={x}, z={z}: {got!r} != {exact}")
@@ -255,7 +289,10 @@ class CensusOmega(Workload):
     def check(self, q, outs, tb):
         specs = ([(om, k, cnt, True) for om, k, cnt, _ in q.synthetic]
                  + [(6, k, 30, False) for k, _ in q.in_table])
-        for (om, k, cnt, synthetic), (records, summary) in zip(specs, outs):
+        for (om, k, cnt, synthetic), out in zip(specs, outs):
+            if failed(out):
+                continue
+            records, summary = out
             require(len(records) == cnt == summary.count, "census record count")
             for rec in records:
                 checks.check_census_record(rec, k, om)
@@ -331,13 +368,19 @@ class CliBatch(Workload):
                 for name, argv in q.items() for fmt in ("csv", "json")]
 
     def _rows(self, q, outs):
-        """{question: (argv, header, rows, JSON payload)} once exit codes and CSV/JSON agree."""
+        """{question: (header, rows, JSON payload)} once exit codes and CSV/JSON agree.
+
+        A question whose CSV or JSON invocation raised is left out.
+        """
         by_name = {}
-        for i, (name, argv) in enumerate(q.items()):
-            (code_c, csv_text, err_c), (code_j, json_text, err_j) = outs[2 * i : 2 * i + 2]
+        for i, name in enumerate(q):
+            csv_out, json_out = outs[2 * i : 2 * i + 2]
+            if failed(csv_out) or failed(json_out):
+                continue
+            (code_c, csv_text, err_c), (code_j, json_text, err_j) = csv_out, json_out
             require(code_c == code_j == 0, f"{name}: exit codes {code_c}, {code_j}: {err_c}{err_j}")
             header, rows = checks.csv_json_rows(csv_text, json_text)
-            by_name[name] = (argv, header, rows, json.loads(json_text))
+            by_name[name] = (header, rows, json.loads(json_text))
         return by_name
 
     def _reference_trend_rows(self):
@@ -356,91 +399,96 @@ class CliBatch(Workload):
 
     def check(self, q, outs, tb):
         r = self._rows(q, outs)
-        arg = lambda name, flag, conv=float: [conv(a) for f, a in zip(r[name][0], r[name][0][1:]) if f == flag]
+        arg = lambda name, flag, conv=float: [conv(a) for f, a in zip(q[name], q[name][1:]) if f == flag]
+        rows_of = lambda name: r[name][1] if name in r else []
         top = max(arg("sieve-stats", "--limit", int)[0], arg("erdos-kac", "--x", int)[0],
                   arg("selberg", "--x", int)[-1], arg("prop32", "--x", int)[-1])
         om, sqf = oracles.omega_table(top)
 
-        # sieve-stats: counts per omega class against the own sieve
-        L = arg("sieve-stats", "--limit", int)[0]
-        hist = np.bincount(om[1 : L + 1][sqf[1 : L + 1]])
-        want = [[j, int(cnt)] for j, cnt in enumerate(hist) if cnt]
-        require(r["sieve-stats"][2] == want, "sieve-stats counts")
+        if "sieve-stats" in r:  # counts per omega class against the own sieve
+            L = arg("sieve-stats", "--limit", int)[0]
+            hist = np.bincount(om[1 : L + 1][sqf[1 : L + 1]])
+            want = [[j, int(cnt)] for j, cnt in enumerate(hist) if cnt]
+            require(r["sieve-stats"][1] == want, "sieve-stats counts")
 
-        # ratio: the two small-x rows against brute-force exact sums
-        argv = r["ratio"][0]
-        p_str, v_str = arg("ratio", "--override", str)[0].split("=")
-        ov = {int(p_str): float(v_str)}
-        for x, k, c, s_full, s_small, ratio, limit in r["ratio"][2][:2]:
-            rep = SimpleNamespace(s_full=s_full, s_small=s_small, ratio=ratio)
-            checks.check_ratio_small_x(rep, x, k, c, ov)
-            require(limit == float(k) ** (-c), "k_pow_neg_c")
+        if "ratio" in r:  # the two small-x rows against brute-force exact sums
+            p_str, v_str = arg("ratio", "--override", str)[0].split("=")
+            ov = {int(p_str): float(v_str)}
+            for x, k, c, s_full, s_small, ratio, limit in r["ratio"][1][:2]:
+                rep = SimpleNamespace(s_full=s_full, s_small=s_small, ratio=ratio)
+                checks.check_ratio_small_x(rep, x, k, c, ov)
+                require(limit == float(k) ** (-c), "k_pow_neg_c")
 
-        # trend with an override: every row must equal the single-x row
-        failed = 0
-        ref = self._reference_trend_rows()
-        if r["trend-override"][2] != ref:
-            failed = 2  # the CSV and the JSON invocation
+        failed_ops = 0
+        if "trend-override" in r:  # every row must equal the single-x row
+            if r["trend-override"][1] != self._reference_trend_rows():
+                failed_ops = 2  # the CSV and the JSON invocation
 
-        rows = r["monotone"][2]
-        require(all(o == pred for _, o, pred in rows), "monotone ratio != (Av+B)/(Cv+D)")
-        require(all(b[1] < a[1] for a, b in zip(rows, rows[1:])), "monotone not decreasing")
-        require(r["monotone"][3]["verdict"] == "pass", "monotone verdict")
+        if "monotone" in r:
+            rows = r["monotone"][1]
+            require(all(o == pred for _, o, pred in rows), "monotone ratio != (Av+B)/(Cv+D)")
+            require(all(b[1] < a[1] for a, b in zip(rows, rows[1:])), "monotone not decreasing")
+            require(r["monotone"][2]["verdict"] == "pass", "monotone verdict")
 
-        require(r["adbc"][2][0][5:] == [0.0, 0.0], f"adbc residuals {r['adbc'][2][0][5:]}")
+        if "adbc" in r:
+            require(r["adbc"][1][0][5:] == [0.0, 0.0], f"adbc residuals {r['adbc'][1][0][5:]}")
 
-        which, z, value, trunc, tail = r["euler"][2][0]
-        t_max = arg("euler", "--trunc", int)[0]
-        primes = oracles.primes_to(t_max)
-        require(trunc == primes[-1] and tail > 0, "euler truncation prime")
-        require(close(value, oracles.euler_product(z, t_max, 0 if which == "f0" else 1)),
-                f"euler {which}({z}) {value!r}")
+        if "euler" in r:
+            which, z, value, trunc, tail = r["euler"][1][0]
+            t_max = arg("euler", "--trunc", int)[0]
+            primes = oracles.primes_to(t_max)
+            require(trunc == primes[-1] and tail > 0, "euler truncation prime")
+            require(close(value, oracles.euler_product(z, t_max, 0 if which == "f0" else 1)),
+                    f"euler {which}({z}) {value!r}")
 
-        for x, k, c, pf, ps, ratio in r["predict"][2]:
+        for x, k, c, pf, ps, ratio in rows_of("predict"):
             lead = _euler(self.memo, c, 1) / (c * math.gamma(c))
             require(close(pf, 6 / math.pi**2 * lead * x * math.log(x) ** c, 1e-9), f"predict_s_full({x})")
             require(ratio == ps / pf and close(ratio, float(k) ** (-c)), f"predict ratio at {x}")
 
-        m_max = arg("prop32", "--m-max", int)[0]
-        require(r["prop32"][3]["verdict"] == "pass", "prop32 verdict")
-        for x, constant, m in r["prop32"][2]:
-            require(m <= m_max and sqf[m], f"prop32 argmax m={m}")
-            mask = sqf[1 : x + 1].copy()
-            primes_m = list(oracles.factorize(m))
-            for p in primes_m:
-                mask[p - 1 :: p] = False
-            g = math.prod(p / (p + 1) for p in primes_m)
-            want = abs(int(mask.sum()) - 6 / math.pi**2 * g * x) / (
-                (2.0 ** len(primes_m)) ** (2 / 3) * math.sqrt(x))
-            require(close(constant, want, 1e-9), f"prop32 constant at x={x}, m={m}")
+        if "prop32" in r:
+            m_max = arg("prop32", "--m-max", int)[0]
+            require(r["prop32"][2]["verdict"] == "pass", "prop32 verdict")
+            for x, constant, m in r["prop32"][1]:
+                require(m <= m_max and sqf[m], f"prop32 argmax m={m}")
+                mask = sqf[1 : x + 1].copy()
+                primes_m = list(oracles.factorize(m))
+                for p in primes_m:
+                    mask[p - 1 :: p] = False
+                g = math.prod(p / (p + 1) for p in primes_m)
+                want = abs(int(mask.sum()) - 6 / math.pi**2 * g * x) / (
+                    (2.0 ** len(primes_m)) ** (2 / 3) * math.sqrt(x))
+                require(close(constant, want, 1e-9), f"prop32 constant at x={x}, m={m}")
 
         k = arg("census", "--k", int)[0]
-        for n, k_row, om_row, tau, g, ratio in r["census"][2]:
+        for n, k_row, om_row, tau, g, ratio in rows_of("census"):
             rec = SimpleNamespace(n=n, k=k_row, omega_n=om_row, tau_k=tau, g_k=g, ratio=ratio)
             require(n <= self.CENSUS_LIMIT, "in-table census n")
             checks.check_census_record(rec, k, 6)
 
-        x, a, b, fraction, mass, _, skipped = r["erdos-kac"][2][0]
-        n = np.arange(3, x + 1, dtype=np.float64)
-        ll = np.log(np.log(n))
-        stat = (om[3 : x + 1] - ll) / np.sqrt(ll)
-        inside = int(np.count_nonzero((stat >= a) & (stat <= b)))
-        require(skipped == 2 and abs(fraction - inside / (x - 2)) <= 1e-9, "erdos-kac fraction")
-        require(close(mass, oracles.normal_mass(a, b)), "erdos-kac normal mass")
+        if "erdos-kac" in r:
+            x, a, b, fraction, mass, _, skipped = r["erdos-kac"][1][0]
+            n = np.arange(3, x + 1, dtype=np.float64)
+            ll = np.log(np.log(n))
+            stat = (om[3 : x + 1] - ll) / np.sqrt(ll)
+            inside = int(np.count_nonzero((stat >= a) & (stat <= b)))
+            require(skipped == 2 and abs(fraction - inside / (x - 2)) <= 1e-9, "erdos-kac fraction")
+            require(close(mass, oracles.normal_mass(a, b)), "erdos-kac normal mass")
 
-        bign = arg("gamma-lemma", "--n", int)[0]
-        rows = r["gamma-lemma"][2]
-        require(len(rows) == arg("gamma-lemma", "--points", int)[0], "gamma-lemma points")
-        for t, g in rows:
-            require(close(g, math.log(math.e + t) * math.log(math.e + bign / t)), f"gamma at {t}")
+        if "gamma-lemma" in r:
+            bign = arg("gamma-lemma", "--n", int)[0]
+            rows = r["gamma-lemma"][1]
+            require(len(rows) == arg("gamma-lemma", "--points", int)[0], "gamma-lemma points")
+            for t, g in rows:
+                require(close(g, math.log(math.e + t) * math.log(math.e + bign / t)), f"gamma at {t}")
 
         z = arg("selberg", "--z")[0]
-        for x, observed in r["selberg"][2]:
+        for x, observed in rows_of("selberg"):
             exact = sum(int(cnt) * int(z) ** j for j, cnt in
                         enumerate(np.bincount(om[1 : x + 1][sqf[1 : x + 1]])))
             predictor = x * math.log(x) ** (z - 1.0) / math.gamma(z) * _euler(self.memo, z, 0)
             require(close(observed, exact / predictor, 1e-9), f"selberg at x={x}")
-        return failed
+        return failed_ops
 
 
 WORKLOADS = {w.name: w for w in (RatioScan, SeriesTables, CensusOmega, CliBatch)}
