@@ -47,13 +47,15 @@ def check_s_full_histogram(s_full: float, hist: dict, c: float, x: int) -> None:
     require(s_full == want, f"S_full({x}, c={c}) {s_full!r} != {want!r}")
 
 
-def check_ratio_full_x(rep, hist: dict, sqf, k: int, base: float, overrides: dict) -> None:
+def check_ratio_full_x(rep, hist: dict, counts, k: int, base: float, overrides: dict) -> None:
     """A timed report at full x: S_full equals the exact sum over the joint (omega,
-    flags) histogram of the override primes, S_small the exact sum over squarefree
-    multiples, and the ratio their quotient, each rounded once."""
+    flags) histogram of the override primes (bit i for the i-th smallest), S_small
+    the exact sum over squarefree multiples (counts from
+    oracles.squarefree_multiple_counts at x and k), and the ratio their quotient,
+    each rounded once."""
     ops = sorted(overrides)
     full = oracles.s_full_from_flag_histogram(hist, base, [overrides[p] for p in ops])
-    small = oracles.s_small_from_squarefree(sqf, rep.x, k, base, overrides)
+    small = oracles.s_small_from_counts(counts, base, overrides)
     what = f"x={rep.x}, k={k}, c={base}, overrides {overrides}"
     require(rep.s_full == float(full), f"S_full({what}) {rep.s_full!r} != {float(full)!r}")
     require(rep.s_small == float(small), f"S_small({what}) {rep.s_small!r} != {float(small)!r}")

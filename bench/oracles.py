@@ -6,6 +6,7 @@ primes up to the square root) serves at full size.  Exact quantities are
 computed in integers or Fractions.
 """
 
+import functools
 import math
 from fractions import Fraction
 from math import isqrt
@@ -57,16 +58,17 @@ def iroot(n: int, k: int) -> int:
     return lo
 
 
-def primes_to(n: int) -> list[int]:
-    """Primes <= n by a plain sieve of Eratosthenes."""
+@functools.lru_cache(maxsize=8)
+def primes_to(n: int) -> tuple[int, ...]:
+    """Primes <= n by a plain sieve of Eratosthenes (kept for reuse, so a tuple)."""
     if n < 2:
-        return []
+        return ()
     flags = bytearray([1]) * (n + 1)
     flags[0] = flags[1] = 0
     for p in range(2, isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i, f in enumerate(flags) if f]
+    return tuple(i for i, f in enumerate(flags) if f)
 
 
 def omega_table(limit: int, block: int = 1 << 20) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +105,7 @@ def omega_flag_histograms(om: np.ndarray, sqf: np.ndarray, keys) -> dict:
     """For each (x, primes) in keys: {(j, flags): #squarefree n <= x with omega(n) = j}.
 
     om and sqf are omega_table's arrays; bit i of flags is set when
-    primes[i] divides n; at most three primes.
+    primes[i] divides n; at most six primes.
     """
     code = np.where(sqf, om, 31).astype(np.uint8)  # 31 marks n that are not squarefree
     xs_of = {}
@@ -112,9 +114,9 @@ def omega_flag_histograms(om: np.ndarray, sqf: np.ndarray, keys) -> dict:
     out = {}
     for primes, xs in xs_of.items():
         bits = len(primes)
-        if bits > 3:
-            raise ValueError("at most three primes")
-        key = code[1 : max(xs) + 1] << bits
+        if bits > 6:
+            raise ValueError("at most six primes")
+        key = code[1 : max(xs) + 1].astype(np.uint16 if bits > 3 else np.uint8) << bits
         for i, p in enumerate(primes):
             key[p - 1 :: p] |= 1 << i
         counts = np.zeros(32 << bits, dtype=np.int64)
@@ -171,15 +173,29 @@ def s_small_exact(x: int, k: int, base: float, overrides: dict) -> Fraction:
     return total
 
 
-def s_small_from_squarefree(sqf: np.ndarray, x: int, k: int, base: float, overrides: dict) -> Fraction:
-    """S_small from a squarefree table, exact: sum over squarefree d with d**k <= x of
-    h(d) times the number of squarefree multiples n of d with d**k <= n <= x."""
+def squarefree_multiple_counts(sqf: np.ndarray, x: int, k: int) -> list[tuple[int, int]]:
+    """(d, #squarefree multiples n of d with d**k <= n <= x) for squarefree d with d**k <= x."""
+    return [(d, int(np.count_nonzero(sqf[d**k : x + 1 : d])))
+            for d in range(1, iroot(x, k) + 1) if sqf[d]]
+
+
+def s_small_from_counts(counts: list[tuple[int, int]], base: float, overrides: dict) -> Fraction:
+    """S_small, exact, from squarefree_multiple_counts: sum of h(d) times the count of d."""
     total = Fraction(0)
-    for d in range(1, iroot(x, k) + 1):
-        if sqf[d]:
-            count = int(np.count_nonzero(sqf[d**k : x + 1 : d]))
-            total += count * math.prod((_weight(p, base, overrides) for p in factorize(d)), start=Fraction(1))
+    for d, count in counts:
+        total += count * math.prod((_weight(p, base, overrides) for p in factorize(d)), start=Fraction(1))
     return total
+
+
+def project_flags(hist: dict, primes, subset) -> dict:
+    """A joint (omega, flags) histogram over primes, marginalised onto the primes in subset
+    (flag bit i for subset[i])."""
+    bits = [primes.index(p) for p in subset]
+    out = {}
+    for (j, flags), cnt in hist.items():
+        key = (j, sum(1 << i for i, b in enumerate(bits) if flags >> b & 1))
+        out[key] = out.get(key, 0) + cnt
+    return out
 
 
 def s_full_from_flag_histogram(hist: dict, c: float, values) -> Fraction:

@@ -1,33 +1,33 @@
 """Run one benchmark workload and print its result as one JSON line.
 
-    python3 bench/run.py --workload ratio_scan --seed 1 --seconds 10 --trace 0
+    python3 bench/run.py --workload ratio_scan --seed 1 --seconds 30 --trace 0
 
 Run from the root of a divisorlab checkout; the package is imported from
-its `src/`.  A run starts fresh worker processes one after the other,
-never two at once, until their timed rounds add up to --seconds (and at
-least MIN_WORKERS).  Each worker sets up (imports divisorlab and builds
-the tables the workload reads, both timed), runs one round of the
-workload's operation list, and checks the outputs after the round's
-timer stops.  Round i of a run draws its parameters from (workload,
-seed, i), so every round has fresh ones.  Set-up-only workers (import
-and table build, no round) then follow until MIN_SETUPS set-ups have
-been timed, since set-up runs once per process.
+its `src/`.  A run starts one worker process.  The worker imports
+divisorlab and builds the tables the workload reads (both timed, the
+set-up), runs one untimed warm-up round, then timed rounds of the
+workload's operation list until they add up to --seconds (at least
+MIN_ROUNDS, at most MAX_ROUNDS).  Round i of a run draws its parameters
+from (workload, seed, i), so every round has fresh ones.  Each round's
+outputs are checked after its timer stops.  Set-up-only workers (import
+and table build, no round) then follow, one after the other, until at
+least MIN_SETUPS set-ups have been timed and the extra ones add up to
+SETUP_SECONDS, since set-up runs once per process.  What needs a
+full-size recount is checked last, in this process, over the records of
+all rounds.  No two processes of a run ever run at once.
 
-One round per process is what makes the figures steady here.  On this
-kind of shared machine a whole process runs fast or slow, and a
-process's first round runs about 10% slower than its later ones (it
-faults in the memory that later rounds reuse).  So every round is a
-first round in a fresh process, and wall_s is the median over several
-processes rather than over one process's rounds.
+The warm-up round is there because a process's first round runs about
+10% slower than its later ones (it faults in the memory that later
+rounds reuse); the timed rounds are then alike, and their median is
+taken over the whole run.
 
---trace 0 reports the end-to-end metrics: wall_s, the median round time
-over the workers; setup_s, the median over all workers, set-up-only ones
-included, of import plus table build; peak_rss_mb, the largest peak
-resident set of the round workers.
---trace 1 reports the per-layer metrics from traced workers; each is
-followed by an untraced twin process on the same round, whose outputs
-must be identical and whose walls give trace.overhead_s.  Spans go to
-bench/out/.
+--trace 0 reports the end-to-end metrics: wall_s, the median timed
+round; setup_s, the median over all set-ups of import plus table build;
+peak_rss_mb, the peak resident set of the round worker.
+--trace 1 reports the per-layer metrics from a traced worker that runs
+for half of --seconds, followed by an untraced twin process on the same
+rounds, whose outputs must be identical and whose walls give
+trace.overhead_s.  Spans go to bench/out/.
 """
 
 import argparse
@@ -46,10 +46,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
-MIN_WORKERS = 4
-MIN_SETUPS = 8
-MAX_WORKERS = 40
-WORKER_TIMEOUT_S = 170
+MIN_ROUNDS = 5  # timed rounds, after the warm-up round
+MAX_ROUNDS = 50  # keeps the checks of a much faster program within the time limit
+MIN_SETUPS = 3
+SETUP_SECONDS = 4.0
+MAX_SETUPS = 12
+WORKER_TIMEOUT_S = 150
 
 
 def _run_ops(ops):
@@ -95,8 +97,13 @@ def digest(outs) -> str:
     return h.hexdigest()
 
 
-def worker(workload: str, seed: int, round_no: int, trace: bool, setup_only: bool) -> dict:
-    """One worker process: set up, then (unless setup_only) run one round and check it."""
+def worker(workload: str, seed: int, seconds: float, trace: bool, setup_only: bool,
+           rounds: int | None) -> dict:
+    """One worker process: set up, then (unless setup_only) run rounds and check them.
+
+    Round 0 is the warm-up; timed rounds follow until they add up to
+    seconds, or, for a twin, until `rounds` rounds have run in all.
+    """
     t0 = time.perf_counter()
     dl = importlib.import_module("divisorlab")
     cli = importlib.import_module("divisorlab.cli")
@@ -114,31 +121,49 @@ def worker(workload: str, seed: int, round_no: int, trace: bool, setup_only: boo
     t0 = time.perf_counter()
     tables = wl.setup()
     build_s = time.perf_counter() - t0
+    if tracer:
+        tracer.uninstall()  # each round installs the wrappers afresh
     res = {"setup_s": import_s + build_s}
     if setup_only:
         return res
 
-    q = wl.draw(random.Random(f"{wl.name}/{seed}/{round_no}"))
-    ops = wl.ops(q, tables)
-    if tracer:
-        tracer.begin_round()
-    wall, outs = _run_ops(ops)
-    if tracer:
-        tracer.end_round()
-        tracer.uninstall()
-    exceptions = [o for o in outs if isinstance(o, Exception)]
-    for exc in exceptions:
-        print(f"round {round_no}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    res.update(wall=wall, digest=digest(outs), attempted=len(outs), errors=[])
-    t0 = time.perf_counter()
-    try:
-        # check() skips the outputs that are exceptions and checks the rest
-        res["failed"] = len(exceptions) + wl.check(q, outs, tables)
-    except workloads.CheckFailed as exc:
-        res["failed"] = len(exceptions)
-        res["errors"].append(f"round {round_no}: {exc}")
-    res["check_s"] = time.perf_counter() - t0
-    del outs
+    res.update(walls=[], digests=[], attempted=0, failed=0, errors=[], check_s=0.0)
+    walls = res["walls"]
+    round_no = 0
+    while True:
+        if rounds is not None:
+            if round_no >= rounds:
+                break
+        elif len(walls) >= MAX_ROUNDS or (len(walls) >= MIN_ROUNDS and sum(walls) >= seconds):
+            break
+        q = wl.draw(random.Random(f"{wl.name}/{seed}/{round_no}"))
+        ops = wl.ops(q, tables)
+        if tracer:
+            tracer.install()
+            if round_no:
+                tracer.begin_round()
+        wall, outs = _run_ops(ops)
+        if tracer:
+            if round_no:
+                tracer.end_round()
+            tracer.uninstall()  # the checks below call the program untraced
+        if round_no:
+            walls.append(wall)
+        exceptions = [o for o in outs if isinstance(o, Exception)]
+        for exc in exceptions:
+            print(f"round {round_no}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        res["digests"].append(digest(outs))
+        res["attempted"] += len(outs)
+        t0 = time.perf_counter()
+        try:
+            # check() skips the outputs that are exceptions and checks the rest
+            res["failed"] += len(exceptions) + wl.check(q, outs, tables)
+        except workloads.CheckFailed as exc:
+            res["failed"] += len(exceptions)
+            res["errors"].append(f"round {round_no}: {exc}")
+        res["check_s"] += time.perf_counter() - t0
+        del outs
+        round_no += 1
     res["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     res["records"] = wl.records
     if tracer:
@@ -146,13 +171,15 @@ def worker(workload: str, seed: int, round_no: int, trace: bool, setup_only: boo
                         "build_calls": tracer.build_calls}
         out_dir = HERE / "out"
         out_dir.mkdir(exist_ok=True)
-        tracer.dump(out_dir / f"trace-{wl.name}-{seed}-{round_no}.json")
+        tracer.dump(out_dir / f"trace-{wl.name}-{seed}.json")
     return res
 
 
-def _spawn(workload, seed, round_no, trace, kind="round") -> dict:
+def _spawn(workload, seed, seconds, trace, kind="round", rounds=None) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", kind, "--workload", workload,
-           "--seed", str(seed), "--seconds", "0", "--round", str(round_no), "--trace", str(int(trace))]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+    if rounds is not None:
+        cmd += ["--rounds", str(rounds)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=WORKER_TIMEOUT_S)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
@@ -161,69 +188,64 @@ def _spawn(workload, seed, round_no, trace, kind="round") -> dict:
 
 
 def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """Start one-round workers, one after the other, until the rounds fill seconds.
+    """One round worker, then set-up-only workers, then the full-size recounts.
 
-    Untraced, set-up-only workers then follow until MIN_SETUPS set-ups
-    have been timed.  With trace, each traced worker is followed by an
-    untraced twin on the same round in a fresh process, so that neither
-    sees the other's warm caches; the twins' walls give the tracing
-    overhead, and their outputs must hash the same as the traced ones.
+    With trace, the traced worker runs for half of seconds and an untraced
+    twin then runs the same rounds in a fresh process, so that neither
+    sees the other's warm caches; the twin's walls give the tracing
+    overhead, and its outputs must hash the same as the traced ones.
     """
-    parts, twins, setups = [], [], []
-    measured = 0.0
-    while (measured < seconds or len(parts) < MIN_WORKERS) and len(parts) < MAX_WORKERS:
-        round_no = len(parts)
-        part = _spawn(workload, seed, round_no, trace)
-        parts.append(part)
-        measured += part["wall"]
-        if trace:
-            twins.append(_spawn(workload, seed, round_no, False))
-            if twins[-1]["digest"] != part["digest"]:
-                part["errors"].append(f"round {round_no}: traced outputs differ from untraced")
-    while not trace and len(parts) + len(setups) < MIN_SETUPS:
-        setups.append(_spawn(workload, seed, 0, False, "setup"))
+    part = _spawn(workload, seed, seconds / 2 if trace else seconds, trace)
+    errors = part["errors"]
+    setups = [part["setup_s"]]
+    twin = None
+    if trace:
+        twin = _spawn(workload, seed, 0, False, rounds=len(part["digests"]))
+        errors += twin["errors"]
+        for i, (a, b) in enumerate(zip(part["digests"], twin["digests"])):
+            if a != b:
+                errors.append(f"round {i}: traced outputs differ from untraced")
+    else:
+        while len(setups) < MIN_SETUPS or (sum(setups[1:]) < SETUP_SECONDS and len(setups) < MAX_SETUPS):
+            setups.append(_spawn(workload, seed, 0, False, "setup")["setup_s"])
 
     import workloads
 
     t0 = time.perf_counter()
     try:
-        workloads.WORKLOADS[workload](None, None).finish([r for p in parts for r in p["records"]])
+        workloads.WORKLOADS[workload](None, None).finish(part["records"])
     except workloads.CheckFailed as exc:
-        parts[0]["errors"].append(f"full-size recount: {exc}")
+        errors.append(f"full-size recount: {exc}")
     finish_s = time.perf_counter() - t0
 
     med = statistics.median
-    walls = [p["wall"] for p in parts]
-    setup_times = [p["setup_s"] for p in parts + setups]
-    errors = [e for p in parts + twins for e in p["errors"]]
+    walls = part["walls"]
     for e in errors:
         print(f"CHECK FAILED {e}", file=sys.stderr)
     print(f"{workload} seed={seed}: walls " + " ".join(f"{w:.3f}" for w in walls)
-          + "; set-up " + " ".join(f"{s:.2f}" for s in setup_times)
-          + f"; checks {sum(p['check_s'] for p in parts):.1f} s + {finish_s:.1f} s", file=sys.stderr)
+          + "; set-up " + " ".join(f"{s:.2f}" for s in setups)
+          + f"; checks {part['check_s']:.1f} s + {finish_s:.1f} s", file=sys.stderr)
     if not trace:
         metrics = {
             "wall_s": (med(walls), "s"),
-            "setup_s": (med(setup_times), "s"),
-            "peak_rss_mb": (max(p["peak_rss_mb"] for p in parts), "MB"),
+            "setup_s": (med(setups), "s"),
+            "peak_rss_mb": (part["peak_rss_mb"], "MB"),
         }
     else:
         sys.path.insert(0, str(SRC))
         import tracing
 
-        traces = [p["trace"] for p in parts]
-        build_calls = [tuple(c) for t in traces for c in t["build_calls"]]
+        tr = part["trace"]
+        build_calls = [tuple(c) for c in tr["build_calls"]]
         largest = max((n for n, _ in build_calls), default=0)
         alloc = None
         if largest:
             alloc = tracing.build_alloc_mb(importlib.import_module("divisorlab").build_sieve, largest)
-        metrics = tracing.summarize(
-            set(traces[0]["layers"]), [r for t in traces for r in t["rounds"]], build_calls,
-            walls, [t["wall"] for t in twins], alloc)
+        metrics = tracing.summarize(set(tr["layers"]), tr["rounds"], build_calls, walls, twin["walls"], alloc)
     return {
         "correct": not errors,
-        "attempted": sum(p["attempted"] for p in parts),
-        "failed": sum(p["failed"] for p in parts),
+        "attempted": part["attempted"],
+        "failed": part["failed"],
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
     }
 
@@ -235,7 +257,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--worker", choices=("round", "setup"), help=argparse.SUPPRESS)
-    ap.add_argument("--round", type=int, default=0, help=argparse.SUPPRESS)
+    ap.add_argument("--rounds", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if not (SRC / "divisorlab" / "__init__.py").is_file():
@@ -244,7 +266,8 @@ def main(argv=None) -> int:
     if args.worker:
         # divisorlab must be the first import of numpy, so that import_s holds it
         sys.path[:0] = [str(SRC), str(HERE)]
-        res = worker(args.workload, args.seed, args.round, bool(args.trace), args.worker == "setup")
+        res = worker(args.workload, args.seed, args.seconds, bool(args.trace), args.worker == "setup",
+                     args.rounds)
     else:
         sys.path.insert(0, str(HERE))
         import workloads

@@ -1,6 +1,6 @@
 """Steadiness command: two interleaved sets of benchmark runs of the same code.
 
-    python3 bench/steady.py --runs 5 [--seconds 10] [--workloads a,b] [--traced]
+    python3 bench/steady.py --runs 5 [--seconds 30] [--workloads a,b] [--traced]
 
 Runs every workload (or the listed ones) in a fresh process per run, one
 process at a time.  The runs alternate between set A (seeds 1..runs) and
@@ -20,6 +20,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -34,10 +35,12 @@ def quartiles(values):
 def run_one(workload, seed, seconds, trace):
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    print(proc.stderr.strip().splitlines()[-1], file=sys.stderr)
+    print(proc.stderr.strip().splitlines()[-1] + f" (run took {time.perf_counter() - t0:.1f} s)",
+          file=sys.stderr)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

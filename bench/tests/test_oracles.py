@@ -83,7 +83,13 @@ def test_brute_force_sums_match_divisor_enumeration():
     flags = oracles.omega_flag_histograms(om, sqf, [(x, (2, 7))])[x, (2, 7)]
     assert oracles.s_full_from_flag_histogram(flags, base, [ov[2], ov[7]]) == full
     for k in (2, 3, 4):
-        assert oracles.s_small_from_squarefree(sqf, x, k, base, ov) == oracles.s_small_exact(x, k, base, ov)
+        counts = oracles.squarefree_multiple_counts(sqf, x, k)
+        assert oracles.s_small_from_counts(counts, base, ov) == oracles.s_small_exact(x, k, base, ov)
+    # a joint histogram over more primes (past the 8-bit key at four) marginalises to the same
+    union = (2, 3, 5, 7, 11)
+    joint = oracles.omega_flag_histograms(om, sqf, [(x, union)])[x, union]
+    assert oracles.project_flags(joint, union, (2, 7)) == flags
+    assert oracles.project_flags(joint, union, ()) == {(j, 0): c for j, c in hist.items()}
     assert h(1) == 1.0
 
 

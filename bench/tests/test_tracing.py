@@ -9,6 +9,7 @@ import divisorlab.cli
 import tracing
 import workloads
 from run import digest
+from test_workloads import small_ratio_round
 
 
 def _cli(argv):
@@ -59,11 +60,7 @@ def test_missing_target_gives_absent_metric(monkeypatch):
 
 
 def test_traced_round_outputs_equal_untraced():
-    wl = workloads.CensusOmega(divisorlab, divisorlab.cli)
-    tables = divisorlab.build_sieve(10**5)
-    q = wl.draw(random.Random("test"))
-    q.synthetic = [(om, k, 1, s) for om, k, _, s in q.synthetic if k**om <= 10**5]
-    q.in_table = q.in_table[:1]
+    wl, q, tables = small_ratio_round("test")
     plain = [fn() for _, fn in wl.ops(q, tables)]
     tracer = tracing.Tracer()
     tracer.install()
@@ -74,4 +71,5 @@ def test_traced_round_outputs_equal_untraced():
     finally:
         tracer.uninstall()
     assert digest(plain) == digest(traced)
-    assert tracer.rounds[0]["counts"]["assignments"] > 0
+    layers = tracer.rounds[0]["layers"]
+    assert tracer.rounds[0]["counts"]["count_calls"] > 0 and layers["cli.self"] > 0

@@ -1,4 +1,4 @@
-"""The four workloads: inputs drawn per round, the operation list, checks.
+"""The two workloads: inputs drawn per round, the operation list, checks.
 
 A workload reaches divisorlab only through the package's public names
 and the CLI entry `divisorlab.cli.parse_and_dispatch`, always looked up
@@ -13,12 +13,9 @@ that the cost of a round hardly depends on the seed.
 
 import contextlib
 import io
-import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
-
-import numpy as np
 
 import checks
 import oracles
@@ -36,6 +33,12 @@ def _c(rng, lo, hi):
 def failed(out) -> bool:
     """An operation that raised; the harness counts it, and checks skip it."""
     return isinstance(out, Exception)
+
+
+# The trend `ratio` with an override, fixed inputs; a known fault makes its rows
+# those of the run without the override, so it is counted as failed.
+TREND_OVERRIDE = ["ratio", "--x", "1000", "--x", "10000", "--x", "100000", "--x", "400000",
+                  "--k", "3", "--c", "0.3", "--override", "2=0.0"]
 
 
 def _euler(memo: dict, z: float, shift: int) -> float:
@@ -75,7 +78,8 @@ class Workload:
 
 
 class RatioScan(Workload):
-    """ratio, abcd, monotonicity_scan and ratio_convergence on one 1e7 table."""
+    """ratio, abcd, monotonicity_scan and ratio_convergence on one 1e7 table,
+    and the same questions through the CLI entry at small x."""
 
     name = "ratio_scan"
     limit = 10**7
@@ -99,7 +103,17 @@ class RatioScan(Workload):
             conv_k=self.CONV_K, conv_c=_c(rng, 0.05, 0.3),
             grid=[rng.randint(10_000, 20_000), rng.randint(100_000, 200_000),
                   rng.randint(1_000_000, 2_000_000), x],
+            cli_ratio=["ratio"] + [str(a) for a in (
+                "--x", rng.randint(1000, 2000), "--x", rng.randint(2001, 3000), "--k", 3, "--c", _c(rng, 0.05, 0.3),
+                "--override", f"{rng.choice(SMALL_PRIMES)}={_c(rng, 0.0, 0.3)}")],
         )
+
+    def invoke(self, argv):
+        """One in-process CLI invocation: (exit code, stdout, stderr)."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = self.cli.parse_and_dispatch(list(argv))
+        return code, out.getvalue(), err.getvalue()
 
     def ops(self, q, tb):
         dl = self.dl
@@ -112,6 +126,9 @@ class RatioScan(Workload):
             ("monotonicity_scan", lambda: dl.monotonicity_scan(q.x, q.k, q.c, q.p, q.vs, tb)),
             ("ratio_convergence", lambda: dl.ratio_convergence(q.conv_k, q.conv_c, q.grid, tb)),
         ]
+        ops += [(f"{name}/{fmt}", lambda argv=argv, fmt=fmt: self.invoke(argv + ["--format", fmt]))
+                for name, argv in (("cli ratio", q.cli_ratio), ("cli trend-override", TREND_OVERRIDE))
+                for fmt in ("csv", "json")]
         return ops
 
     def check(self, q, outs, tb):
@@ -128,7 +145,7 @@ class RatioScan(Workload):
         small2 = dl.small_class_counts(q.x, 2, (), tb).total_pairs()
         self.records.append(("pairs", q.x, full, small2))
 
-        dec, scan, conv = outs[len(q.reqs):]
+        dec, scan, conv = outs[len(q.reqs) : len(q.reqs) + 3]
         if not failed(dec):
             # h(p)a + b and h(p)c + d against the exact S_small and S_full, in finish()
             hp = Fraction(q.c)
@@ -142,24 +159,77 @@ class RatioScan(Workload):
             require(conv.target == float(q.conv_k) ** (-q.conv_c), "convergence target")
             for xi, sf in zip(q.grid, conv.extra["s_full"]):
                 self.records.append(("s_full", xi, q.conv_c, sf))
+        return self._check_cli(q, outs[len(q.reqs) + 3 :])
+
+    def _check_cli(self, q, outs):
+        """CSV and JSON rows agree; the single-x rows equal the brute-force sums.
+
+        Returns 2, the CSV and the JSON invocation, while the trend with an
+        override prints other rows than the single-x runs at the same x.
+        """
+        rows = {}
+        for name, pair in (("ratio", outs[:2]), ("trend", outs[2:])):
+            if any(failed(o) for o in pair):
+                continue
+            (code_c, csv_text, err_c), (code_j, json_text, err_j) = pair
+            require(code_c == code_j == 0, f"cli {name}: exit codes {code_c}, {code_j}: {err_c}{err_j}")
+            rows[name] = checks.csv_json_rows(csv_text, json_text)[1]
+        if "ratio" in rows:
+            p_str, v_str = q.cli_ratio[-1].split("=")
+            ov = {int(p_str): float(v_str)}
+            require(len(rows["ratio"]) == 2, "cli ratio rows")
+            for x, k, c, s_full, s_small, ratio, limit in rows["ratio"]:
+                rep = SimpleNamespace(s_full=s_full, s_small=s_small, ratio=ratio)
+                checks.check_ratio_small_x(rep, x, k, c, ov)
+                require(limit == float(k) ** (-c), "k_pow_neg_c")
+        if "trend" in rows and rows["trend"] != self._reference_trend_rows():
+            return 2
         return 0
 
-    def finish(self, records):
-        def key(r):
-            return r[1], tuple(p for p, _ in r[4]) if r[0] == "ratio" else ()
+    def _reference_trend_rows(self):
+        """The rows of single-x runs at the trend's x; the first against the brute-force sum."""
+        if "trend" not in self.memo:
+            common = TREND_OVERRIDE[9:]
+            rows = []
+            for xs in (TREND_OVERRIDE[1:7], TREND_OVERRIDE[7:9]):
+                code, text, err = self.invoke(["ratio"] + xs + common)
+                require(code == 0, f"single-x ratio: {err}")
+                rows += checks.parse_csv(text)[1]
+            x, k, c, s_full, s_small, ratio, _ = rows[0]
+            want_full = oracles.s_full_exact(x, c, {2: 0.0})
+            require(s_full == float(want_full), f"single-x ratio row at {x}")
+            self.memo["trend"] = rows
+        return self.memo["trend"]
 
+    def finish(self, records):
         if not records:
             return
         om, sqf = oracles.omega_table(max(r[1] for r in records))
-        hists = oracles.omega_flag_histograms(om, sqf, [key(r) for r in records])
+        # one joint histogram per x, over all override primes asked for at that x
+        primes_at = {}
         for r in records:
-            hist = hists[key(r)]
-            plain = {j: cnt for (j, _), cnt in hist.items()}
+            primes = primes_at.setdefault(r[1], set())
+            if r[0] == "ratio":
+                primes.update(p for p, _ in r[4])
+        primes_at = {x: tuple(sorted(ps)) for x, ps in primes_at.items()}
+        hists = oracles.omega_flag_histograms(om, sqf, list(primes_at.items()))
+        counts = {}  # (x, k): squarefree multiple counts, shared by every weight at (x, k)
+
+        def counts_at(x, k):
+            if (x, k) not in counts:
+                counts[x, k] = oracles.squarefree_multiple_counts(sqf, x, k)
+            return counts[x, k]
+
+        for r in records:
             kind, x, *rest = r
+            joint = hists[x, primes_at[x]]
+            plain = {j: cnt for (j, _), cnt in oracles.project_flags(joint, primes_at[x], ()).items()}
             if kind == "ratio":
                 k, c, ov, s_full, s_small, ratio = rest
+                ov = dict(ov)
+                hist = oracles.project_flags(joint, primes_at[x], sorted(ov))
                 rep = SimpleNamespace(x=x, s_full=s_full, s_small=s_small, ratio=ratio)
-                checks.check_ratio_full_x(rep, hist, sqf, k, c, dict(ov))
+                checks.check_ratio_full_x(rep, hist, counts_at(x, k), k, c, ov)
             elif kind == "s_full":
                 c, s_full = rest
                 checks.check_s_full_histogram(s_full, plain, c, x)
@@ -167,7 +237,7 @@ class RatioScan(Workload):
                 checks.check_pairs(rest[0], rest[1], plain, x)
             else:
                 k, c, small, full = rest
-                require(Fraction(small) == oracles.s_small_from_squarefree(sqf, x, k, c, {}),
+                require(Fraction(small) == oracles.s_small_from_counts(counts_at(x, k), c, {}),
                         f"h(p)a + b != S_small at x={x}")
                 require(Fraction(full) == oracles.s_full_from_histogram(plain, c),
                         f"h(p)c + d != S_full at x={x}")
@@ -177,10 +247,14 @@ class RatioScan(Workload):
 
 
 class SeriesTables(Workload):
-    """Excluded-prime series, gamma lemma, Selberg sums and D(x) on a 1e7 table."""
+    """Excluded-prime series, gamma lemma, Selberg sums and D(x) on a 1e7 table,
+    and the factorization census on the same table."""
 
     name = "series_tables"
     limit = 10**7
+    SYNTHETIC = (10, 3, 2)  # (omega, k, records): 3**10 assignments per record
+    IN_TABLE = (6, 3, 20)
+    POOL = oracles.primes_to(61)  # the first 18 primes, the program's synthetic pool
 
     def draw(self, rng):
         p = rng.choice(SPLIT_PRIMES)
@@ -199,6 +273,7 @@ class SeriesTables(Workload):
             gridek=[rng.randint(10_000, 12_000), rng.randint(100_000, 120_000),
                     rng.randint(1_000_000, 1_100_000), rng.randint(1_900_000, 2_000_000)],
             ekr=[10_000, 20_000, rng.randint(30_000, 40_000)],
+            census_seeds=(rng.randrange(2**31), rng.randrange(2**31)),
         )
 
     def ops(self, q, tb):
@@ -215,11 +290,16 @@ class SeriesTables(Workload):
             ("selberg_trend", lambda: dl.selberg_trend(q.zw, True, q.gridw, tb)),
             ("selberg_trend", lambda: dl.selberg_trend(q.zu, False, q.gridu, tb)),
             ("erdos_kac_distance", lambda: dl.erdos_kac_distance(q.gridek, tb)),
+            ("census_sample_synthetic", lambda: dl.census_sample_synthetic(*self.SYNTHETIC, q.census_seeds[0], tb)),
+            ("census_sample", lambda: dl.census_sample(*self.IN_TABLE, q.census_seeds[1], tb)),
         ]
 
     def check(self, q, outs, tb):
         dl = self.dl
-        H, h1, h2, gam, selw, selu, ek = outs
+        H, h1, h2, gam, selw, selu, ek, synthetic, in_table = outs
+        for (om, k, cnt), out, where in ((self.SYNTHETIC, synthetic, "pool"), (self.IN_TABLE, in_table, "table")):
+            if not failed(out):
+                self._check_census(out, om, k, cnt, where)
         if not failed(H):
             # h_series has no oracle at x1 or x2 but H; where H raised they go unchecked
             if not failed(h1):
@@ -248,6 +328,19 @@ class SeriesTables(Workload):
                 require(abs(d - want) <= 1e-12, f"D({x}) {d!r} vs loop {want!r}")
         return 0
 
+    def _check_census(self, out, om, k, cnt, where):
+        records, summary = out
+        require(len(records) == cnt == summary.count, "census record count")
+        for rec in records:
+            checks.check_census_record(rec, k, om)
+            if where == "pool":
+                require(set(oracles.factorize(rec.n)) <= set(self.POOL), f"n={rec.n} outside the pool")
+            else:
+                require(rec.n <= self.limit, f"in-table n={rec.n} beyond the table")
+        ratios = [r.ratio for r in records]
+        require(summary.min_ratio == min(ratios) and summary.max_ratio == max(ratios), "census summary")
+        require(close(summary.mean_ratio, sum(ratios) / len(ratios)), "census mean")
+
     def finish(self, records):
         if not records:
             return
@@ -262,235 +355,6 @@ class SeriesTables(Workload):
 # ---------------------------------------------------------------------------
 
 
-class CensusOmega(Workload):
-    """Synthetic census at omega 8..12 and in-table samples at omega 6."""
-
-    name = "census_omega"
-    limit = 10**6  # the CLI's default census table
-    SYNTHETIC = ((8, 6, 1), (12, 3, 2), (11, 3, 2), (9, 4, 2), (10, 3, 2), (8, 3, 2))
-    IN_TABLE_K = (2, 3, 4)
-    POOL = oracles.primes_to(61)  # the first 18 primes, the program's synthetic pool
-
-    def draw(self, rng):
-        return SimpleNamespace(
-            synthetic=[(om, k, cnt, rng.randrange(2**31)) for om, k, cnt in self.SYNTHETIC],
-            in_table=[(k, rng.randrange(2**31)) for k in self.IN_TABLE_K],
-        )
-
-    def ops(self, q, tb):
-        dl = self.dl
-        ops = [("census_sample_synthetic",
-                lambda a=a: dl.census_sample_synthetic(a[0], a[1], a[2], a[3], tb))
-               for a in q.synthetic]
-        ops += [("census_sample", lambda k=k, s=s: dl.census_sample(6, k, 30, s, tb))
-                for k, s in q.in_table]
-        return ops
-
-    def check(self, q, outs, tb):
-        specs = ([(om, k, cnt, True) for om, k, cnt, _ in q.synthetic]
-                 + [(6, k, 30, False) for k, _ in q.in_table])
-        for (om, k, cnt, synthetic), out in zip(specs, outs):
-            if failed(out):
-                continue
-            records, summary = out
-            require(len(records) == cnt == summary.count, "census record count")
-            for rec in records:
-                checks.check_census_record(rec, k, om)
-                if synthetic:
-                    require(set(oracles.factorize(rec.n)) <= set(self.POOL), f"n={rec.n} outside the pool")
-                else:
-                    require(rec.n <= self.limit, f"in-table n={rec.n} beyond the table")
-            ratios = [r.ratio for r in records]
-            require(summary.min_ratio == min(ratios) and summary.max_ratio == max(ratios), "census summary")
-            require(close(summary.mean_ratio, sum(ratios) / len(ratios)), "census mean")
-        return 0
-
-
-# ---------------------------------------------------------------------------
-
-TREND_OVERRIDE = ["ratio", "--x", "1000", "--x", "10000", "--x", "100000", "--x", "400000",
-                  "--k", "3", "--c", "0.3", "--override", "2=0.0"]
-
-
-class CliBatch(Workload):
-    """One in-process CLI invocation per question, in CSV and in JSON.
-
-    Tables stay at a few 1e5, so that a round takes about a second and a
-    run holds some ten rounds: single invocations here vary by 15-20%
-    from process to process, far more than library rounds do.
-    """
-
-    name = "cli_batch"
-    limit = 0  # every invocation builds its own table
-    CENSUS_LIMIT = 200_000
-
-    def invoke(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = self.cli.parse_and_dispatch(list(argv))
-        return code, out.getvalue(), err.getvalue()
-
-    def draw(self, rng):
-        c = _c(rng, 0.05, 0.3)
-        ab = sorted(rng.sample(range(1000, 3001), 2))
-        z_euler = _c(rng, 0.2, 3.0)
-        qs = {
-            "sieve-stats": ["--limit", rng.randint(180_000, 200_000)],
-            "ratio": ["--x", ab[0], "--x", ab[1], "--x", rng.randint(380_000, 400_000),
-                      "--k", 3, "--c", c,
-                      "--override", f"{rng.choice(SMALL_PRIMES)}={_c(rng, 0.0, 0.3)}"],
-            "trend-override": TREND_OVERRIDE[1:],
-            "monotone": ["--x", rng.randint(180_000, 200_000), "--k", 2, "--c", c,
-                         "--prime", rng.choice(SPLIT_PRIMES)]
-                        + [a for v in sorted(rng.sample(range(61), 6)) for a in ("--v", v / 100)],
-            "adbc": ["--x", rng.randint(180_000, 200_000), "--k", 4, "--c", c,
-                     "--prime", rng.choice(SPLIT_PRIMES)],
-            "euler": ["--which", rng.choice(("f0", "f1")), "--z", z_euler,
-                      "--trunc", rng.randint(100_000, 300_000)],
-            "predict": ["--x", rng.randint(10_000, 100_000), "--x", rng.randint(1_000_000, 10_000_000),
-                        "--k", rng.choice((2, 3, 4)), "--c", c],
-            "prop32": ["--m-max", rng.randint(200, 400), "--x", rng.randint(10_000, 20_000),
-                       "--x", rng.randint(100_000, 200_000)],
-            "census": ["--omega", 6, "--k", rng.choice((2, 3, 4)), "--samples", 20,
-                       "--seed", rng.randrange(2**31), "--limit", self.CENSUS_LIMIT],
-            "erdos-kac": ["--x", rng.randint(180_000, 200_000), "--a", _c(rng, -2.0, -0.5),
-                          "--b", _c(rng, 0.5, 2.0)],
-            "gamma-lemma": ["--n", rng.randint(180_000, 200_000), "--f", "log_shift",
-                            "--points", rng.randint(30, 60)],
-            "selberg": ["--z", rng.choice((2, 3)), "--x", rng.randint(10_000, 20_000),
-                        "--x", rng.randint(100_000, 120_000), "--x", rng.randint(180_000, 200_000)],
-        }
-        return {name: [("ratio" if name == "trend-override" else name)] + [str(a) for a in args]
-                for name, args in qs.items()}
-
-    def ops(self, q, tb):
-        return [(f"{name}/{fmt}", lambda argv=argv, fmt=fmt: self.invoke(argv + ["--format", fmt]))
-                for name, argv in q.items() for fmt in ("csv", "json")]
-
-    def _rows(self, q, outs):
-        """{question: (header, rows, JSON payload)} once exit codes and CSV/JSON agree.
-
-        A question whose CSV or JSON invocation raised is left out.
-        """
-        by_name = {}
-        for i, name in enumerate(q):
-            csv_out, json_out = outs[2 * i : 2 * i + 2]
-            if failed(csv_out) or failed(json_out):
-                continue
-            (code_c, csv_text, err_c), (code_j, json_text, err_j) = csv_out, json_out
-            require(code_c == code_j == 0, f"{name}: exit codes {code_c}, {code_j}: {err_c}{err_j}")
-            header, rows = checks.csv_json_rows(csv_text, json_text)
-            by_name[name] = (header, rows, json.loads(json_text))
-        return by_name
-
-    def _reference_trend_rows(self):
-        if "trend" not in self.memo:
-            common = TREND_OVERRIDE[9:]
-            rows = []
-            for xs in (TREND_OVERRIDE[1:7], TREND_OVERRIDE[7:9]):
-                code, text, err = self.invoke(["ratio"] + xs + common)
-                require(code == 0, f"single-x ratio: {err}")
-                rows += checks.parse_csv(text)[1]
-            x, k, c, s_full, s_small, ratio, _ = rows[0]
-            want_full = oracles.s_full_exact(x, c, {2: 0.0})
-            require(s_full == float(want_full), f"single-x ratio row at {x}")
-            self.memo["trend"] = rows
-        return self.memo["trend"]
-
-    def check(self, q, outs, tb):
-        r = self._rows(q, outs)
-        arg = lambda name, flag, conv=float: [conv(a) for f, a in zip(q[name], q[name][1:]) if f == flag]
-        rows_of = lambda name: r[name][1] if name in r else []
-        top = max(arg("sieve-stats", "--limit", int)[0], arg("erdos-kac", "--x", int)[0],
-                  arg("selberg", "--x", int)[-1], arg("prop32", "--x", int)[-1])
-        om, sqf = oracles.omega_table(top)
-
-        if "sieve-stats" in r:  # counts per omega class against the own sieve
-            L = arg("sieve-stats", "--limit", int)[0]
-            hist = np.bincount(om[1 : L + 1][sqf[1 : L + 1]])
-            want = [[j, int(cnt)] for j, cnt in enumerate(hist) if cnt]
-            require(r["sieve-stats"][1] == want, "sieve-stats counts")
-
-        if "ratio" in r:  # the two small-x rows against brute-force exact sums
-            p_str, v_str = arg("ratio", "--override", str)[0].split("=")
-            ov = {int(p_str): float(v_str)}
-            for x, k, c, s_full, s_small, ratio, limit in r["ratio"][1][:2]:
-                rep = SimpleNamespace(s_full=s_full, s_small=s_small, ratio=ratio)
-                checks.check_ratio_small_x(rep, x, k, c, ov)
-                require(limit == float(k) ** (-c), "k_pow_neg_c")
-
-        failed_ops = 0
-        if "trend-override" in r:  # every row must equal the single-x row
-            if r["trend-override"][1] != self._reference_trend_rows():
-                failed_ops = 2  # the CSV and the JSON invocation
-
-        if "monotone" in r:
-            rows = r["monotone"][1]
-            require(all(o == pred for _, o, pred in rows), "monotone ratio != (Av+B)/(Cv+D)")
-            require(all(b[1] < a[1] for a, b in zip(rows, rows[1:])), "monotone not decreasing")
-            require(r["monotone"][2]["verdict"] == "pass", "monotone verdict")
-
-        if "adbc" in r:
-            require(r["adbc"][1][0][5:] == [0.0, 0.0], f"adbc residuals {r['adbc'][1][0][5:]}")
-
-        if "euler" in r:
-            which, z, value, trunc, tail = r["euler"][1][0]
-            t_max = arg("euler", "--trunc", int)[0]
-            primes = oracles.primes_to(t_max)
-            require(trunc == primes[-1] and tail > 0, "euler truncation prime")
-            require(close(value, oracles.euler_product(z, t_max, 0 if which == "f0" else 1)),
-                    f"euler {which}({z}) {value!r}")
-
-        for x, k, c, pf, ps, ratio in rows_of("predict"):
-            lead = _euler(self.memo, c, 1) / (c * math.gamma(c))
-            require(close(pf, 6 / math.pi**2 * lead * x * math.log(x) ** c, 1e-9), f"predict_s_full({x})")
-            require(ratio == ps / pf and close(ratio, float(k) ** (-c)), f"predict ratio at {x}")
-
-        if "prop32" in r:
-            m_max = arg("prop32", "--m-max", int)[0]
-            require(r["prop32"][2]["verdict"] == "pass", "prop32 verdict")
-            for x, constant, m in r["prop32"][1]:
-                require(m <= m_max and sqf[m], f"prop32 argmax m={m}")
-                mask = sqf[1 : x + 1].copy()
-                primes_m = list(oracles.factorize(m))
-                for p in primes_m:
-                    mask[p - 1 :: p] = False
-                g = math.prod(p / (p + 1) for p in primes_m)
-                want = abs(int(mask.sum()) - 6 / math.pi**2 * g * x) / (
-                    (2.0 ** len(primes_m)) ** (2 / 3) * math.sqrt(x))
-                require(close(constant, want, 1e-9), f"prop32 constant at x={x}, m={m}")
-
-        k = arg("census", "--k", int)[0]
-        for n, k_row, om_row, tau, g, ratio in rows_of("census"):
-            rec = SimpleNamespace(n=n, k=k_row, omega_n=om_row, tau_k=tau, g_k=g, ratio=ratio)
-            require(n <= self.CENSUS_LIMIT, "in-table census n")
-            checks.check_census_record(rec, k, 6)
-
-        if "erdos-kac" in r:
-            x, a, b, fraction, mass, _, skipped = r["erdos-kac"][1][0]
-            n = np.arange(3, x + 1, dtype=np.float64)
-            ll = np.log(np.log(n))
-            stat = (om[3 : x + 1] - ll) / np.sqrt(ll)
-            inside = int(np.count_nonzero((stat >= a) & (stat <= b)))
-            require(skipped == 2 and abs(fraction - inside / (x - 2)) <= 1e-9, "erdos-kac fraction")
-            require(close(mass, oracles.normal_mass(a, b)), "erdos-kac normal mass")
-
-        if "gamma-lemma" in r:
-            bign = arg("gamma-lemma", "--n", int)[0]
-            rows = r["gamma-lemma"][1]
-            require(len(rows) == arg("gamma-lemma", "--points", int)[0], "gamma-lemma points")
-            for t, g in rows:
-                require(close(g, math.log(math.e + t) * math.log(math.e + bign / t)), f"gamma at {t}")
-
-        z = arg("selberg", "--z")[0]
-        for x, observed in rows_of("selberg"):
-            exact = sum(int(cnt) * int(z) ** j for j, cnt in
-                        enumerate(np.bincount(om[1 : x + 1][sqf[1 : x + 1]])))
-            predictor = x * math.log(x) ** (z - 1.0) / math.gamma(z) * _euler(self.memo, z, 0)
-            require(close(observed, exact / predictor, 1e-9), f"selberg at x={x}")
-        return failed_ops
-
-
-WORKLOADS = {w.name: w for w in (RatioScan, SeriesTables, CensusOmega, CliBatch)}
+WORKLOADS = {w.name: w for w in (RatioScan, SeriesTables)}
 
 __all__ = ["WORKLOADS", "CheckFailed"]
