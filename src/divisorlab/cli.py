@@ -4,15 +4,13 @@ One subcommand per study; every run emits either CSV (header row first,
 '#'-prefixed comment lines for summaries and verdicts) or a single JSON
 object with "inputs", "rows", "verdict" keys.  Exit codes: 0 success,
 1 invalid arguments or configuration, 2 when --check is set and any
-verdict is "fail".  Identical invocations produce byte-identical output
-regardless of --threads.
+verdict is "fail".  Identical invocations produce byte-identical output.
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
-from dataclasses import dataclass, field
 
 from .census import census, census_sample, census_sample_synthetic
 from . import divisor_sums as dsums
@@ -35,52 +33,6 @@ SUBCOMMANDS = (
     "gamma-lemma",
     "selberg",
 )
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters after the flag -> config -> default chain."""
-
-    limit: int | None = None
-    x: list[int] = field(default_factory=list)
-    k: int = 3
-    c: float = 0.3
-    overrides: list[tuple[int, float]] = field(default_factory=list)
-    seed: int = 0
-    threads: int = 1
-    format: str = "csv"
-    output: str | None = None
-    check: bool = False
-    strict: bool = True
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ConfigurationError(f"threads={self.threads} must be >= 1")
-        if self.x and self.k is not None and self.k < 2:
-            raise ConfigurationError(f"k={self.k} must be >= 2")
-        if self.limit is not None and self.x and max(self.x) > self.limit:
-            raise ConfigurationError(
-                f"x={max(self.x)} exceeds the sieve limit {self.limit}"
-            )
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        overrides = [
-            _parse_override(t) for t in getattr(args, "override", None) or []
-        ]
-        return cls(
-            limit=args.limit,
-            x=sorted(set(getattr(args, "x", None) or [])),
-            k=getattr(args, "k", None) or 3,
-            c=getattr(args, "c", None) if getattr(args, "c", None) is not None else 0.3,
-            overrides=overrides,
-            seed=args.seed,
-            threads=args.threads,
-            format=args.format,
-            output=args.output,
-            check=args.check,
-            strict=args.strict,
-        )
 
 
 class _UsageError(Exception):
@@ -107,7 +59,6 @@ def _add_common(sub):
     sub.add_argument("--limit", type=int, help="sieve extent (default: largest x needed)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--output", default=None, help="write here instead of stdout")
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--check", action="store_true", default=None,
                      help="exit 2 if any verdict is 'fail'")
@@ -212,7 +163,6 @@ _CONFIG_COERCE = {
     "k": int,
     "c": float,
     "seed": int,
-    "threads": int,
     "m_max": int,
     "points": int,
     "samples": int,
@@ -222,7 +172,6 @@ _CONFIG_COERCE = {
     "b": float,
     "format": str,
     "output": str,
-    "x": lambda s: [int(tok) for tok in s.split(",")],
     "strict": lambda s: s.lower() not in ("0", "false", "no"),
     "check": lambda s: s.lower() in ("1", "true", "yes"),
 }
@@ -235,14 +184,13 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in values.items():
         if not hasattr(args, key):
             continue
-        if getattr(args, key) is None or (key == "x" and getattr(args, key) is None):
+        if getattr(args, key) is None:
             coerce = _CONFIG_COERCE.get(key, str)
             setattr(args, key, coerce(raw))
 
 
 _BUILTIN_DEFAULTS = {
     "format": "csv",
-    "threads": 1,
     "seed": 0,
     "check": False,
     "strict": True,
@@ -335,21 +283,19 @@ def _dispatch(args) -> tuple[_Emitter, int]:
 
     elif cmd == "ratio":
         xs = sorted(set(args.x))
-        if args.k < 2:
-            raise ConfigurationError(f"k={args.k} must be >= 2")
         tables = _tables_for(args, xs[-1])
         w = _weight_from_args(args, args.k)
         out.set_header("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c")
         if len(xs) >= 4:
             rep = ex.ratio_convergence(args.k, args.c, xs, tables,
-                                       threads=args.threads, strict=args.strict)
+                                       strict=args.strict, overrides=w.overrides)
             for x, robs, sf, ss in zip(xs, rep.observed, rep.extra["s_full"], rep.extra["s_small"]):
                 out.add_row(x, args.k, args.c, sf, ss, robs, rep.target)
             out.comment(rep.notes)
             out.set_verdict(rep.verdict)
         else:
             for x in xs:
-                rep = dsums.ratio(x, args.k, w, tables, threads=args.threads)
+                rep = dsums.ratio(x, args.k, w, tables)
                 out.add_row(x, args.k, args.c, rep.s_full, rep.s_small,
                             rep.ratio, rep.predicted_limit)
 
@@ -357,8 +303,7 @@ def _dispatch(args) -> tuple[_Emitter, int]:
         x = max(args.x)
         tables = _tables_for(args, x)
         v_grid = args.v if args.v else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        rep = ex.monotonicity_scan(x, args.k, args.c, args.prime, v_grid, tables,
-                                   threads=args.threads)
+        rep = ex.monotonicity_scan(x, args.k, args.c, args.prime, v_grid, tables)
         out.set_header("v", "ratio", "predicted_ratio")
         for v, obs, pred in zip(rep.grid, rep.observed, rep.extra["predicted"]):
             out.add_row(v, obs, pred)
@@ -370,11 +315,11 @@ def _dispatch(args) -> tuple[_Emitter, int]:
         x = max(args.x)
         tables = _tables_for(args, x)
         w = PrimeWeight(args.c, k_context=args.k, strict_mode=args.strict)
-        dec = dsums.abcd(x, args.k, w, args.prime, tables, threads=args.threads)
+        dec = dsums.abcd(x, args.k, w, args.prime, tables)
         full = dsums.weighted_total(
-            dsums.full_class_counts(x, w.override_primes(), tables, threads=args.threads), w)
+            dsums.full_class_counts(x, w.override_primes(), tables), w)
         small = dsums.weighted_total(
-            dsums.small_class_counts(x, args.k, w.override_primes(), tables, threads=args.threads), w)
+            dsums.small_class_counts(x, args.k, w.override_primes(), tables), w)
         hp = Fraction(w.value_at(args.prime))
         resid_small = float(hp * dec.a_exact + dec.b_exact - small)
         resid_full = float(hp * dec.c_exact + dec.d_exact - full)
@@ -470,6 +415,18 @@ def _dispatch(args) -> tuple[_Emitter, int]:
     return out, exit_code
 
 
+def _check_x(args: argparse.Namespace) -> None:
+    """Reject a k below 2 or an x beyond --limit before any table is built."""
+    xs = getattr(args, "x", None)
+    if not xs:
+        return
+    k = getattr(args, "k", None)
+    if k is not None and k < 2:
+        raise ConfigurationError(f"k={k} must be >= 2")
+    if args.limit is not None and max(xs) > args.limit:
+        raise ConfigurationError(f"x={max(xs)} exceeds the sieve limit {args.limit}")
+
+
 def parse_and_dispatch(argv: list[str]) -> int:
     parser = _build_parser()
     try:
@@ -478,7 +435,7 @@ def parse_and_dispatch(argv: list[str]) -> int:
         _fill_defaults(args)
         if args.command is None:
             raise _UsageError(f"a subcommand is required: one of {SUBCOMMANDS}")
-        RunConfig.from_args(args)  # validates the shared invariants
+        _check_x(args)
         out, exit_code = _dispatch(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

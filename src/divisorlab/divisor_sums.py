@@ -6,12 +6,10 @@ their ratio, and the prime-split A/B/C/D decomposition -- is computed by
 first reducing the (d, n) pairs to exact integer counts per class
 (omega(d), override-divisibility flags).  Weights enter only at the final
 combine, done in exact rational arithmetic with a single rounding to
-float, so independent enumeration routes must agree bit-for-bit and
-results cannot depend on thread count.
+float, so independent enumeration routes must agree bit-for-bit.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, fsum
@@ -180,25 +178,6 @@ def _flag_of_map(ops: tuple[int, ...]) -> dict[int, int]:
     return {p: 1 << i for i, p in enumerate(ops)}
 
 
-def _chunk_bounds(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
-    """Split the inclusive integer range [lo, hi] into <= pieces blocks."""
-    n = hi - lo + 1
-    if n <= 0:
-        return []
-    pieces = max(1, min(pieces, n))
-    step = -(-n // pieces)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _run_chunks(worker, bounds, threads: int):
-    """Evaluate worker over chunk bounds, results in chunk order."""
-    if threads <= 1 or len(bounds) <= 1:
-        return [worker(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in bounds]
-        return [f.result() for f in futures]
-
-
 def _flags_for_range(lo: int, hi: int, ops: tuple[int, ...]) -> np.ndarray:
     flags = np.zeros(hi - lo + 1, dtype=np.int64)
     for i, q in enumerate(ops):
@@ -208,25 +187,15 @@ def _flags_for_range(lo: int, hi: int, ops: tuple[int, ...]) -> np.ndarray:
     return flags
 
 
-def _joint_histogram(
-    x: int, ops: tuple[int, ...], tables: SieveTables, threads: int
-) -> np.ndarray:
+def _joint_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
     """Counts of squarefree n <= x per (omega(n), flags(n)) joint key."""
     r = len(ops)
     size = 17 << r  # omega(n) <= 15 for n < 2**31, plus slack
-
-    def worker(lo, hi):
-        mask = tables.mu[lo : hi + 1] != 0
-        key = tables.omega[lo : hi + 1].astype(np.int64) << r
-        if r:
-            key |= _flags_for_range(lo, hi, ops)
-        return np.bincount(key[mask], minlength=size)
-
-    parts = _run_chunks(worker, _chunk_bounds(1, x, threads), threads)
-    total = np.zeros(size, dtype=np.int64)
-    for part in parts:
-        total += part
-    return total
+    mask = tables.mu[1 : x + 1] != 0
+    key = tables.omega[1 : x + 1].astype(np.int64) << r
+    if r:
+        key |= _flags_for_range(1, x, ops)
+    return np.bincount(key[mask], minlength=size)
 
 
 def _submasks(f: int):
@@ -243,7 +212,6 @@ def full_class_counts(
     override_primes: tuple[int, ...],
     tables: SieveTables,
     method: str = "omega_identity",
-    threads: int = 1,
 ) -> ClassCounts:
     """Pair counts for the unrestricted divisor sum, by the chosen route.
 
@@ -259,56 +227,48 @@ def full_class_counts(
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
     if method == "n_major":
-        classes = _full_n_major(x, ops, tables, threads)
+        classes = _full_n_major(x, ops, tables)
     elif method == "d_major":
-        classes = _full_d_major(x, ops, tables, threads)
+        classes = _full_d_major(x, ops, tables)
     elif method == "omega_identity":
-        classes = _full_omega_identity(x, ops, tables, threads)
+        classes = _full_omega_identity(x, ops, tables)
     else:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {FULL_METHODS}")
     return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
 
 
-def _full_n_major(x, ops, tables, threads) -> Counter:
+def _full_n_major(x, ops, tables) -> Counter:
     flag_of = _flag_of_map(ops)
     mu = tables.mu
-
-    def worker(lo, hi):
-        out: Counter = Counter()
-        for n in range(lo, hi + 1):
-            if mu[n] == 0:
-                continue
-            for _, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
-                out[(om, fl)] += 1
-        return out
-
-    return _merge_counters(_run_chunks(worker, _chunk_bounds(1, x, threads), threads))
+    out: Counter = Counter()
+    for n in range(1, x + 1):
+        if mu[n] == 0:
+            continue
+        for _, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+            out[(om, fl)] += 1
+    return out
 
 
-def _full_d_major(x, ops, tables, threads) -> Counter:
+def _full_d_major(x, ops, tables) -> Counter:
     flag_of = _flag_of_map(ops)
     mu = tables.mu
-
-    def worker(lo, hi):
-        out: Counter = Counter()
-        for d in range(lo, hi + 1):
-            if mu[d] == 0:
-                continue
-            primes = distinct_primes(d, tables)
-            cnt = squarefree_coprime_count_range(1, x // d, primes, tables)
-            if cnt:
-                fl = 0
-                for p in primes:
-                    fl |= flag_of.get(p, 0)
-                out[(len(primes), fl)] += cnt
-        return out
-
-    return _merge_counters(_run_chunks(worker, _chunk_bounds(1, x, threads), threads))
+    out: Counter = Counter()
+    for d in range(1, x + 1):
+        if mu[d] == 0:
+            continue
+        primes = distinct_primes(d, tables)
+        cnt = squarefree_coprime_count_range(1, x // d, primes, tables)
+        if cnt:
+            fl = 0
+            for p in primes:
+                fl |= flag_of.get(p, 0)
+            out[(len(primes), fl)] += cnt
+    return out
 
 
-def _full_omega_identity(x, ops, tables, threads) -> Counter:
+def _full_omega_identity(x, ops, tables) -> Counter:
     r = len(ops)
-    hist = _joint_histogram(x, ops, tables, threads)
+    hist = _joint_histogram(x, ops, tables)
     classes: Counter = Counter()
     for key in np.flatnonzero(hist):
         count = int(hist[key])
@@ -327,7 +287,6 @@ def small_class_counts(
     override_primes: tuple[int, ...],
     tables: SieveTables,
     method: str = "d_major",
-    threads: int = 1,
 ) -> ClassCounts:
     """Pair counts restricted to small divisors (d**k <= n)."""
     if not 1 <= x <= tables.limit:
@@ -337,60 +296,44 @@ def small_class_counts(
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
     if method == "n_major":
-        classes = _small_n_major(x, k, ops, tables, threads)
+        classes = _small_n_major(x, k, ops, tables)
     elif method == "d_major":
-        classes = _small_d_major(x, k, ops, tables, threads)
+        classes = _small_d_major(x, k, ops, tables)
     else:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {SMALL_METHODS}")
     return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
 
 
-def _small_n_major(x, k, ops, tables, threads) -> Counter:
+def _small_n_major(x, k, ops, tables) -> Counter:
     flag_of = _flag_of_map(ops)
     mu = tables.mu
-
-    def worker(lo, hi):
-        out: Counter = Counter()
-        for n in range(lo, hi + 1):
-            if mu[n] == 0:
-                continue
-            r_n = integer_kth_root(n, k)
-            for val, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
-                if val <= r_n:
-                    out[(om, fl)] += 1
-        return out
-
-    return _merge_counters(_run_chunks(worker, _chunk_bounds(1, x, threads), threads))
+    out: Counter = Counter()
+    for n in range(1, x + 1):
+        if mu[n] == 0:
+            continue
+        r_n = integer_kth_root(n, k)
+        for val, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+            if val <= r_n:
+                out[(om, fl)] += 1
+    return out
 
 
-def _small_d_major(x, k, ops, tables, threads) -> Counter:
+def _small_d_major(x, k, ops, tables) -> Counter:
     flag_of = _flag_of_map(ops)
     mu = tables.mu
-    rmax = integer_kth_root(x, k)
-
-    def worker(lo, hi):
-        out: Counter = Counter()
-        for d in range(lo, hi + 1):
-            if mu[d] == 0:
-                continue
-            primes = distinct_primes(d, tables)
-            # n = d*m with d**k <= n <= x, i.e. m in [d**(k-1), x//d]
-            cnt = squarefree_coprime_count_range(d ** (k - 1), x // d, primes, tables)
-            if cnt:
-                fl = 0
-                for p in primes:
-                    fl |= flag_of.get(p, 0)
-                out[(len(primes), fl)] += cnt
-        return out
-
-    return _merge_counters(_run_chunks(worker, _chunk_bounds(1, rmax, threads), threads))
-
-
-def _merge_counters(parts) -> Counter:
-    total: Counter = Counter()
-    for part in parts:
-        total.update(part)
-    return total
+    out: Counter = Counter()
+    for d in range(1, integer_kth_root(x, k) + 1):
+        if mu[d] == 0:
+            continue
+        primes = distinct_primes(d, tables)
+        # n = d*m with d**k <= n <= x, i.e. m in [d**(k-1), x//d]
+        cnt = squarefree_coprime_count_range(d ** (k - 1), x // d, primes, tables)
+        if cnt:
+            fl = 0
+            for p in primes:
+                fl |= flag_of.get(p, 0)
+            out[(len(primes), fl)] += cnt
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +364,6 @@ def weighted_total(counts: ClassCounts, w: PrimeWeight) -> Fraction:
     return total
 
 
-def weighted_total_float(counts: ClassCounts, w: PrimeWeight) -> float:
-    return float(weighted_total(counts, w))
-
-
 # ---------------------------------------------------------------------------
 # public aggregates
 
@@ -434,11 +373,10 @@ def s_full(
     w: PrimeWeight,
     tables: SieveTables,
     method: str = "omega_identity",
-    threads: int = 1,
 ) -> float:
     """Full averaged divisor sum  sum_{n<=x} mu^2(n) sum_{d|n} h(d)."""
-    counts = full_class_counts(x, w.override_primes(), tables, method, threads)
-    return weighted_total_float(counts, w)
+    counts = full_class_counts(x, w.override_primes(), tables, method)
+    return float(weighted_total(counts, w))
 
 
 def s_small(
@@ -447,28 +385,17 @@ def s_small(
     w: PrimeWeight,
     tables: SieveTables,
     method: str = "d_major",
-    threads: int = 1,
 ) -> float:
     """Small-divisor averaged sum  sum_{n<=x} mu^2(n) sum_{d|n, d^k<=n} h(d)."""
-    counts = small_class_counts(x, k, w.override_primes(), tables, method, threads)
-    return weighted_total_float(counts, w)
+    counts = small_class_counts(x, k, w.override_primes(), tables, method)
+    return float(weighted_total(counts, w))
 
 
-def ratio(
-    x: int,
-    k: int,
-    w: PrimeWeight,
-    tables: SieveTables,
-    threads: int = 1,
-) -> RatioReport:
+def ratio(x: int, k: int, w: PrimeWeight, tables: SieveTables) -> RatioReport:
     """Small-to-full ratio with the constant-weight limit k**(-c) attached."""
     ops = w.override_primes()
-    full_exact = weighted_total(
-        full_class_counts(x, ops, tables, "omega_identity", threads), w
-    )
-    small_exact = weighted_total(
-        small_class_counts(x, k, ops, tables, "d_major", threads), w
-    )
+    full_exact = weighted_total(full_class_counts(x, ops, tables, "omega_identity"), w)
+    small_exact = weighted_total(small_class_counts(x, k, ops, tables, "d_major"), w)
     return RatioReport(
         x=x,
         k=k,
@@ -547,7 +474,6 @@ def abcd(
     p: int,
     tables: SieveTables,
     method: str = "auto",
-    threads: int = 1,
 ) -> AbcdDecomposition:
     """Exact prime-split of both aggregates at p.
 
@@ -557,7 +483,7 @@ def abcd(
     involve the weight at p.  Identities hold exactly by construction of
     the counts; see compose_decomposition for the integer-level statement.
     """
-    a_cc, b_cc, c_cc, d_cc = abcd_class_counts(x, k, p, w.override_primes(), tables, method, threads)
+    a_cc, b_cc, c_cc, d_cc = abcd_class_counts(x, k, p, w.override_primes(), tables, method)
     a_e = weighted_total(a_cc, w)
     b_e = weighted_total(b_cc, w)
     c_e = weighted_total(c_cc, w)
@@ -576,7 +502,6 @@ def abcd_class_counts(
     override_primes: tuple[int, ...],
     tables: SieveTables,
     method: str = "auto",
-    threads: int = 1,
 ):
     """Class counts (a, b, c, d) for the prime-split at p.
 
@@ -599,18 +524,18 @@ def abcd_class_counts(
     pbit = 1 << ops.index(p)
 
     if method == "auto":
-        small_cls = _small_d_major(x, k, ops, tables, threads)
+        small_cls = _small_d_major(x, k, ops, tables)
         a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        c_cls, d_cls = _cd_via_histogram(x, ops, pbit, tables, threads)
+        c_cls, d_cls = _cd_via_histogram(x, ops, pbit, tables)
     elif method == "d_major":
-        small_cls = _small_d_major(x, k, ops, tables, threads)
+        small_cls = _small_d_major(x, k, ops, tables)
         a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        full_cls = _full_d_major(x, ops, tables, threads)
+        full_cls = _full_d_major(x, ops, tables)
         c_cls, d_cls = _split_at_prime(full_cls, pbit)
     elif method == "n_major":
-        small_cls = _small_n_major(x, k, ops, tables, threads)
+        small_cls = _small_n_major(x, k, ops, tables)
         a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        full_cls = _full_n_major(x, ops, tables, threads)
+        full_cls = _full_n_major(x, ops, tables)
         c_cls, d_cls = _split_at_prime(full_cls, pbit)
     else:
         raise ConfigurationError(
@@ -633,7 +558,7 @@ def _split_at_prime(classes: Counter, pbit: int) -> tuple[Counter, Counter]:
     return with_p, without_p
 
 
-def _cd_via_histogram(x, ops, pbit, tables, threads) -> tuple[Counter, Counter]:
+def _cd_via_histogram(x, ops, pbit, tables) -> tuple[Counter, Counter]:
     """c and d pieces from the joint (omega, flags) histogram of n.
 
     For each bin of n, divisors avoiding p are subsets of the remaining
@@ -641,7 +566,7 @@ def _cd_via_histogram(x, ops, pbit, tables, threads) -> tuple[Counter, Counter]:
     set is that of n/p).
     """
     r = len(ops)
-    hist = _joint_histogram(x, ops, tables, threads)
+    hist = _joint_histogram(x, ops, tables)
     c_cls: Counter = Counter()
     d_cls: Counter = Counter()
     for key in np.flatnonzero(hist):

@@ -62,19 +62,21 @@ def ratio_convergence(
     c: float,
     x_grid,
     tables: SieveTables,
-    threads: int = 1,
     strict: bool = True,
+    overrides: dict[int, float] | None = None,
 ) -> TrendReport:
     """Small-to-full ratio along an x grid, judged against k**(-c).
 
-    Pass requires |R - k^-c| non-increasing over the last three grid
-    points and the final R within 15% of k^-c.  The implied comparison
-    constant s_full/s_small is reported against 2 (informational only).
+    overrides sets the weight at finitely many primes, as in PrimeWeight;
+    the target stays k**(-c).  Pass requires |R - k^-c| non-increasing
+    over the last three grid points and the final R within 15% of k^-c.
+    The implied comparison constant s_full/s_small is reported against 2
+    (informational only).
     """
     xs = _check_grid(x_grid, tables, min_points=4)
-    w = PrimeWeight(c, k_context=k, strict_mode=strict)
+    w = PrimeWeight(c, overrides or {}, k_context=k, strict_mode=strict)
     target = float(k) ** (-c)
-    reports = [dsums.ratio(x, k, w, tables, threads) for x in xs]
+    reports = [dsums.ratio(x, k, w, tables) for x in xs]
     observed = [r.ratio for r in reports]
     errors = [abs(r - target) for r in observed]
     final_ok = abs(observed[-1] - target) <= 0.15 * target
@@ -109,7 +111,6 @@ def monotonicity_scan(
     p: int,
     v_grid,
     tables: SieveTables,
-    threads: int = 1,
 ) -> TrendReport:
     """Ratio as a function of the weight at one prime p.
 
@@ -127,12 +128,12 @@ def monotonicity_scan(
     if p > tables.limit:
         raise RangeError(f"p={p} beyond table limit")
     base = PrimeWeight(c, k_context=k, strict_mode=False)
-    dec = dsums.abcd(x, k, base, p, tables, threads=threads)
+    dec = dsums.abcd(x, k, base, p, tables)
     observed = []
     predicted = []
     for v in vs:
         w = base.with_override(p, v)
-        observed.append(dsums.ratio(x, k, w, tables, threads).ratio)
+        observed.append(dsums.ratio(x, k, w, tables).ratio)
         predicted.append(dec.predicted_ratio(v))
     rel_dev = max(
         abs(o - q) / q for o, q in zip(observed, predicted)
@@ -331,8 +332,8 @@ def erdos_kac_histogram(
         verdict=VERDICT_INFO,
         notes=(
             f"window [{window_a}, {window_b}]: fraction {fraction:.6f} vs "
-            f"normal mass {phi:.6f} (|diff| = {diff:.6f}, cap 0.15 when "
-            f"assertable); skipped n in {{1, 2}} (2 integers, no loglog)"
+            f"normal mass {phi:.6f} (|diff| = {diff:.6f}); "
+            f"skipped n in {{1, 2}} (2 integers, no loglog)"
         ),
         extra={"phi": phi, "abs_diff": diff, "skipped": 2},
     )

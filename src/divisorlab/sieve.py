@@ -3,7 +3,7 @@
 Builds, in one vectorized pass over primes, three per-integer tables:
 smallest prime factor, the Mobius function, and the count of distinct
 prime divisors.  Every aggregate in the package reads these tables; they
-are written once and frozen, so sharing them across threads is safe.
+are written once and frozen.
 """
 
 from dataclasses import dataclass
@@ -39,10 +39,18 @@ class SieveTables:
         return bool(self.mu[n] != 0)
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64)."""
-        idx = np.arange(self.limit + 1, dtype=np.uint32)
-        mask = (self.spf == idx) & (idx >= 2)
-        return np.flatnonzero(mask).astype(np.int64)
+        """All primes <= limit, ascending (int64, read-only).
+
+        Built from spf on the first call and kept on the instance, so a
+        table that is never asked for its primes holds no prime list.
+        """
+        primes = self.__dict__.get("_primes")
+        if primes is None:
+            idx = np.arange(self.limit + 1, dtype=np.uint32)
+            primes = np.flatnonzero((self.spf == idx) & (idx >= 2)).astype(np.int64)
+            primes.setflags(write=False)
+            self.__dict__["_primes"] = primes  # frozen: bypass __setattr__
+        return primes
 
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -52,8 +60,8 @@ class SieveTables:
 def build_sieve(limit: int) -> SieveTables:
     """Build SieveTables for 1..limit.
 
-    The construction is deterministic: plain integer sieving with no
-    data races, so identical tables come out for any thread count.
+    The construction is deterministic plain integer sieving, so equal
+    limits give identical tables.
 
     Raises:
         ConfigurationError: if limit is outside [2, 2**31].

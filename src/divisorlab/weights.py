@@ -7,7 +7,6 @@ where its value is the product of its values at the distinct primes.
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,15 +70,6 @@ def h_eval(n: int, w: PrimeWeight, tables: SieveTables) -> float:
     out = 1.0
     for p in primes:
         out *= w.value_at(p)
-    return out
-
-
-def h_eval_exact(n: int, w: PrimeWeight, tables: SieveTables) -> Fraction:
-    """Exact-rational twin of h_eval (Fraction of the binary float values)."""
-    primes = factor_squarefree(n, tables)
-    out = Fraction(1)
-    for p in primes:
-        out *= Fraction(w.value_at(p))
     return out
 
 

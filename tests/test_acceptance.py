@@ -274,7 +274,7 @@ def test_criterion_10_critical_point_lemma(tables_large):
     )
 
 
-def test_criterion_11_thread_determinism(tmp_path):
+def test_criterion_11_run_determinism(tmp_path):
     commands = [
         ["ratio", "--x", "10000", "--x", "20000", "--x", "40000", "--x", "80000",
          "--k", "3", "--c", "0.3", "--limit", "100000"],
@@ -286,13 +286,14 @@ def test_criterion_11_thread_determinism(tmp_path):
     ]
     all_ok = True
     for i, argv in enumerate(commands):
-        blobs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"cmd{i}_t{threads}.csv"
-            code = parse_and_dispatch(argv + ["--threads", threads, "--output", str(out)])
-            assert code == 0
-            blobs.append(out.read_bytes())
-        all_ok &= blobs[0] == blobs[1]
-    _report(11, "thread-count determinism", all_ok,
-            f"{len(commands)} commands byte-identical across --threads 1 vs 4: {all_ok}")
+        for fmt in ("csv", "json"):
+            blobs = []
+            for run in (1, 2):
+                out = tmp_path / f"cmd{i}_run{run}.{fmt}"
+                code = parse_and_dispatch(argv + ["--format", fmt, "--output", str(out)])
+                assert code == 0
+                blobs.append(out.read_bytes())
+            all_ok &= blobs[0] == blobs[1]
+    _report(11, "run-to-run determinism", all_ok,
+            f"{len(commands)} commands byte-identical over two runs in CSV and JSON: {all_ok}")
     assert all_ok

@@ -95,17 +95,25 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("x,k,c,")
 
 
-def test_threads_do_not_change_bytes(capsys):
-    outputs = []
-    for threads in ("1", "4"):
-        code, out, _ = run(
-            capsys, "ratio", "--x", "2000", "--x", "4000", "--x", "8000",
-            "--x", "16000", "--k", "3", "--c", "0.3", "--threads", threads,
-            "--limit", "16000",
-        )
+def test_trend_override_rows_match_single_x(capsys):
+    xs = ("2000", "4000", "8000", "16000")
+    common = ("--k", "3", "--c", "0.3", "--override", "2=0.0", "--limit", "16000")
+    code, out, _ = run(capsys, "ratio", *(a for x in xs for a in ("--x", x)), *common)
+    assert code == 0
+    trend_rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+    single_rows = []
+    for x in xs:
+        code, out, _ = run(capsys, "ratio", "--x", x, *common)
         assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+        single_rows.append(out.splitlines()[1])
+    assert trend_rows == single_rows
+
+
+def test_x_beyond_limit_exits_one(capsys):
+    code, out, err = run(capsys, "predict", "--x", "100", "--limit", "50")
+    assert code == 1
+    assert out == ""
+    assert "x=100 exceeds the sieve limit 50" in err
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):

@@ -255,24 +255,6 @@ def test_abcd_mobius_quotient_matches_recompute(tables_small):
         assert abs(recomputed - dec.predicted_ratio(v)) <= 1e-12 * recomputed
 
 
-def test_thread_count_invariance(tables_small):
-    x = 5000
-    ops = (2, 5)
-    for method in ds.FULL_METHODS:
-        one = ds.full_class_counts(x, ops, tables_small, method, threads=1)
-        four = ds.full_class_counts(x, ops, tables_small, method, threads=4)
-        assert one == four
-    for method in ds.SMALL_METHODS:
-        one = ds.small_class_counts(x, 3, ops, tables_small, method, threads=1)
-        four = ds.small_class_counts(x, 3, ops, tables_small, method, threads=4)
-        assert one == four
-    w = PrimeWeight(0.3, {2: 0.2, 5: 0.1}, k_context=3)
-    assert (
-        ds.ratio(x, 3, w, tables_small, threads=1).ratio
-        == ds.ratio(x, 3, w, tables_small, threads=4).ratio
-    )
-
-
 def test_method_validation(tables_small):
     with pytest.raises(ConfigurationError):
         ds.full_class_counts(10, (), tables_small, "sideways")

@@ -196,3 +196,12 @@ def test_factor_squarefree_beyond_limit(tables_small):
 def test_primes_up_to():
     assert primes_up_to(1).size == 0
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_built_once_and_read_only():
+    tables = build_sieve(10**4)
+    first = tables.primes()
+    assert tables.primes() is first
+    assert np.array_equal(first, primes_up_to(10**4))
+    with pytest.raises(ValueError):
+        first[0] = 4
