@@ -19,12 +19,15 @@ from .divisor_sums import (
     ClassCounts,
     RatioReport,
     abcd,
+    abcd_from_counts,
+    counts_for_split,
     full_class_counts,
     full_divisor_sum,
     h_series,
     h_series_cumulative,
     integer_kth_root,
     ratio,
+    ratio_from_counts,
     s_full,
     s_small,
     small_class_counts,
@@ -87,10 +90,12 @@ __all__ = [
     "WEIGHT_ERROR_THRESHOLD",
     "ZETA2",
     "abcd",
+    "abcd_from_counts",
     "build_sieve",
     "census",
     "census_sample",
     "census_sample_synthetic",
+    "counts_for_split",
     "distinct_primes",
     "e_of_m",
     "erdos_kac_distance",
@@ -114,6 +119,7 @@ __all__ = [
     "prop32_scan",
     "ratio",
     "ratio_convergence",
+    "ratio_from_counts",
     "s_full",
     "s_small",
     "selberg_exact",

@@ -174,6 +174,9 @@ _CONFIG_COERCE = {
     "output": str,
     "strict": lambda s: s.lower() not in ("0", "false", "no"),
     "check": lambda s: s.lower() in ("1", "true", "yes"),
+    # lists, comma-separated: "v = 0.1, 0.2" and "override = 2=0.0, 5=0.1"
+    "v": lambda s: [float(t) for t in s.split(",")],
+    "override": lambda s: [t.strip() for t in s.split(",")],
 }
 
 
@@ -184,7 +187,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, raw in values.items():
         if not hasattr(args, key):
             continue
-        if getattr(args, key) is None:
+        if getattr(args, key) in (None, []):  # an empty list flag was not given
             coerce = _CONFIG_COERCE.get(key, str)
             setattr(args, key, coerce(raw))
 
@@ -315,11 +318,10 @@ def _dispatch(args) -> tuple[_Emitter, int]:
         x = max(args.x)
         tables = _tables_for(args, x)
         w = PrimeWeight(args.c, k_context=args.k, strict_mode=args.strict)
-        dec = dsums.abcd(x, args.k, w, args.prime, tables)
-        full = dsums.weighted_total(
-            dsums.full_class_counts(x, w.override_primes(), tables), w)
-        small = dsums.weighted_total(
-            dsums.small_class_counts(x, args.k, w.override_primes(), tables), w)
+        full_cc, small_cc = dsums.counts_for_split(x, args.k, args.prime, (), tables)
+        dec = dsums.abcd_from_counts(full_cc, small_cc, args.k, args.prime, w)
+        full = dsums.weighted_total(full_cc, w)
+        small = dsums.weighted_total(small_cc, w)
         hp = Fraction(w.value_at(args.prime))
         resid_small = float(hp * dec.a_exact + dec.b_exact - small)
         resid_full = float(hp * dec.c_exact + dec.d_exact - full)

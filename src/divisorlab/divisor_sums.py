@@ -7,6 +7,14 @@ first reducing the (d, n) pairs to exact integer counts per class
 (omega(d), override-divisibility flags).  Weights enter only at the final
 combine, done in exact rational arithmetic with a single rounding to
 float, so independent enumeration routes must agree bit-for-bit.
+
+The counts do not depend on the weight, so they are built once per
+(x, override set) and weighted per request: ratio_from_counts and
+abcd_from_counts weight a given pair of full and small counts (for a split
+at p, counts_for_split builds them over the override set plus p), and
+ratio and abcd are the wrappers that count first.  The production routes are
+the joint (omega, flags) histogram of n for the full counts and the
+divisor walk over d <= x**(1/k) for the small ones.
 """
 
 from collections import Counter
@@ -178,24 +186,35 @@ def _flag_of_map(ops: tuple[int, ...]) -> dict[int, int]:
     return {p: 1 << i for i, p in enumerate(ops)}
 
 
-def _flags_for_range(lo: int, hi: int, ops: tuple[int, ...]) -> np.ndarray:
-    flags = np.zeros(hi - lo + 1, dtype=np.int64)
-    for i, q in enumerate(ops):
-        first = lo + (-lo) % q
-        if first <= hi:
-            flags[first - lo :: q] |= 1 << i
-    return flags
+# Integers per histogram block: a block's key stays in cache.
+_HIST_BLOCK = 1 << 16
 
 
 def _joint_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
-    """Counts of squarefree n <= x per (omega(n), flags(n)) joint key."""
+    """Counts of squarefree n <= x per joint key omega(n) << r | flags(n).
+
+    The key is built block by block with omega(n) in its low 4 bits and the
+    r flag bits above them, in the narrowest unsigned type that holds both,
+    so no int64 array of length x is made.  The 4 bits rest on
+    omega(n) <= 9 for n <= 2**31 (the product of the first ten primes
+    exceeds 2**31): the unused value 15 marks the n that are not
+    squarefree, and their counts are dropped after the bincount.
+    """
     r = len(ops)
-    size = 17 << r  # omega(n) <= 15 for n < 2**31, plus slack
-    mask = tables.mu[1 : x + 1] != 0
-    key = tables.omega[1 : x + 1].astype(np.int64) << r
-    if r:
-        key |= _flags_for_range(1, x, ops)
-    return np.bincount(key[mask], minlength=size)
+    dtype = np.uint8 if r <= 4 else np.uint16 if r <= 12 else np.uint32
+    block = max(_HIST_BLOCK, 16 << r)  # no block shorter than its histogram
+    counts = np.zeros(16 << r, dtype=np.int64)
+    for lo in range(1, x + 1, block):
+        hi = min(lo + block, x + 1)
+        key = (tables.mu[lo:hi] == 0).astype(dtype)
+        key *= 15
+        key |= tables.omega[lo:hi]
+        for i, q in enumerate(ops):
+            key[(-lo) % q :: q] |= 1 << (4 + i)
+        counts += np.bincount(key, minlength=16 << r)
+    counts = counts.reshape(1 << r, 16)  # row flags, column omega
+    counts[:, 15] = 0
+    return counts.T.ravel()
 
 
 def _submasks(f: int):
@@ -391,19 +410,38 @@ def s_small(
     return float(weighted_total(counts, w))
 
 
-def ratio(x: int, k: int, w: PrimeWeight, tables: SieveTables) -> RatioReport:
-    """Small-to-full ratio with the constant-weight limit k**(-c) attached."""
-    ops = w.override_primes()
-    full_exact = weighted_total(full_class_counts(x, ops, tables, "omega_identity"), w)
-    small_exact = weighted_total(small_class_counts(x, k, ops, tables, "d_major"), w)
+def _check_matching_counts(full: ClassCounts, small: ClassCounts) -> None:
+    if full.x != small.x or full.override_primes != small.override_primes:
+        raise DomainError("full and small counts must share x and the override primes")
+
+
+def ratio_from_counts(
+    full: ClassCounts, small: ClassCounts, k: int, w: PrimeWeight
+) -> RatioReport:
+    """Ratio of the small counts (built for this k) to the full counts under w.
+
+    The counts may carry more override primes than w; w is exact at all of
+    them, so any weight can be applied to one pair of counts.
+    """
+    _check_matching_counts(full, small)
+    full_exact = weighted_total(full, w)
+    small_exact = weighted_total(small, w)
     return RatioReport(
-        x=x,
+        x=full.x,
         k=k,
         weight=w,
         s_full=float(full_exact),
         s_small=float(small_exact),
         ratio=float(small_exact / full_exact),
         predicted_limit=float(k) ** (-w.base_c),
+    )
+
+
+def ratio(x: int, k: int, w: PrimeWeight, tables: SieveTables) -> RatioReport:
+    """Small-to-full ratio with the constant-weight limit k**(-c) attached."""
+    ops = w.override_primes()
+    return ratio_from_counts(
+        full_class_counts(x, ops, tables), small_class_counts(x, k, ops, tables), k, w
     )
 
 
@@ -483,16 +521,33 @@ def abcd(
     involve the weight at p.  Identities hold exactly by construction of
     the counts; see compose_decomposition for the integer-level statement.
     """
-    a_cc, b_cc, c_cc, d_cc = abcd_class_counts(x, k, p, w.override_primes(), tables, method)
-    a_e = weighted_total(a_cc, w)
-    b_e = weighted_total(b_cc, w)
-    c_e = weighted_total(c_cc, w)
-    d_e = weighted_total(d_cc, w)
+    full, small = counts_for_split(x, k, p, w.override_primes(), tables, method)
+    return abcd_from_counts(full, small, k, p, w)
+
+
+def abcd_from_counts(
+    full: ClassCounts, small: ClassCounts, k: int, p: int, w: PrimeWeight
+) -> AbcdDecomposition:
+    """The prime-split at p of full and small counts whose override set holds p.
+
+    The same counts give the ratio at every weight (ratio_from_counts), so a
+    scan over the weight at p counts once.
+    """
+    _check_matching_counts(full, small)
+    a_e, b_e, c_e, d_e = (weighted_total(part, w) for part in _split_counts(full, small, p))
     return AbcdDecomposition(
-        x=x, k=k, p=p, weight=w,
+        x=full.x, k=k, p=p, weight=w,
         a=float(a_e), b=float(b_e), c=float(c_e), d=float(d_e),
         a_exact=a_e, b_exact=b_e, c_exact=c_e, d_exact=d_e,
     )
+
+
+# (full route, small route) per abcd method
+_SPLIT_ROUTES = {
+    "auto": ("omega_identity", "d_major"),
+    "d_major": ("d_major", "d_major"),
+    "n_major": ("n_major", "n_major"),
+}
 
 
 def abcd_class_counts(
@@ -507,9 +562,27 @@ def abcd_class_counts(
 
     All four are keyed over override_primes plus p; since their outer
     variables are never divisible by p, the p bit is always clear in their
-    own keys.  method "auto" walks divisors for the small pieces (their
-    range is x**(1/k)) and bins n for the large ones; "d_major" and
-    "n_major" force a single route for all four, for cross-checking.
+    own keys.  method "auto" splits the production counts (the joint
+    histogram for the full pieces, the divisor walk for the small ones);
+    "d_major" and "n_major" force a single route for all four, for
+    cross-checking.
+    """
+    full, small = counts_for_split(x, k, p, override_primes, tables, method)
+    return _split_counts(full, small, p)
+
+
+def counts_for_split(
+    x: int,
+    k: int,
+    p: int,
+    override_primes: tuple[int, ...],
+    tables: SieveTables,
+    method: str = "auto",
+) -> tuple[ClassCounts, ClassCounts]:
+    """Full and small counts over override_primes plus p, by the method's routes.
+
+    These are the counts that abcd_from_counts splits at p and that
+    ratio_from_counts weights at any weight whose overrides they cover.
     """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
@@ -519,34 +592,31 @@ def abcd_class_counts(
         raise RangeError(f"p={p} beyond table limit {tables.limit}")
     if tables.spf[p] != p:
         raise DomainError(f"p={p} is not prime")
-    ops = tuple(sorted(set(override_primes) | {p}))
-    _check_override_primes(ops, tables)
-    pbit = 1 << ops.index(p)
-
-    if method == "auto":
-        small_cls = _small_d_major(x, k, ops, tables)
-        a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        c_cls, d_cls = _cd_via_histogram(x, ops, pbit, tables)
-    elif method == "d_major":
-        small_cls = _small_d_major(x, k, ops, tables)
-        a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        full_cls = _full_d_major(x, ops, tables)
-        c_cls, d_cls = _split_at_prime(full_cls, pbit)
-    elif method == "n_major":
-        small_cls = _small_n_major(x, k, ops, tables)
-        a_cls, b_cls = _split_at_prime(small_cls, pbit)
-        full_cls = _full_n_major(x, ops, tables)
-        c_cls, d_cls = _split_at_prime(full_cls, pbit)
-    else:
+    if method not in _SPLIT_ROUTES:
         raise ConfigurationError(
-            f"unknown method {method!r}; expected one of ('auto', 'd_major', 'n_major')"
+            f"unknown method {method!r}; expected one of {tuple(_SPLIT_ROUTES)}"
         )
+    full_method, small_method = _SPLIT_ROUTES[method]
+    ops = tuple(sorted(set(override_primes) | {p}))
+    return (
+        full_class_counts(x, ops, tables, full_method),
+        small_class_counts(x, k, ops, tables, small_method),
+    )
 
-    mk = lambda cls: ClassCounts(x=x, override_primes=ops, classes=dict(cls))
+
+def _split_counts(full: ClassCounts, small: ClassCounts, p: int):
+    """(a, b, c, d): small and full counts split by whether p divides d."""
+    ops = full.override_primes
+    if p not in ops:
+        raise DomainError(f"counts were built without the split prime {p}")
+    pbit = 1 << ops.index(p)
+    mk = lambda cls: ClassCounts(x=full.x, override_primes=ops, classes=dict(cls))
+    a_cls, b_cls = _split_at_prime(small.classes, pbit)
+    c_cls, d_cls = _split_at_prime(full.classes, pbit)
     return mk(a_cls), mk(b_cls), mk(c_cls), mk(d_cls)
 
 
-def _split_at_prime(classes: Counter, pbit: int) -> tuple[Counter, Counter]:
+def _split_at_prime(classes: dict, pbit: int) -> tuple[Counter, Counter]:
     """Split (omega, flags) classes by the p bit; p-classes shift down by one prime."""
     with_p: Counter = Counter()
     without_p: Counter = Counter()
@@ -556,33 +626,6 @@ def _split_at_prime(classes: Counter, pbit: int) -> tuple[Counter, Counter]:
         else:
             without_p[(om, fl)] += count
     return with_p, without_p
-
-
-def _cd_via_histogram(x, ops, pbit, tables) -> tuple[Counter, Counter]:
-    """c and d pieces from the joint (omega, flags) histogram of n.
-
-    For each bin of n, divisors avoiding p are subsets of the remaining
-    primes; bins where p | n additionally feed the c piece (their divisor
-    set is that of n/p).
-    """
-    r = len(ops)
-    hist = _joint_histogram(x, ops, tables)
-    c_cls: Counter = Counter()
-    d_cls: Counter = Counter()
-    for key in np.flatnonzero(hist):
-        count = int(hist[key])
-        i, f_n = int(key) >> r, int(key) & ((1 << r) - 1)
-        has_p = bool(f_n & pbit)
-        f_avail = f_n & ~pbit
-        free = i - f_n.bit_count()
-        for s in _submasks(f_avail):
-            base_om = s.bit_count()
-            for j in range(free + 1):
-                add = comb(free, j) * count
-                d_cls[(base_om + j, s)] += add
-                if has_p:
-                    c_cls[(base_om + j, s)] += add
-    return c_cls, d_cls
 
 
 def compose_decomposition(

@@ -114,11 +114,13 @@ def monotonicity_scan(
 ) -> TrendReport:
     """Ratio as a function of the weight at one prime p.
 
-    Recomputes the full ratio at every v in the grid and cross-checks each
-    value against (a*v + b)/(c*v + d) from the frozen prime-split.  The
-    boundary v = 1/(k-1) is admissible here, so weights are built
-    non-strict.  Pass requires strictly decreasing observed values and the
-    cross-check to agree to 1e-12 relative.
+    Counts the full and small aggregates once over the override set {p},
+    weights those counts into the exact ratio at every v in the grid, and
+    cross-checks each value against (a*v + b)/(c*v + d) from the frozen
+    prime-split of the same counts.  The boundary v = 1/(k-1) is admissible
+    here, so weights are built non-strict.  Pass requires strictly
+    decreasing observed values and the cross-check to agree to 1e-12
+    relative.
     """
     vs = [float(v) for v in v_grid]
     if any(b <= a for a, b in zip(vs, vs[1:])):
@@ -128,12 +130,13 @@ def monotonicity_scan(
     if p > tables.limit:
         raise RangeError(f"p={p} beyond table limit")
     base = PrimeWeight(c, k_context=k, strict_mode=False)
-    dec = dsums.abcd(x, k, base, p, tables)
+    full, small = dsums.counts_for_split(x, k, p, (), tables)
+    dec = dsums.abcd_from_counts(full, small, k, p, base)
     observed = []
     predicted = []
     for v in vs:
         w = base.with_override(p, v)
-        observed.append(dsums.ratio(x, k, w, tables).ratio)
+        observed.append(dsums.ratio_from_counts(full, small, k, w).ratio)
         predicted.append(dec.predicted_ratio(v))
     rel_dev = max(
         abs(o - q) / q for o, q in zip(observed, predicted)

@@ -25,8 +25,10 @@ class SieveTables:
         spf: uint32 array of length limit+1; spf[n] is the smallest prime
             factor of n, with spf[1] = 1 and spf[p] = p for primes.
         mu: int8 array; mu[n] is the Mobius function (0 on non-squarefree n).
-        omega: uint8 array; omega[n] counts distinct prime divisors
-            (omega(n) <= 15 for n < 2**31, so one byte suffices).
+        omega: uint8 array; omega[n] counts distinct prime divisors.
+            omega(n) <= 9 for n <= 2**31, since the product of the first
+            ten primes exceeds 2**31; the joint histogram of divisor_sums
+            packs omega into 4 bits on that bound.
     """
 
     limit: int

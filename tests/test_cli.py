@@ -126,6 +126,29 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert row[1] == "2" and row[2] == "0.25"  # config fills the rest
 
 
+def test_config_v_list_reaches_monotone(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("v = 0.1, 0.3\n")
+    code, out, err = run(capsys, "monotone", "--x", "1000", "--prime", "2", "--config", str(cfg))
+    assert code == 0, err
+    _, by_flags, _ = run(capsys, "monotone", "--x", "1000", "--prime", "2", "--v", "0.1", "--v", "0.3")
+    assert out == by_flags
+
+
+def test_config_override_list_with_flag_precedence(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("override = 2=0.0, 5=0.1\n")
+    code, out, _ = run(capsys, "ratio", "--x", "1000", "--config", str(cfg))
+    assert code == 0
+    _, by_flags, _ = run(capsys, "ratio", "--x", "1000", "--override", "2=0.0", "--override", "5=0.1")
+    _, plain, _ = run(capsys, "ratio", "--x", "1000")
+    assert out == by_flags != plain
+    # a flag on the command line replaces the config list
+    _, flag_wins, _ = run(capsys, "ratio", "--x", "1000", "--override", "2=0.1", "--config", str(cfg))
+    _, flag_only, _ = run(capsys, "ratio", "--x", "1000", "--override", "2=0.1")
+    assert flag_wins == flag_only
+
+
 def test_monotone_check_exit_codes(capsys):
     code, out, _ = run(
         capsys, "monotone", "--x", "1000", "--k", "3", "--c", "0.3",

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
+from divisorlab.sieve import build_sieve
 from divisorlab.weights import PrimeWeight, g_eval, h_eval
 
 
@@ -123,6 +126,51 @@ def test_small_routes_agree_exactly(tables_small, ops):
             a = ds.small_class_counts(x, k, ops, tables_small, "n_major")
             b = ds.small_class_counts(x, k, ops, tables_small, "d_major")
             assert a == b
+
+
+# Differential properties of the production routes (joint histogram for the
+# full counts, its split at p for abcd) against the enumeration routes.
+DIFF_LIMIT = 2 * 10**4
+DIFF_TABLES = build_sieve(DIFF_LIMIT)
+DIFF_PRIMES = [int(q) for q in DIFF_TABLES.primes()]
+# small primes flag many n; the rest of the table's primes often lie above x
+override_sets = st.lists(
+    st.one_of(st.sampled_from(DIFF_PRIMES[:15]), st.sampled_from(DIFF_PRIMES)),
+    max_size=6, unique=True,
+).map(tuple)
+differential = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@differential
+@given(x=st.integers(1, DIFF_LIMIT), ops=override_sets)
+def test_histogram_route_equals_n_major(x, ops):
+    want = ds.full_class_counts(x, ops, DIFF_TABLES, "n_major")
+    assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
+    # a block size below x puts block edges inside the range
+    with mock.patch.object(ds, "_HIST_BLOCK", 97):
+        assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
+
+
+@pytest.mark.parametrize("r", [5, 13, 16])
+def test_histogram_route_wide_keys(r):
+    # r > 4 and r > 12 take the uint16 and uint32 keys; two primes lie above x
+    x = 5000
+    ops = (*DIFF_PRIMES[: r - 2], 4999, DIFF_PRIMES[-1])
+    assert ds.full_class_counts(x, ops, DIFF_TABLES) == ds.full_class_counts(
+        x, ops, DIFF_TABLES, "n_major")
+
+
+@differential
+@given(
+    x=st.integers(1, 5000),
+    k=st.integers(2, 5),
+    p=st.sampled_from(DIFF_PRIMES[:15] + [4999, DIFF_PRIMES[-1]]),
+    ops=override_sets.map(lambda ops: ops[:3]),
+)
+def test_abcd_auto_equals_single_routes(x, k, p, ops):
+    auto = ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "auto")
+    assert auto == ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "d_major")
+    assert auto == ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "n_major")
 
 
 def test_weight_one_total_counts_all_pairs(tables_small):

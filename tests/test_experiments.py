@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import divisorlab.divisor_sums as ds
 import divisorlab.experiments as ex
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.euler import gaussian_window
@@ -61,6 +62,20 @@ def test_monotonicity_scan_degenerate_cases(tables_small):
     rep = ex.monotonicity_scan(5, 3, 0.3, 7, [0.1, 0.2], tables_small)
     assert rep.verdict == "informational"
     assert rep.observed[0] == rep.observed[1]
+
+
+@pytest.mark.parametrize("x, k, p", [(10**4, 3, 2), (7777, 2, 5), (5000, 4, 3), (5, 3, 7)])
+def test_monotonicity_scan_equals_separate_requests(tables_small, x, k, p):
+    # the scan weights one pair of counts; each value must be the one a
+    # fresh ratio or abcd request at the same weight gives, bit for bit
+    c, vs = 0.3, [0.0, 0.1, 0.25, 0.3, 0.5]
+    rep = ex.monotonicity_scan(x, k, c, p, vs, tables_small)
+    base = PrimeWeight(c, k_context=k, strict_mode=False)
+    for v, observed in zip(vs, rep.observed):
+        assert observed == ds.ratio(x, k, base.with_override(p, v), tables_small).ratio
+    dec = ds.abcd(x, k, base, p, tables_small)
+    assert rep.extra["abcd"] == (dec.a, dec.b, dec.c, dec.d)
+    assert rep.extra["ad_minus_bc"] == dec.ad_minus_bc
 
 
 def test_monotonicity_scan_grid_validation(tables_small):
