@@ -9,7 +9,8 @@ assignment exactly; samples at growing omega show the mean drifting
 toward k/2.
 """
 
-from divisorlab import build_sieve, census, census_sample, census_sample_synthetic
+from divisorlab import build_sieve
+from divisorlab.census import census, census_sample, census_sample_synthetic
 
 tables = build_sieve(10**6)
 

@@ -10,7 +10,6 @@ in exact integer class counts from a shared sieve.
 from .census import (
     CensusRecord,
     CensusSummary,
-    census,
     census_sample,
     census_sample_synthetic,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "abcd",
     "abcd_from_counts",
     "build_sieve",
-    "census",
     "census_sample",
     "census_sample_synthetic",
     "counts_for_split",

@@ -10,7 +10,9 @@ verdict is "fail".  Identical invocations produce byte-identical output.
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .census import census, census_sample, census_sample_synthetic
 from . import divisor_sums as dsums
@@ -19,20 +21,6 @@ from .errors import ConfigurationError
 from .euler import f0, f1, predict_s_full, predict_s_small
 from .sieve import build_sieve, omega_class_counts
 from .weights import PrimeWeight
-
-SUBCOMMANDS = (
-    "sieve-stats",
-    "ratio",
-    "monotone",
-    "adbc",
-    "euler",
-    "predict",
-    "prop32",
-    "census",
-    "erdos-kac",
-    "gamma-lemma",
-    "selberg",
-)
 
 
 class _UsageError(Exception):
@@ -46,102 +34,91 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_override(text: str) -> tuple[int, float]:
-    try:
-        p_str, v_str = text.split("=", 1)
-        return int(p_str), float(v_str)
-    except ValueError as exc:
-        raise _UsageError(f"--override expects p=v, got {text!r}") from exc
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ConfigurationError(f"expected true or false, got {text!r}")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value file; flags take precedence")
-    sub.add_argument("--limit", type=int, help="sieve extent (default: largest x needed)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--output", default=None, help="write here instead of stdout")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--check", action="store_true", default=None,
-                     help="exit 2 if any verdict is 'fail'")
-    sub.add_argument("--no-strict", dest="strict", action="store_false", default=None)
+@dataclass(frozen=True)
+class Flag:
+    """One flag, read the same way from argv and from a config file.
+
+    `type` reads one value.  A repeated flag collects a list: `--v 0.1
+    --v 0.2` on the command line, `v = 0.1, 0.2` in a config file.  A
+    switch takes no value on the command line and sets the opposite of
+    its default; in a config file it reads `true` or `false`.
+    """
+
+    option: str
+    type: Callable = str
+    default: object = None
+    repeat: bool = False
+    switch: bool = False
+    choices: tuple | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser, dest: str, required: bool) -> None:
+        # default None marks "not on the command line", so the fill step can
+        # tell a given flag from one that falls back to config or default
+        if self.switch:
+            kind = {"action": "store_false" if self.default else "store_true"}
+        else:
+            kind = {"action": "append" if self.repeat else "store", "type": self.type,
+                    "choices": self.choices, "metavar": self.metavar}
+        parser.add_argument(self.option, dest=dest, default=None, required=required,
+                            help=self.help, **kind)
+
+    def read(self, key: str, text: str):
+        """The value of the config line `key = text`."""
+        items = [t.strip() for t in text.split(",")] if self.repeat else [text]
+        values = [self.type(t) for t in items]
+        for v in values:
+            if self.choices and v not in self.choices:
+                raise ConfigurationError(f"config {key}={v!r} is not one of {self.choices}")
+        return values if self.repeat else values[0]
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="divisorlab", description=__doc__)
-    subs = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
+# Keyed by the config key, which is also the argparse dest and the name in
+# the JSON "inputs" echo.
+FLAGS = {
+    "config": Flag("--config", help="key = value file; flags take precedence"),
+    "limit": Flag("--limit", int, help="sieve extent (default: largest x needed)"),
+    "format": Flag("--format", default="csv", choices=("csv", "json")),
+    "output": Flag("--output", help="write here instead of stdout"),
+    "seed": Flag("--seed", int, 0),
+    "check": Flag("--check", _switch, False, switch=True,
+                  help="exit 2 if any verdict is 'fail'"),
+    "strict": Flag("--no-strict", _switch, True, switch=True),
+    "x": Flag("--x", int, repeat=True),
+    "k": Flag("--k", int, 3),
+    "c": Flag("--c", float, 0.3),
+    "override": Flag("--override", default=(), repeat=True, metavar="p=v"),
+    "prime": Flag("--prime", int, 2),
+    "v": Flag("--v", float, repeat=True,
+              help="grid value for the weight at --prime (repeatable)"),
+    "which": Flag("--which", choices=("f0", "f1")),
+    "z": Flag("--z", float, 2.0),
+    "trunc": Flag("--trunc", int, 10**6),
+    "m_max": Flag("--m-max", int, 1000),
+    "n": Flag("--n", int),
+    "omega": Flag("--omega", int),
+    "samples": Flag("--samples", int, 50),
+    "synthetic": Flag("--synthetic", _switch, False, switch=True,
+                      help="sample products of small primes instead of in-table n"),
+    "a": Flag("--a", float, -1.0),
+    "b": Flag("--b", float, 1.0),
+    "bign": Flag("--n", int),  # gamma-lemma's N, echoed as "bign"
+    "f": Flag("--f", default="log_shift", choices=("log_shift", "h_table")),
+    "points": Flag("--points", int, 50),
+    "weighted": Flag("--weighted", _switch, False, switch=True),
+}
 
-    sp = subs.add_parser("sieve-stats", parents=[], description="squarefree counts per omega class")
-    _add_common(sp)
-
-    sp = subs.add_parser("ratio", description="small/full divisor-sum ratio (trend if --x repeated)")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--override", action="append", default=[], metavar="p=v")
-
-    sp = subs.add_parser("monotone", description="ratio as a function of the weight at one prime")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--v", type=float, action="append", default=None,
-                    help="grid value for the weight at --prime (repeatable)")
-
-    sp = subs.add_parser("adbc", description="prime-split decomposition of both aggregates")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--prime", type=int, required=True)
-
-    sp = subs.add_parser("euler", description="truncated Euler-product constants")
-    _add_common(sp)
-    sp.add_argument("--which", choices=("f0", "f1"), required=True)
-    sp.add_argument("--z", type=float, required=True)
-    sp.add_argument("--trunc", type=int, default=None)
-
-    sp = subs.add_parser("predict", description="main-term predictors for both aggregates")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-
-    sp = subs.add_parser("prop32", description="error-constant sweep for coprime squarefree counts")
-    _add_common(sp)
-    sp.add_argument("--m-max", type=int, default=None)
-    sp.add_argument("--x", type=int, action="append", required=True)
-
-    sp = subs.add_parser("census", description="ordered k-fold factorization census")
-    _add_common(sp)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--omega", type=int)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--synthetic", action="store_true",
-                    help="sample products of small primes instead of in-table n")
-
-    sp = subs.add_parser("erdos-kac", description="normalized distinct-prime-count window mass")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-
-    sp = subs.add_parser("gamma-lemma", description="f(x) f(N/x) decrease check beyond sqrt(N)")
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=True, dest="bign")
-    sp.add_argument("--f", choices=("log_shift", "h_table"), default="log_shift")
-    sp.add_argument("--prime", type=int, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--points", type=int, default=None)
-
-    sp = subs.add_parser("selberg", description="exact omega-power sums vs their predictor")
-    _add_common(sp)
-    sp.add_argument("--x", type=int, action="append", required=True)
-    sp.add_argument("--z", type=float, default=None)
-    sp.add_argument("--weighted", action="store_true")
-
-    return parser
+COMMON = ("config", "limit", "format", "output", "seed", "check", "strict")
 
 
 def _load_config_file(path: str) -> dict:
@@ -158,85 +135,22 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_COERCE = {
-    "limit": int,
-    "k": int,
-    "c": float,
-    "seed": int,
-    "m_max": int,
-    "points": int,
-    "samples": int,
-    "prime": int,
-    "z": float,
-    "a": float,
-    "b": float,
-    "format": str,
-    "output": str,
-    "strict": lambda s: s.lower() not in ("0", "false", "no"),
-    "check": lambda s: s.lower() in ("1", "true", "yes"),
-    # lists, comma-separated: "v = 0.1, 0.2" and "override = 2=0.0, 5=0.1"
-    "v": lambda s: [float(t) for t in s.split(",")],
-    "override": lambda s: [t.strip() for t in s.split(",")],
-}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = _load_config_file(args.config)
-    for key, raw in values.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) in (None, []):  # an empty list flag was not given
-            coerce = _CONFIG_COERCE.get(key, str)
-            setattr(args, key, coerce(raw))
-
-
-_BUILTIN_DEFAULTS = {
-    "format": "csv",
-    "seed": 0,
-    "check": False,
-    "strict": True,
-    "k": 3,
-    "c": 0.3,
-    "m_max": 1000,
-    "samples": 50,
-    "points": 50,
-    "z": 2.0,
-    "a": -1.0,
-    "b": 1.0,
-    "trunc": 10**6,
-    "prime": 2,
-}
-
-
-def _fill_defaults(args: argparse.Namespace) -> None:
-    """Final stage of the flag -> config file -> built-in default chain."""
-    for key, val in _BUILTIN_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, val)
-
-
 class _Emitter:
-    def __init__(self, inputs: dict):
+    def __init__(self, inputs: dict, header: tuple):
         self.inputs = inputs
-        self.header: list[str] | None = None
-        self.rows: list[list] = []
+        self.header = header
+        self.rows: list[tuple] = []
         self.comments: list[str] = []
         self.verdict: str | None = None
-
-    def set_header(self, *names):
-        self.header = list(names)
-
-    def add_row(self, *values):
-        self.rows.append(list(values))
 
     def comment(self, text: str):
         self.comments.append(text)
 
-    def set_verdict(self, verdict: str):
-        self.verdict = verdict
-        self.comments.append(f"verdict={verdict}")
+    def report(self, rep):
+        """Close with a TrendReport's notes and verdict."""
+        self.comment(rep.notes)
+        self.verdict = rep.verdict
+        self.comment(f"verdict={rep.verdict}")
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -256,165 +170,219 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _weight_from_args(args, k: int) -> PrimeWeight:
-    overrides = dict(_parse_override(t) for t in getattr(args, "override", []) or [])
-    return PrimeWeight(args.c, overrides, k_context=k, strict_mode=args.strict)
+def _parse_override(text: str) -> tuple[int, float]:
+    try:
+        p_str, v_str = text.split("=", 1)
+        return int(p_str), float(v_str)
+    except ValueError as exc:
+        raise _UsageError(f"--override expects p=v, got {text!r}") from exc
 
 
-def _tables_for(args, needed: int):
-    limit = args.limit if args.limit is not None else needed
-    if limit < needed:
-        raise ConfigurationError(f"limit={limit} below required extent {needed}")
-    return build_sieve(max(limit, 2))
+# -- table extents: the sieve limit a run needs; may reject the arguments
+#    before any table is built
+
+def _max_x(args) -> int:
+    return max(args.x)
 
 
-def _dispatch(args) -> tuple[_Emitter, int]:
-    inputs = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("config", "output", "format", "check") and v is not None
-    }
-    out = _Emitter(inputs)
-    cmd = args.command
+def _sieve_stats_extent(args) -> int:
+    if args.limit is None:
+        raise ConfigurationError("sieve-stats requires --limit")
+    return args.limit
 
-    if cmd == "sieve-stats":
-        if args.limit is None:
-            raise ConfigurationError("sieve-stats requires --limit")
-        tables = _tables_for(args, args.limit)
-        out.set_header("omega", "count")
-        for om, count in sorted(omega_class_counts(args.limit, tables).items()):
-            out.add_row(om, count)
 
-    elif cmd == "ratio":
-        xs = sorted(set(args.x))
-        tables = _tables_for(args, xs[-1])
-        w = _weight_from_args(args, args.k)
-        out.set_header("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c")
-        if len(xs) >= 4:
-            rep = ex.ratio_convergence(args.k, args.c, xs, tables,
-                                       strict=args.strict, overrides=w.overrides)
-            for x, robs, sf, ss in zip(xs, rep.observed, rep.extra["s_full"], rep.extra["s_small"]):
-                out.add_row(x, args.k, args.c, sf, ss, robs, rep.target)
-            out.comment(rep.notes)
-            out.set_verdict(rep.verdict)
-        else:
-            for x in xs:
-                rep = dsums.ratio(x, args.k, w, tables)
-                out.add_row(x, args.k, args.c, rep.s_full, rep.s_small,
-                            rep.ratio, rep.predicted_limit)
+def _census_extent(args) -> int:
+    if (args.n is None) == (args.omega is None):
+        raise ConfigurationError("census requires exactly one of --n or --omega")
+    return args.limit or 10**6
 
-    elif cmd == "monotone":
-        x = max(args.x)
-        tables = _tables_for(args, x)
-        v_grid = args.v if args.v else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-        rep = ex.monotonicity_scan(x, args.k, args.c, args.prime, v_grid, tables)
-        out.set_header("v", "ratio", "predicted_ratio")
-        for v, obs, pred in zip(rep.grid, rep.observed, rep.extra["predicted"]):
-            out.add_row(v, obs, pred)
-        out.comment(f"ad_minus_bc={rep.extra['ad_minus_bc']!r}")
-        out.comment(rep.notes)
-        out.set_verdict(rep.verdict)
 
-    elif cmd == "adbc":
-        x = max(args.x)
-        tables = _tables_for(args, x)
-        w = PrimeWeight(args.c, k_context=args.k, strict_mode=args.strict)
-        full_cc, small_cc = dsums.counts_for_split(x, args.k, args.prime, (), tables)
-        dec = dsums.abcd_from_counts(full_cc, small_cc, args.k, args.prime, w)
-        full = dsums.weighted_total(full_cc, w)
-        small = dsums.weighted_total(small_cc, w)
-        hp = Fraction(w.value_at(args.prime))
-        resid_small = float(hp * dec.a_exact + dec.b_exact - small)
-        resid_full = float(hp * dec.c_exact + dec.d_exact - full)
-        out.set_header("A", "B", "C", "D", "ad_minus_bc",
-                       "identity_residual_small", "identity_residual_full")
-        out.add_row(dec.a, dec.b, dec.c, dec.d, dec.ad_minus_bc, resid_small, resid_full)
+# -- runners: fill the emitter's rows, comments and verdict
 
-    elif cmd == "euler":
-        fn = f0 if args.which == "f0" else f1
-        const = fn(args.z, args.trunc)
-        out.set_header("which", "z", "value", "trunc", "tail_bound")
-        out.add_row(args.which, args.z, const.value, const.truncation_prime, const.tail_bound)
+def _run_sieve_stats(args, tables, out):
+    out.rows.extend(sorted(omega_class_counts(args.limit, tables).items()))
 
-    elif cmd == "predict":
-        out.set_header("x", "k", "c", "predict_s_full", "predict_s_small", "ratio")
-        for x in sorted(args.x):
-            pf = predict_s_full(x, args.c)
-            ps = predict_s_small(x, args.k, args.c)
-            out.add_row(x, args.k, args.c, pf, ps, ps / pf)
 
-    elif cmd == "prop32":
-        xs = sorted(set(args.x))
-        tables = _tables_for(args, max(xs[-1], args.m_max))
-        rep = ex.prop32_scan(args.m_max, xs, tables)
-        out.set_header("x", "max_constant", "argmax_m")
-        for x, obs, m in zip(rep.grid, rep.observed, rep.extra["argmax_m"]):
-            out.add_row(x, obs, m)
-        out.comment(rep.notes)
-        out.set_verdict(rep.verdict)
-
-    elif cmd == "census":
-        if (args.n is None) == (args.omega is None):
-            raise ConfigurationError("census requires exactly one of --n or --omega")
-        tables = _tables_for(args, args.limit or 10**6)
-        out.set_header("n", "k", "omega", "tau_k", "g_k", "ratio")
-        if args.n is not None:
-            records = [census(args.n, args.k, tables)]
-            summary = None
-        elif args.synthetic:
-            records, summary = census_sample_synthetic(
-                args.omega, args.k, args.samples, args.seed, tables)
-        else:
-            records, summary = census_sample(
-                args.omega, args.k, args.samples, args.seed, tables)
-        for rec in records:
-            out.add_row(rec.n, rec.k, rec.omega_n, rec.tau_k, rec.g_k, rec.ratio)
-        if summary is not None:
-            out.comment(
-                f"mean_ratio={summary.mean_ratio!r} min={summary.min_ratio!r} "
-                f"max={summary.max_ratio!r} k_half={summary.k / 2} "
-                f"half_k_distance={summary.half_k_distance!r} (heuristic, not asserted)"
-            )
-
-    elif cmd == "erdos-kac":
-        x = max(args.x)
-        tables = _tables_for(args, x)
-        rep = ex.erdos_kac_histogram(x, args.a, args.b, tables)
-        out.set_header("x", "a", "b", "fraction", "normal_mass", "abs_diff", "skipped")
-        out.add_row(x, args.a, args.b, rep.observed[0], rep.extra["phi"],
-                    rep.extra["abs_diff"], rep.extra["skipped"])
-        out.comment(rep.notes)
-        out.set_verdict(rep.verdict)
-
-    elif cmd == "gamma-lemma":
-        tables = _tables_for(args, args.bign)
-        weight = PrimeWeight(args.c, k_context=2, strict_mode=False)
-        rep = ex.gamma_lemma_check(
-            args.bign, args.f, args.points, tables,
-            weight=weight if args.f == "h_table" else None,
-            p=args.prime if args.f == "h_table" else None)
-        out.set_header("x", "gamma")
-        for t, val in zip(rep.grid, rep.observed):
-            out.add_row(t, val)
-        out.comment(rep.notes)
-        out.set_verdict(rep.verdict)
-
-    elif cmd == "selberg":
-        xs = sorted(set(args.x))
-        tables = _tables_for(args, xs[-1])
-        rep = ex.selberg_trend(args.z, args.weighted, xs, tables)
-        out.set_header("x", "observed_over_predictor")
-        for x, obs in zip(rep.grid, rep.observed):
-            out.add_row(x, obs)
-        out.comment(rep.notes)
-        out.set_verdict(rep.verdict)
-
+def _run_ratio(args, tables, out):
+    xs = sorted(set(args.x))
+    overrides = dict(_parse_override(t) for t in args.override)
+    w = PrimeWeight(args.c, overrides, k_context=args.k, strict_mode=args.strict)
+    if len(xs) >= 4:
+        rep = ex.ratio_convergence(args.k, args.c, xs, tables,
+                                   strict=args.strict, overrides=w.overrides)
+        for x, robs, sf, ss in zip(xs, rep.observed, rep.extra["s_full"], rep.extra["s_small"]):
+            out.rows.append((x, args.k, args.c, sf, ss, robs, rep.target))
+        out.report(rep)
     else:
-        raise _UsageError(f"missing or unknown subcommand (expected one of {SUBCOMMANDS})")
+        for x in xs:
+            rep = dsums.ratio(x, args.k, w, tables)
+            out.rows.append((x, args.k, args.c, rep.s_full, rep.s_small,
+                             rep.ratio, rep.predicted_limit))
 
-    exit_code = 0
-    if args.check and out.verdict == "fail":
-        exit_code = 2
-    return out, exit_code
+
+def _run_monotone(args, tables, out):
+    v_grid = args.v if args.v else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    rep = ex.monotonicity_scan(max(args.x), args.k, args.c, args.prime, v_grid, tables)
+    out.rows.extend(zip(rep.grid, rep.observed, rep.extra["predicted"]))
+    out.comment(f"ad_minus_bc={rep.extra['ad_minus_bc']!r}")
+    out.report(rep)
+
+
+def _run_adbc(args, tables, out):
+    x = max(args.x)
+    w = PrimeWeight(args.c, k_context=args.k, strict_mode=args.strict)
+    full_cc, small_cc = dsums.counts_for_split(x, args.k, args.prime, (), tables)
+    dec = dsums.abcd_from_counts(full_cc, small_cc, args.k, args.prime, w)
+    full = dsums.weighted_total(full_cc, w)
+    small = dsums.weighted_total(small_cc, w)
+    hp = Fraction(w.value_at(args.prime))
+    resid_small = float(hp * dec.a_exact + dec.b_exact - small)
+    resid_full = float(hp * dec.c_exact + dec.d_exact - full)
+    out.rows.append((dec.a, dec.b, dec.c, dec.d, dec.ad_minus_bc, resid_small, resid_full))
+
+
+def _run_euler(args, tables, out):
+    const = (f0 if args.which == "f0" else f1)(args.z, args.trunc)
+    out.rows.append((args.which, args.z, const.value, const.truncation_prime, const.tail_bound))
+
+
+def _run_predict(args, tables, out):
+    for x in sorted(args.x):
+        pf = predict_s_full(x, args.c)
+        ps = predict_s_small(x, args.k, args.c)
+        out.rows.append((x, args.k, args.c, pf, ps, ps / pf))
+
+
+def _run_prop32(args, tables, out):
+    rep = ex.prop32_scan(args.m_max, sorted(set(args.x)), tables)
+    out.rows.extend(zip(rep.grid, rep.observed, rep.extra["argmax_m"]))
+    out.report(rep)
+
+
+def _run_census(args, tables, out):
+    summary = None
+    if args.n is not None:
+        records = [census(args.n, args.k, tables)]
+    else:
+        sample = census_sample_synthetic if args.synthetic else census_sample
+        records, summary = sample(args.omega, args.k, args.samples, args.seed, tables)
+    out.rows.extend((r.n, r.k, r.omega_n, r.tau_k, r.g_k, r.ratio) for r in records)
+    if summary is not None:
+        out.comment(
+            f"mean_ratio={summary.mean_ratio!r} min={summary.min_ratio!r} "
+            f"max={summary.max_ratio!r} k_half={summary.k / 2} "
+            f"half_k_distance={summary.half_k_distance!r} (heuristic, not asserted)"
+        )
+
+
+def _run_erdos_kac(args, tables, out):
+    x = max(args.x)
+    rep = ex.erdos_kac_histogram(x, args.a, args.b, tables)
+    out.rows.append((x, args.a, args.b, rep.observed[0], rep.extra["phi"],
+                     rep.extra["abs_diff"], rep.extra["skipped"]))
+    out.report(rep)
+
+
+def _run_gamma_lemma(args, tables, out):
+    # the log_shift choice ignores the weight and the prime
+    weight = PrimeWeight(args.c, k_context=2, strict_mode=False)
+    rep = ex.gamma_lemma_check(args.bign, args.f, args.points, tables, weight=weight, p=args.prime)
+    out.rows.extend(zip(rep.grid, rep.observed))
+    out.report(rep)
+
+
+def _run_selberg(args, tables, out):
+    rep = ex.selberg_trend(args.z, args.weighted, sorted(set(args.x)), tables)
+    out.rows.extend(zip(rep.grid, rep.observed))
+    out.report(rep)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    `flags` come after the common ones; those in `required` must be on
+    the command line.  `header` names the CSV columns and the JSON row
+    keys.  `extent` gives the sieve limit the run needs, or is None when
+    it builds no table.  `run(args, tables, out)` fills the output.
+    """
+
+    description: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...]
+    header: tuple[str, ...]
+    extent: Callable | None
+    run: Callable
+
+
+COMMANDS = {
+    "sieve-stats": Command(
+        "squarefree counts per omega class", (), (),
+        ("omega", "count"), _sieve_stats_extent, _run_sieve_stats),
+    "ratio": Command(
+        "small/full divisor-sum ratio (trend if --x repeated)",
+        ("x", "k", "c", "override"), ("x",),
+        ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _max_x, _run_ratio),
+    "monotone": Command(
+        "ratio as a function of the weight at one prime",
+        ("x", "k", "c", "prime", "v"), ("x", "prime"),
+        ("v", "ratio", "predicted_ratio"), _max_x, _run_monotone),
+    "adbc": Command(
+        "prime-split decomposition of both aggregates",
+        ("x", "k", "c", "prime"), ("x", "prime"),
+        ("A", "B", "C", "D", "ad_minus_bc", "identity_residual_small", "identity_residual_full"),
+        _max_x, _run_adbc),
+    "euler": Command(
+        "truncated Euler-product constants",
+        ("which", "z", "trunc"), ("which", "z"),
+        ("which", "z", "value", "trunc", "tail_bound"), None, _run_euler),
+    "predict": Command(
+        "main-term predictors for both aggregates",
+        ("x", "k", "c"), ("x",),
+        ("x", "k", "c", "predict_s_full", "predict_s_small", "ratio"), None, _run_predict),
+    "prop32": Command(
+        "error-constant sweep for coprime squarefree counts",
+        ("m_max", "x"), ("x",),
+        ("x", "max_constant", "argmax_m"), lambda a: max(max(a.x), a.m_max), _run_prop32),
+    "census": Command(
+        "ordered k-fold factorization census",
+        ("n", "k", "omega", "samples", "synthetic"), (),
+        ("n", "k", "omega", "tau_k", "g_k", "ratio"), _census_extent, _run_census),
+    "erdos-kac": Command(
+        "normalized distinct-prime-count window mass",
+        ("x", "a", "b"), ("x",),
+        ("x", "a", "b", "fraction", "normal_mass", "abs_diff", "skipped"), _max_x, _run_erdos_kac),
+    "gamma-lemma": Command(
+        "f(x) f(N/x) decrease check beyond sqrt(N)",
+        ("bign", "f", "prime", "c", "points"), ("bign",),
+        ("x", "gamma"), lambda a: a.bign, _run_gamma_lemma),
+    "selberg": Command(
+        "exact omega-power sums vs their predictor",
+        ("x", "z", "weighted"), ("x",),
+        ("x", "observed_over_predictor"), _max_x, _run_selberg),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="divisorlab", description=__doc__)
+    subs = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
+    for name, cmd in COMMANDS.items():
+        sub = subs.add_parser(name, description=cmd.description)
+        for dest in COMMON + cmd.flags:
+            FLAGS[dest].add_to(sub, dest, required=dest in cmd.required)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _fill(args: argparse.Namespace) -> None:
+    """Give each flag not on the command line its config value, else its default."""
+    config = _load_config_file(args.config) if args.config else {}
+    for key in COMMON + COMMANDS[args.command].flags:
+        if getattr(args, key) is None:
+            flag = FLAGS[key]
+            setattr(args, key, flag.read(key, config[key]) if key in config else flag.default)
 
 
 def _check_x(args: argparse.Namespace) -> None:
@@ -429,14 +397,30 @@ def _check_x(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"x={max(xs)} exceeds the sieve limit {args.limit}")
 
 
+def _dispatch(args: argparse.Namespace) -> tuple[_Emitter, int]:
+    cmd = COMMANDS[args.command]
+    inputs = {
+        k: v for k, v in sorted(vars(args).items())
+        if k not in ("config", "output", "format", "check") and v is not None
+    }
+    out = _Emitter(inputs, cmd.header)
+    tables = None
+    if cmd.extent is not None:
+        needed = cmd.extent(args)
+        limit = args.limit if args.limit is not None else needed
+        if limit < needed:
+            raise ConfigurationError(f"limit={limit} below required extent {needed}")
+        tables = build_sieve(max(limit, 2))
+    cmd.run(args, tables, out)
+    return out, 2 if args.check and out.verdict == "fail" else 0
+
+
 def parse_and_dispatch(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args)
-        _fill_defaults(args)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
-            raise _UsageError(f"a subcommand is required: one of {SUBCOMMANDS}")
+            raise _UsageError(f"a subcommand is required: one of {tuple(COMMANDS)}")
+        _fill(args)
         _check_x(args)
         out, exit_code = _dispatch(args)
     except _UsageError as exc:

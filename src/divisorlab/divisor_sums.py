@@ -28,10 +28,9 @@ from .errors import ConfigurationError, DomainError, RangeError
 from .sieve import (
     SieveTables,
     distinct_primes,
-    primes_up_to,
     squarefree_coprime_count_range,
 )
-from .weights import PrimeWeight
+from .weights import PrimeWeight, g_table
 
 FULL_METHODS = ("n_major", "d_major", "omega_identity")
 SMALL_METHODS = ("n_major", "d_major")
@@ -496,9 +495,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
             exponent[q::q] -= 1
             hv_adjust[q::q] *= w.overrides[q]
     hv = np.power(float(w.base_c), exponent) * hv_adjust
-    gv = np.ones(x + 1)
-    for q in map(int, primes_up_to(x)):
-        gv[q::q] *= q / (q + 1.0)
+    gv = g_table(x)
     j = np.arange(x + 1, dtype=np.float64)
     j[0] = 1.0
     terms = np.where(mask, hv * gv / j, 0.0)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .sieve import SieveTables, primes_up_to, squarefree_mask
+from .weights import g_table
 
 ZETA2 = math.pi**2 / 6
 
@@ -175,8 +176,6 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
             zi = int(z)
             return float(sum(int(cnt) * zi**j for j, cnt in enumerate(counts)))
         return math.fsum(int(cnt) * z**j for j, cnt in enumerate(counts) if cnt)
-    gv = np.ones(x + 1)
-    for q in map(int, primes_up_to(x)):
-        gv[q::q] *= q / (q + 1.0)
+    gv = g_table(x)
     vals = np.where(mask, np.power(z, om.astype(np.float64)) * gv[1:], 0.0)
     return math.fsum(vals[np.flatnonzero(vals)])

@@ -81,6 +81,18 @@ def g_eval(m: int, tables: SieveTables) -> float:
     return out
 
 
+def g_table(upper: int) -> np.ndarray:
+    """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
+
+    The factors are multiplied in ascending prime order, so every caller
+    gets the same bits.
+    """
+    out = np.ones(upper + 1)
+    for q in map(int, primes_up_to(upper)):
+        out[q::q] *= q / (q + 1.0)
+    return out
+
+
 def tau_k_squarefree(n: int, k: int, tables: SieveTables) -> int:
     """Number of ordered k-tuples of positives with product n (n squarefree).
 

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,13 @@ def test_synthetic_sample_deterministic(tables_small):
 def test_synthetic_pool_guard(tables_small):
     with pytest.raises(InsufficientPopulationError):
         census_sample_synthetic(19, 3, 2, 1, tables_small, prime_pool=18)
+
+
+def test_census_submodule_is_not_shadowed_by_the_function():
+    import divisorlab
+    import divisorlab.census as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.census is census
+    assert "census" not in divisorlab.__all__
+

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from divisorlab import cli
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.divisor_sums import ratio
 from divisorlab.sieve import build_sieve
@@ -193,3 +194,112 @@ def test_predict_cli(capsys):
     assert code == 0
     fields = out.splitlines()[1].split(",")
     assert float(fields[5]) == pytest.approx(3.0 ** -0.3, rel=1e-12)
+
+
+# One small run per subcommand (census twice: by n and by sample), giving
+# flags values unlike their defaults.  A list is a repeated flag, True a
+# switch that is on the command line.
+RUNS = [
+    ("sieve-stats", {"limit": "300"}),
+    ("ratio", {"x": ["1000"], "limit": "2000", "k": "2", "c": "0.2",
+               "override": ["2=0.1", "5=0.2"]}),
+    ("monotone", {"x": ["1000"], "prime": "3", "k": "2", "c": "0.2", "v": ["0.1", "0.3"],
+                  "limit": "2000"}),
+    ("adbc", {"x": ["1000"], "prime": "3", "k": "4", "c": "0.1", "limit": "1000"}),
+    ("euler", {"which": "f1", "z": "1.5", "trunc": "1000", "limit": "50"}),
+    ("predict", {"x": ["1000", "5000"], "k": "4", "c": "0.2", "limit": "5000"}),
+    ("prop32", {"x": ["1000"], "m_max": "30", "limit": "1500"}),
+    ("census", {"n": "30", "k": "2", "limit": "100"}),
+    ("census", {"omega": "3", "k": "2", "samples": "4", "synthetic": True, "limit": "3000"}),
+    ("erdos-kac", {"x": ["10000"], "a": "-0.5", "b": "0.5", "limit": "12000"}),
+    ("gamma-lemma", {"bign": "1000", "f": "h_table", "prime": "3", "c": "0.2", "points": "8",
+                     "limit": "1100"}),
+    ("selberg", {"x": ["100", "1000", "10000"], "z": "1.5", "weighted": True,
+                 "limit": "10000"}),
+]
+COMMON_VALUES = {"seed": "7", "check": True, "strict": True, "format": "json"}
+RUN_IDS = [f"{cmd}-{i}" for i, (cmd, _) in enumerate(RUNS)]
+
+
+def _argv(cmd, values):
+    argv = [cmd]
+    for key, value in values.items():
+        option = cli.FLAGS[key].option
+        if value is True:
+            argv.append(option)
+        else:
+            for item in value if isinstance(value, list) else [value]:
+                argv += [option, item]
+    return argv
+
+
+def _config_line(key, value):
+    if value is True:  # a switch on the command line sets the opposite of its default
+        value = str(not cli.FLAGS[key].default).lower()
+    elif isinstance(value, list):
+        value = ", ".join(value)
+    return f"{key} = {value}\n"
+
+
+def test_runs_cover_every_subcommand_and_flag():
+    assert {cmd for cmd, _ in RUNS} == set(cli.COMMANDS)
+    for name, command in cli.COMMANDS.items():
+        given = set(COMMON_VALUES) | {"config", "output"}
+        for cmd, values in RUNS:
+            if cmd == name:
+                given |= set(values)
+        assert given == set(cli.COMMON + command.flags), name
+
+
+@pytest.mark.parametrize("cmd,values", RUNS, ids=RUN_IDS)
+def test_config_line_matches_flag(cmd, values, tmp_path, capsys):
+    target = tmp_path / "rows.out"
+    cfg = tmp_path / "run.conf"
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return code, out, err, written
+
+    values = {**COMMON_VALUES, **values}
+    required = cli.COMMANDS[cmd].required
+    for key in [k for k in values if k not in required] + ["output"]:
+        full = {**values, "output": str(target)} if key == "output" else values
+        by_flag = outcome(_argv(cmd, full))
+        cfg.write_text(_config_line(key, full[key]))
+        rest = {k: v for k, v in full.items() if k != key}
+        by_config = outcome(_argv(cmd, rest) + ["--config", str(cfg)])
+        assert by_config == by_flag, key
+        assert by_flag[0] in (0, 2), (key, by_flag[2])
+
+
+def test_config_rejects_values_outside_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    for line, message in (("format = jsn", "not one of"), ("check = maybe", "true or false"),
+                          ("k = three", "invalid literal")):
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "ratio", "--x", "100", "--config", str(cfg))
+        assert (code, out) == (1, ""), line
+        assert message in err, line
+
+
+def _cell(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("cmd,values", RUNS, ids=RUN_IDS)
+def test_csv_and_json_carry_the_same_rows(cmd, values, capsys):
+    argv = _argv(cmd, values)
+    code_csv, csv_out, err = run(capsys, *argv, "--format", "csv")
+    code_json, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code_csv == code_json == 0, err
+    header, *body = csv_out.splitlines()
+    header = header.split(",")
+    rows = [line.split(",") for line in body if not line.startswith("#")]
+    verdicts = [line[len("# verdict="):] for line in body if line.startswith("# verdict=")]
+    payload = json.loads(json_out)
+    assert header == list(cli.COMMANDS[cmd].header)
+    assert rows and all(list(row) == header for row in payload["rows"])
+    assert [[_cell(v) for v in row.values()] for row in payload["rows"]] == rows
+    assert verdicts == ([] if payload["verdict"] is None else [payload["verdict"]])
