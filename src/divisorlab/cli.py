@@ -87,7 +87,8 @@ class Flag:
 # the JSON "inputs" echo.
 FLAGS = {
     "config": Flag("--config", help="key = value file; flags take precedence"),
-    "limit": Flag("--limit", int, help="sieve extent (default: largest x needed)"),
+    "limit": Flag("--limit", int, help="sieve extent (default: largest x needed; "
+                  "census: 1000000; sieve-stats: required)"),
     "format": Flag("--format", default="csv", choices=("csv", "json")),
     "output": Flag("--output", help="write here instead of stdout"),
     "seed": Flag("--seed", int, 0),

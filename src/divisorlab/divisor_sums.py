@@ -495,7 +495,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
             exponent[q::q] -= 1
             hv_adjust[q::q] *= w.overrides[q]
     hv = np.power(float(w.base_c), exponent) * hv_adjust
-    gv = g_table(x)
+    gv = g_table(x, tables)
     j = np.arange(x + 1, dtype=np.float64)
     j[0] = 1.0
     terms = np.where(mask, hv * gv / j, 0.0)

@@ -176,6 +176,6 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
             zi = int(z)
             return float(sum(int(cnt) * zi**j for j, cnt in enumerate(counts)))
         return math.fsum(int(cnt) * z**j for j, cnt in enumerate(counts) if cnt)
-    gv = g_table(x)
+    gv = g_table(x, tables)
     vals = np.where(mask, np.power(z, om.astype(np.float64)) * gv[1:], 0.0)
     return math.fsum(vals[np.flatnonzero(vals)])

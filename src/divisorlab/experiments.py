@@ -342,8 +342,6 @@ def erdos_kac_histogram(
     )
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
-
 # Engineering cap on D(x) sqrt(loglog x) at the last grid point.  No
 # constant for the Renyi-Turan bound is available here; the exact tables
 # give 0.4226 at x = 1e7, and omega + 1 (one prime factor too many) gives
@@ -354,7 +352,10 @@ _EK_SCALED_CAP = 0.6
 def _kolmogorov_distance(sorted_stat: np.ndarray) -> float:
     """sup_t |F(t) - Phi(t)| for the empirical distribution F of the sample."""
     m = len(sorted_stat)
-    phi = 0.5 * (1.0 + _erf(sorted_stat / math.sqrt(2.0)).astype(np.float64))
+    # One math.erf per element, fed from the array itself: no list or
+    # object array of m Python floats is ever held.
+    scaled = sorted_stat / math.sqrt(2.0)
+    phi = 0.5 * (1.0 + np.fromiter(map(math.erf, scaled), np.float64, count=m))
     i = np.arange(1, m + 1)
     return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))
 

@@ -1,9 +1,11 @@
 """Exact arithmetic tables up to a configurable limit.
 
-Builds, in one vectorized pass over primes, three per-integer tables:
-smallest prime factor, the Mobius function, and the count of distinct
-prime divisors.  Every aggregate in the package reads these tables; they
-are written once and frozen.
+Builds three per-integer tables in one factoring pass: the smallest
+prime factor is sieved by the primes up to sqrt(limit) only, and the
+Mobius function and the count of distinct prime divisors follow from it
+by the recurrence n -> n / spf(n) (Gries and Misra, CACM 21, 1978),
+vectorised over chunks of integers.  Every aggregate in the package
+reads these tables; they are written once and frozen.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,12 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, RangeError
 
 _LIMIT_MAX = 2**31
+# Widest chunk of the n -> n / spf(n) recurrences.
+CHUNK = 2**18
+# What a build holds per integer: spf (uint32), mu (int8) and omega
+# (uint8); a chunk of the recurrence adds about 32 bytes per integer.
+_BYTES_PER_INT = 6
+_BYTES_PER_CHUNK_INT = 32
 
 
 @dataclass(frozen=True)
@@ -59,47 +67,67 @@ class SieveTables:
             raise RangeError(f"n={n} outside table range 1..{self.limit}")
 
 
+def chunks(lo: int, hi: int):
+    """Yield [a, b) covering [lo, hi), each at most a (and CHUNK) wide.
+
+    Widths double from lo until they reach CHUNK.  Since b - a <= a, every
+    n // spf(n) <= n / 2 of a chunk lies below a, so a recurrence over
+    n -> n / spf(n) reads only entries of earlier chunks.
+    """
+    a = lo
+    while a < hi:
+        b = min(a + min(a, CHUNK), hi)
+        yield a, b
+        a = b
+
+
+def _available_bytes() -> int | None:
+    """Memory the system can still give this process, or None if unknown."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
 def build_sieve(limit: int) -> SieveTables:
     """Build SieveTables for 1..limit.
 
     The construction is deterministic plain integer sieving, so equal
-    limits give identical tables.
+    limits give identical tables.  It holds about 6 bytes per integer.
 
     Raises:
         ConfigurationError: if limit is outside [2, 2**31].
+        RangeError: if the estimated peak exceeds the available memory.
     """
     if not 2 <= limit <= _LIMIT_MAX:
         raise ConfigurationError(f"limit={limit} outside supported range [2, 2**31]")
+    need = _BYTES_PER_INT * (limit + 1) + _BYTES_PER_CHUNK_INT * CHUNK
+    have = _available_bytes()
+    if have is not None and need > have:
+        raise RangeError(
+            f"build_sieve({limit}) needs about {need / 2**20:.0f} MB; "
+            f"{have / 2**20:.0f} MB available"
+        )
 
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    root = isqrt(limit)
-    for p in range(2, root + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    # Untouched entries are 0, 1 and the primes: each is its own spf.
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-
-    idx = np.arange(limit + 1, dtype=np.uint32)
-    is_prime = (spf == idx) & (idx >= 2)
-    primes = np.flatnonzero(is_prime)
+    # Descending, so each entry ends with its smallest prime; the entries
+    # no root prime touches (0, 1 and the primes) keep spf[n] = n.
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    for p in primes_up_to(isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
 
     omega = np.zeros(limit + 1, dtype=np.uint8)
-    half = limit // 2
-    for p in primes[primes <= half]:
-        omega[p::p] += 1
-    # Primes above limit/2 have themselves as their only multiple in range.
-    omega[primes[primes > half]] = 1
-
-    squarefree = np.ones(limit + 1, dtype=bool)
-    squarefree[0] = False
-    for p in primes[primes <= root]:
-        squarefree[p * p :: p * p] = False
-
-    mu = np.where(omega & 1, -1, 1).astype(np.int8)
-    mu[~squarefree] = 0
-    mu[0] = 0
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    mu[1] = 1
+    for a, b in chunks(2, limit + 1):
+        p = spf[a:b]
+        q = np.arange(a, b, dtype=np.uint32) // p
+        new = spf[q] != p  # p does not divide q
+        omega[a:b] = omega[q] + new
+        mu[a:b] = np.where(new, -mu[q], 0)
 
     for arr in (spf, mu, omega):
         arr.setflags(write=False)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, distinct_primes, factor_squarefree, primes_up_to
+from .sieve import SieveTables, chunks, distinct_primes, factor_squarefree
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,47 @@ def g_eval(m: int, tables: SieveTables) -> float:
     return out
 
 
-def g_table(upper: int) -> np.ndarray:
+def _prime_product_table(upper: int, tables: SieveTables, factor) -> np.ndarray:
+    """out[m] = product of factor(p) over the distinct primes p of m, m = 0..upper.
+
+    out[0] = out[1] = 1.  One chunked pass of n -> n / spf(n) over
+    tables.spf carries P(m), the largest prime of m, and rad(m), and sets
+    out[m] = out[rad(m) / P(m)] * factor(P(m)).  Every prime of rad(m) / P(m)
+    is below P(m), so the factors are multiplied in ascending prime order
+    and out[m] has the bits of the per-prime product; a non-squarefree m
+    gets the value of its radical.  P and rad are kept only up to upper / 2,
+    the largest n / spf(n).
+    """
+    if upper > tables.limit:
+        raise RangeError(f"upper={upper} beyond table limit")
+    out = np.ones(upper + 1)
+    half = upper // 2
+    big = np.zeros(half + 1, dtype=np.uint32)
+    rad = np.ones(half + 1, dtype=np.uint32)
+    spf = tables.spf
+    for a, b in chunks(2, upper + 1):
+        p = spf[a:b]
+        q = np.arange(a, b, dtype=np.uint32) // p
+        big_n = np.maximum(big[q], p)
+        rad_n = np.where(spf[q] != p, rad[q] * p, rad[q])
+        out[a:b] = out[rad_n // big_n] * factor(big_n.astype(np.float64))
+        if a <= half:
+            k = min(b, half + 1) - a
+            big[a : a + k] = big_n[:k]
+            rad[a : a + k] = rad_n[:k]
+    return out
+
+
+def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
 
     The factors are multiplied in ascending prime order, so every caller
-    gets the same bits.
+    gets the same bits; a non-squarefree m gets g(rad m).
+
+    Raises:
+        RangeError: if upper exceeds the table limit.
     """
-    out = np.ones(upper + 1)
-    for q in map(int, primes_up_to(upper)):
-        out[q::q] *= q / (q + 1.0)
-    return out
+    return _prime_product_table(upper, tables, lambda p: p / (p + 1.0))
 
 
 def tau_k_squarefree(n: int, k: int, tables: SieveTables) -> int:
@@ -127,14 +158,13 @@ def e_of_m(m: int, tables: SieveTables) -> float:
 
 
 def e_table(upper: int, tables: SieveTables) -> np.ndarray:
-    """Vectorized table of e_of_m for all m = 0..upper (junk at non-squarefree m).
+    """Vectorized table of e_of_m for all m = 0..upper.
 
-    Uses the multiplicative product form prod (1 + 1/sqrt(p)); agrees with
-    the divisor-sum enumeration because the summand is multiplicative.
+    Uses the multiplicative product form prod (1 + 1/sqrt(p)), factors in
+    ascending prime order; agrees with the divisor-sum enumeration because
+    the summand is multiplicative.  A non-squarefree m gets e(rad m).
+
+    Raises:
+        RangeError: if upper exceeds the table limit.
     """
-    if upper > tables.limit:
-        raise RangeError(f"upper={upper} beyond table limit")
-    out = np.ones(upper + 1)
-    for p in map(int, primes_up_to(upper)):
-        out[p::p] *= 1.0 + 1.0 / math.sqrt(p)
-    return out
+    return _prime_product_table(upper, tables, lambda p: 1.0 + 1.0 / np.sqrt(p))

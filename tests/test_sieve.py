@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from divisorlab import sieve
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.sieve import (
     build_sieve,
@@ -13,6 +17,7 @@ from divisorlab.sieve import (
     squarefree_coprime_count,
     squarefree_coprime_count_range,
 )
+from loop_oracles import loop_build_sieve
 
 
 def trial_mu(n: int) -> int:
@@ -205,3 +210,62 @@ def test_primes_built_once_and_read_only():
     assert np.array_equal(first, primes_up_to(10**4))
     with pytest.raises(ValueError):
         first[0] = 4
+
+
+def assert_tables_equal(got, want):
+    assert got.limit == want.limit
+    for name in ("spf", "mu", "omega"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+        assert not a.flags.writeable, name
+
+
+# Every edge of the recurrence's chunks, one either side: the doubling
+# chunks end at powers of two, the fixed ones at multiples of CHUNK.
+C = sieve.CHUNK
+BOUNDARY_LIMITS = sorted(
+    {2**k + d for k in range(2, 20) for d in (-1, 1)}
+    | {m * C + d for m in (1, 2, 3) for d in (-1, 1)}
+)
+
+
+@pytest.mark.parametrize("limit", list(range(2, 41)) + BOUNDARY_LIMITS + [10**6])
+def test_build_equals_per_prime_loop(limit):
+    assert_tables_equal(build_sieve(limit), loop_build_sieve(limit))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(limit=st.integers(2, 2 * 10**5), chunk=st.sampled_from([2, 7, 64, C]))
+def test_build_equals_per_prime_loop_any_limit(limit, chunk):
+    # a small chunk puts many fixed-width chunks inside the range
+    with mock.patch.object(sieve, "CHUNK", chunk):
+        got = build_sieve(limit)
+    assert_tables_equal(got, loop_build_sieve(limit))
+
+
+def test_chunks_read_only_finished_entries():
+    edges = list(sieve.chunks(2, 3 * C + 5))
+    assert edges[0] == (2, 4) and edges[-1][1] == 3 * C + 5
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(edges, edges[1:]))
+    assert all(0 < b - a <= min(a, C) for a, b in edges)
+
+
+def test_memory_guard_rejects_before_allocating():
+    with mock.patch.object(sieve, "_available_bytes", return_value=8 * 2**30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=r"needs about 12296 MB; 8192 MB available"):
+                build_sieve(2**31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert build_sieve(1000).limit == 1000
+
+
+def test_memory_guard_needs_a_known_figure():
+    avail = sieve._available_bytes()
+    assert avail is None or avail > 0
+    with mock.patch.object(sieve, "_available_bytes", return_value=None):
+        assert build_sieve(1000).limit == 1000

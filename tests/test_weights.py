@@ -9,9 +9,12 @@ from divisorlab.weights import (
     e_of_m,
     e_table,
     g_eval,
+    g_table,
     h_eval,
     tau_k_squarefree,
 )
+from divisorlab.sieve import CHUNK, build_sieve
+from loop_oracles import loop_e_table, loop_g_table
 
 
 def test_h_eval_examples(tables_small):
@@ -121,3 +124,32 @@ def test_e_bound_sweep_vectorized(tables_small):
     tau = 2.0 ** tables_small.omega[: upper + 1].astype(np.float64)
     idx = np.flatnonzero(mask)
     assert np.all(table[idx] < 2.0 * tau[idx] ** (2.0 / 3.0))
+
+
+# Every chunk edge of the recurrence +-1, and the upper / 2 edge of its
+# carried arrays, all read from one table.
+PRODUCT_UPPERS = sorted(
+    {2**k + d for k in range(1, 20) for d in (-1, 0, 1)}
+    | {m * CHUNK + d for m in (1, 2, 3) for d in (-1, 1)}
+)
+PRODUCT_TABLES = build_sieve(3 * CHUNK + 1)
+
+
+@pytest.mark.parametrize("upper", PRODUCT_UPPERS)
+def test_g_and_e_tables_equal_per_prime_loop_bitwise(upper):
+    assert np.array_equal(g_table(upper, PRODUCT_TABLES), loop_g_table(upper))
+    assert np.array_equal(e_table(upper, PRODUCT_TABLES), loop_e_table(upper))
+
+
+def test_g_and_e_tables_equal_per_prime_loop_at_scale():
+    upper = 1_500_000
+    tables = build_sieve(upper)
+    assert g_table(upper, tables).tobytes() == loop_g_table(upper).tobytes()
+    assert e_table(upper, tables).tobytes() == loop_e_table(upper).tobytes()
+
+
+def test_product_tables_reject_upper_beyond_limit(tables_small):
+    with pytest.raises(RangeError):
+        g_table(10**4 + 1, tables_small)
+    with pytest.raises(RangeError):
+        e_table(10**4 + 1, tables_small)
