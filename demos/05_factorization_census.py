@@ -4,9 +4,10 @@
 Writing a squarefree n as an ordered product of k parts assigns each of
 its primes to one of k slots.  At least one part is always small
 (d^k <= n, by pigeonhole) and at most k-1 can be, but on average one
-expects about k/2 of them to be small.  The census enumerates every
-assignment exactly; samples at growing omega show the mean drifting
-toward k/2.
+expects about k/2 of them to be small.  The census counts the small parts
+over every assignment exactly, by a closed form over the small divisors
+of n rather than a walk over the k^omega assignments; samples at growing
+omega show the mean drifting toward k/2.
 """
 
 from divisorlab import build_sieve

@@ -2,10 +2,14 @@
 
 For squarefree n, an ordered factorization n = d_1 * ... * d_k is exactly
 an assignment of each distinct prime of n to one of k slots, so there are
-k**omega(n) of them.  The census walks every assignment and counts, over
-all of them, how many slots hold a small part (d_i**k <= n).  The mean
-count per factorization is reported against the k/2 heuristic but never
-asserted: it is an open question, and the census only produces evidence.
+k**omega(n) of them.  The census counts, over all of them, how many slots
+hold a small part (d_i**k <= n).  By slot symmetry that total is k times
+the number of assignments whose first slot is small, and fixing the first
+slot's divisor d leaves (k-1)**(omega(n)-omega(d)) ways to place the other
+primes, so only the divisors d <= n**(1/k) are visited, never the
+assignments.  The mean count per factorization is reported against the k/2
+heuristic but never asserted: it is an open question, and the census only
+produces evidence.
 """
 
 from dataclasses import dataclass
@@ -16,9 +20,7 @@ from .divisor_sums import integer_kth_root
 from .errors import DomainError, InsufficientPopulationError, RangeError
 from .sieve import SieveTables, factor_squarefree
 
-ENUMERATION_BUDGET = 10**8
-_CHUNK = 1 << 20
-_INT64_SAFE = 2**62
+_SYNTHETIC_POOL = 18  # primes that synthetic samples draw from
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class CensusRecord:
     g_k: int
     ratio: float
     omega_n: int
-    enumerated: int
 
 
 @dataclass(frozen=True)
@@ -44,100 +45,39 @@ class CensusSummary:
 
 
 def census(n: int, k: int, tables: SieveTables) -> CensusRecord:
-    """Enumerate all k**omega(n) ordered factorizations of squarefree n.
+    """Count the small parts over all k**omega(n) ordered factorizations of squarefree n.
 
-    Walks the assignments as a mixed-radix counter (vectorized in chunks),
-    forming each slot product exactly and testing smallness against the
-    integer k-th root of n.
+    g_k = k * sum over divisors d of n with d**k <= n of
+    (k-1)**(omega(n)-omega(d)), in exact integers.  The divisors are walked
+    depth first over the ascending primes of n, and a branch stops at the
+    first prime that takes d past the integer k-th root of n.
 
     Raises:
-        RangeError: if k**omega(n) exceeds the enumeration budget of 1e8,
-            or k > 16, or omega(n) > 25.
+        DomainError: if k < 2, or n is not squarefree or not factorable
+            over the table.
+        RangeError: if omega(n) > 25.
     """
-    if k < 2 or k > 16:
-        raise DomainError(f"k={k} must be in [2, 16]")
+    if k < 2:
+        raise DomainError(f"k={k} must be >= 2")
     primes = factor_squarefree(n, tables)
     om = len(primes)
     if om > 25:
         raise RangeError(f"omega(n)={om} exceeds the supported 25")
+    r = integer_kth_root(n, k)
+    # small[j]: divisors d <= r with j primes
+    small = [0] * (om + 1)
+    stack = [(1, 0, 0)]  # (d, omega(d), index of the next prime to try)
+    while stack:
+        d, j, i = stack.pop()
+        small[j] += 1
+        for t in range(i, om):
+            e = d * primes[t]
+            if e > r:
+                break
+            stack.append((e, j + 1, t + 1))
     states = k**om
-    if states > ENUMERATION_BUDGET:
-        raise RangeError(
-            f"k**omega = {k}**{om} = {states} exceeds enumeration budget {ENUMERATION_BUDGET}"
-        )
-    r = integer_kth_root(n, k)
-    if n < _INT64_SAFE:
-        g_k = _count_small_parts_chunked(primes, k, r, states)
-    else:
-        g_k = _count_small_parts_py(primes, k, r)
-    return CensusRecord(
-        n=n,
-        k=k,
-        tau_k=states,
-        g_k=g_k,
-        ratio=g_k / states,
-        omega_n=om,
-        enumerated=states,
-    )
-
-
-def _count_small_parts_chunked(primes, k, r, states) -> int:
-    """Vectorized assignment walk; chunks bound peak memory."""
-    parr = np.array(primes, dtype=np.int64)
-    om = len(primes)
-    radix = np.array([k**i for i in range(om)], dtype=np.int64)
-    total = 0
-    for lo in range(0, states, _CHUNK):
-        hi = min(lo + _CHUNK, states)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // radix[None, :]) % k  # prime i -> slot digit
-        for s in range(k):
-            prod = np.ones(hi - lo, dtype=np.int64)
-            for i in range(om):
-                prod *= np.where(digits[:, i] == s, parr[i], 1)
-            total += int(np.count_nonzero(prod <= r))
-    return total
-
-
-def _count_small_parts_py(primes, k, r) -> int:
-    """Pure-Python twin of the chunked walk (also the cross-check oracle)."""
-    slots = [1] * k
-    small = sum(1 for s in slots if s <= r)
-    total = 0
-
-    def assign(i, small):
-        nonlocal total
-        if i == len(primes):
-            total += small
-            return
-        p = primes[i]
-        for s in range(k):
-            old = slots[s]
-            new = old * p
-            slots[s] = new
-            delta = (1 if new <= r else 0) - (1 if old <= r else 0)
-            assign(i + 1, small + delta)
-            slots[s] = old
-
-    assign(0, small)
-    return total
-
-
-def small_part_identity(n: int, k: int, tables: SieveTables) -> int:
-    """Independent closed-form count: k * sum over small divisors d of (k-1)**(omega(n)-omega(d)).
-
-    By slot symmetry the census total is k times the number of assignments
-    whose first slot is small; conditioning on the first slot's divisor d
-    leaves (k-1)**(omega(n)-omega(d)) ways to place the remaining primes.
-    Used in tests as a second route to g_k.
-    """
-    primes = factor_squarefree(n, tables)
-    r = integer_kth_root(n, k)
-    divisors = [(1, 0)]
-    for p in primes:
-        divisors += [(d * p, om + 1) for d, om in divisors]
-    om_n = len(primes)
-    return k * sum((k - 1) ** (om_n - om) for d, om in divisors if d <= r)
+    g_k = k * sum(c * (k - 1) ** (om - j) for j, c in enumerate(small))
+    return CensusRecord(n=n, k=k, tau_k=states, g_k=g_k, ratio=g_k / states, omega_n=om)
 
 
 def _population(omega_target: int, tables: SieveTables) -> np.ndarray:
@@ -185,21 +125,20 @@ def census_sample_synthetic(
     count: int,
     seed: int,
     tables: SieveTables,
-    prime_pool: int = 18,
 ) -> tuple[list[CensusRecord], CensusSummary]:
     """Census of seeded products of omega_target distinct small primes.
 
     Covers omega ranges whose smallest representative exceeds any feasible
     sieve limit (the 12-prime primorial is already ~7.4e12).  Each n is a
     product of omega_target primes drawn without replacement from the
-    first prime_pool primes; the default pool of 18 keeps every product
-    within int64 for the vectorized walk.
+    first 18 primes; the pool is fixed so that a seed always yields the
+    same products.
     """
     if count < 1:
         raise DomainError(f"count={count} must be >= 1")
     if omega_target < 1:
         raise InsufficientPopulationError("omega_target must be >= 1")
-    pool = _primes_prefix(prime_pool, tables)
+    pool = _primes_prefix(_SYNTHETIC_POOL, tables)
     if omega_target > len(pool):
         raise InsufficientPopulationError(
             f"prime pool of {len(pool)} cannot supply omega = {omega_target}"

@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .census import census, census_sample, census_sample_synthetic
@@ -88,7 +89,8 @@ class Flag:
 FLAGS = {
     "config": Flag("--config", help="key = value file; flags take precedence"),
     "limit": Flag("--limit", int, help="sieve extent (default: largest x needed; "
-                  "census: 1000000; sieve-stats: required)"),
+                  "census --omega: 1000000; census --n N: isqrt(N)+1, at most 1000000; "
+                  "sieve-stats: required)"),
     "format": Flag("--format", default="csv", choices=("csv", "json")),
     "output": Flag("--output", help="write here instead of stdout"),
     "seed": Flag("--seed", int, 0),
@@ -195,7 +197,16 @@ def _sieve_stats_extent(args) -> int:
 def _census_extent(args) -> int:
     if (args.n is None) == (args.omega is None):
         raise ConfigurationError("census requires exactly one of --n or --omega")
-    return args.limit or 10**6
+    if args.limit:
+        return args.limit
+    if args.n is None:
+        return 10**6
+    # census factors n by trial division over the table's primes up to sqrt(n)
+    return min(isqrt(max(args.n, 0)) + 1, 10**6)
+
+
+def _gamma_lemma_extent(args) -> int | None:
+    return args.bign if args.f == "h_table" else None  # log_shift needs no table
 
 
 # -- runners: fill the emitter's rows, comments and verdict
@@ -304,8 +315,9 @@ class Command:
 
     `flags` come after the common ones; those in `required` must be on
     the command line.  `header` names the CSV columns and the JSON row
-    keys.  `extent` gives the sieve limit the run needs, or is None when
-    it builds no table.  `run(args, tables, out)` fills the output.
+    keys.  `extent(args)` gives the sieve limit the run needs, or None when
+    the run builds no table; a command that never builds one has no
+    extent.  `run(args, tables, out)` fills the output.
     """
 
     description: str
@@ -356,7 +368,7 @@ COMMANDS = {
     "gamma-lemma": Command(
         "f(x) f(N/x) decrease check beyond sqrt(N)",
         ("bign", "f", "prime", "c", "points"), ("bign",),
-        ("x", "gamma"), lambda a: a.bign, _run_gamma_lemma),
+        ("x", "gamma"), _gamma_lemma_extent, _run_gamma_lemma),
     "selberg": Command(
         "exact omega-power sums vs their predictor",
         ("x", "z", "weighted"), ("x",),
@@ -406,8 +418,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[_Emitter, int]:
     }
     out = _Emitter(inputs, cmd.header)
     tables = None
-    if cmd.extent is not None:
-        needed = cmd.extent(args)
+    needed = cmd.extent(args) if cmd.extent else None
+    if needed is not None:
         limit = args.limit if args.limit is not None else needed
         if limit < needed:
             raise ConfigurationError(f"limit={limit} below required extent {needed}")

@@ -6,15 +6,16 @@ their ratio, and the prime-split A/B/C/D decomposition -- is computed by
 first reducing the (d, n) pairs to exact integer counts per class
 (omega(d), override-divisibility flags).  Weights enter only at the final
 combine, done in exact rational arithmetic with a single rounding to
-float, so independent enumeration routes must agree bit-for-bit.
+float, so any independent enumeration of the pairs must agree bit-for-bit.
 
 The counts do not depend on the weight, so they are built once per
 (x, override set) and weighted per request: ratio_from_counts and
 abcd_from_counts weight a given pair of full and small counts (for a split
 at p, counts_for_split builds them over the override set plus p), and
-ratio and abcd are the wrappers that count first.  The production routes are
-the joint (omega, flags) histogram of n for the full counts and the
-divisor walk over d <= x**(1/k) for the small ones.
+ratio and abcd are the wrappers that count first.  Each count has one
+route: the joint (omega, flags) histogram of n for the full counts and the
+divisor walk over d <= x**(1/k) for the small ones.  The per-n and per-d
+enumerations they are checked against live in the tests.
 """
 
 from collections import Counter
@@ -24,16 +25,13 @@ from math import comb, fsum
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .sieve import (
     SieveTables,
     distinct_primes,
     squarefree_coprime_count_range,
 )
 from .weights import PrimeWeight, g_table
-
-FULL_METHODS = ("n_major", "d_major", "omega_identity")
-SMALL_METHODS = ("n_major", "d_major")
 
 ClassKey = tuple[int, int]  # (distinct primes of d, override-divisibility bits)
 
@@ -131,15 +129,6 @@ def _trial_factor_squarefree(n: int) -> list[int]:
     return primes
 
 
-def _divisor_triples(primes: list[int], flag_of: dict[int, int]):
-    """All divisors of prod(primes) as (value, omega, flags), by doubling."""
-    triples = [(1, 0, 0)]
-    for p in primes:
-        fb = flag_of.get(p, 0)
-        triples += [(v * p, om + 1, fl | fb) for v, om, fl in triples]
-    return triples
-
-
 def full_divisor_sum(n: int, w: PrimeWeight) -> float:
     """sum of h(d) over all divisors of squarefree n, by enumeration."""
     primes = _trial_factor_squarefree(n)
@@ -179,10 +168,6 @@ def _check_override_primes(ops: tuple[int, ...], tables: SieveTables) -> None:
             raise RangeError(f"override prime {p} beyond table limit {tables.limit}")
         if tables.spf[p] != p:
             raise DomainError(f"override key {p} is not prime")
-
-
-def _flag_of_map(ops: tuple[int, ...]) -> dict[int, int]:
-    return {p: 1 << i for i, p in enumerate(ops)}
 
 
 # Integers per histogram block: a block's key stays in cache.
@@ -229,13 +214,10 @@ def full_class_counts(
     x: int,
     override_primes: tuple[int, ...],
     tables: SieveTables,
-    method: str = "omega_identity",
 ) -> ClassCounts:
-    """Pair counts for the unrestricted divisor sum, by the chosen route.
+    """Pair counts for the unrestricted divisor sum, by the joint histogram.
 
-    n_major enumerates the divisors of each squarefree n directly;
-    d_major walks divisors d and counts their squarefree coprime cofactors;
-    omega_identity bins n by (omega, flags) and spreads each bin over
+    Squarefree n are binned by (omega, flags) and each bin is spread over
     divisor classes with binomial coefficients (for an empty override set
     this is exactly the statement that a squarefree n with omega(n) = i
     has C(i, j) divisors with j prime factors).
@@ -244,44 +226,8 @@ def full_class_counts(
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    if method == "n_major":
-        classes = _full_n_major(x, ops, tables)
-    elif method == "d_major":
-        classes = _full_d_major(x, ops, tables)
-    elif method == "omega_identity":
-        classes = _full_omega_identity(x, ops, tables)
-    else:
-        raise ConfigurationError(f"unknown method {method!r}; expected one of {FULL_METHODS}")
+    classes = _full_omega_identity(x, ops, tables)
     return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
-
-
-def _full_n_major(x, ops, tables) -> Counter:
-    flag_of = _flag_of_map(ops)
-    mu = tables.mu
-    out: Counter = Counter()
-    for n in range(1, x + 1):
-        if mu[n] == 0:
-            continue
-        for _, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
-            out[(om, fl)] += 1
-    return out
-
-
-def _full_d_major(x, ops, tables) -> Counter:
-    flag_of = _flag_of_map(ops)
-    mu = tables.mu
-    out: Counter = Counter()
-    for d in range(1, x + 1):
-        if mu[d] == 0:
-            continue
-        primes = distinct_primes(d, tables)
-        cnt = squarefree_coprime_count_range(1, x // d, primes, tables)
-        if cnt:
-            fl = 0
-            for p in primes:
-                fl |= flag_of.get(p, 0)
-            out[(len(primes), fl)] += cnt
-    return out
 
 
 def _full_omega_identity(x, ops, tables) -> Counter:
@@ -304,40 +250,24 @@ def small_class_counts(
     k: int,
     override_primes: tuple[int, ...],
     tables: SieveTables,
-    method: str = "d_major",
 ) -> ClassCounts:
-    """Pair counts restricted to small divisors (d**k <= n)."""
+    """Pair counts restricted to small divisors (d**k <= n), by the divisor walk.
+
+    Each squarefree d <= x**(1/k) counts its squarefree cofactors m coprime
+    to d with d**k <= d*m <= x.
+    """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if k < 2:
         raise DomainError(f"k={k} must be >= 2")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    if method == "n_major":
-        classes = _small_n_major(x, k, ops, tables)
-    elif method == "d_major":
-        classes = _small_d_major(x, k, ops, tables)
-    else:
-        raise ConfigurationError(f"unknown method {method!r}; expected one of {SMALL_METHODS}")
+    classes = _small_d_major(x, k, ops, tables)
     return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
 
 
-def _small_n_major(x, k, ops, tables) -> Counter:
-    flag_of = _flag_of_map(ops)
-    mu = tables.mu
-    out: Counter = Counter()
-    for n in range(1, x + 1):
-        if mu[n] == 0:
-            continue
-        r_n = integer_kth_root(n, k)
-        for val, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
-            if val <= r_n:
-                out[(om, fl)] += 1
-    return out
-
-
 def _small_d_major(x, k, ops, tables) -> Counter:
-    flag_of = _flag_of_map(ops)
+    flag_of = {p: 1 << i for i, p in enumerate(ops)}
     mu = tables.mu
     out: Counter = Counter()
     for d in range(1, integer_kth_root(x, k) + 1):
@@ -386,26 +316,15 @@ def weighted_total(counts: ClassCounts, w: PrimeWeight) -> Fraction:
 # public aggregates
 
 
-def s_full(
-    x: int,
-    w: PrimeWeight,
-    tables: SieveTables,
-    method: str = "omega_identity",
-) -> float:
+def s_full(x: int, w: PrimeWeight, tables: SieveTables) -> float:
     """Full averaged divisor sum  sum_{n<=x} mu^2(n) sum_{d|n} h(d)."""
-    counts = full_class_counts(x, w.override_primes(), tables, method)
+    counts = full_class_counts(x, w.override_primes(), tables)
     return float(weighted_total(counts, w))
 
 
-def s_small(
-    x: int,
-    k: int,
-    w: PrimeWeight,
-    tables: SieveTables,
-    method: str = "d_major",
-) -> float:
+def s_small(x: int, k: int, w: PrimeWeight, tables: SieveTables) -> float:
     """Small-divisor averaged sum  sum_{n<=x} mu^2(n) sum_{d|n, d^k<=n} h(d)."""
-    counts = small_class_counts(x, k, w.override_primes(), tables, method)
+    counts = small_class_counts(x, k, w.override_primes(), tables)
     return float(weighted_total(counts, w))
 
 
@@ -502,14 +421,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
     return terms
 
 
-def abcd(
-    x: int,
-    k: int,
-    w: PrimeWeight,
-    p: int,
-    tables: SieveTables,
-    method: str = "auto",
-) -> AbcdDecomposition:
+def abcd(x: int, k: int, w: PrimeWeight, p: int, tables: SieveTables) -> AbcdDecomposition:
     """Exact prime-split of both aggregates at p.
 
     Writing every divisor d as either p*m (p | d) or d (p not dividing d)
@@ -518,7 +430,7 @@ def abcd(
     involve the weight at p.  Identities hold exactly by construction of
     the counts; see compose_decomposition for the integer-level statement.
     """
-    full, small = counts_for_split(x, k, p, w.override_primes(), tables, method)
+    full, small = counts_for_split(x, k, p, w.override_primes(), tables)
     return abcd_from_counts(full, small, k, p, w)
 
 
@@ -539,32 +451,21 @@ def abcd_from_counts(
     )
 
 
-# (full route, small route) per abcd method
-_SPLIT_ROUTES = {
-    "auto": ("omega_identity", "d_major"),
-    "d_major": ("d_major", "d_major"),
-    "n_major": ("n_major", "n_major"),
-}
-
-
 def abcd_class_counts(
     x: int,
     k: int,
     p: int,
     override_primes: tuple[int, ...],
     tables: SieveTables,
-    method: str = "auto",
 ):
     """Class counts (a, b, c, d) for the prime-split at p.
 
     All four are keyed over override_primes plus p; since their outer
     variables are never divisible by p, the p bit is always clear in their
-    own keys.  method "auto" splits the production counts (the joint
-    histogram for the full pieces, the divisor walk for the small ones);
-    "d_major" and "n_major" force a single route for all four, for
-    cross-checking.
+    own keys.  They split the production counts: the joint histogram for
+    the full pieces, the divisor walk for the small ones.
     """
-    full, small = counts_for_split(x, k, p, override_primes, tables, method)
+    full, small = counts_for_split(x, k, p, override_primes, tables)
     return _split_counts(full, small, p)
 
 
@@ -574,9 +475,8 @@ def counts_for_split(
     p: int,
     override_primes: tuple[int, ...],
     tables: SieveTables,
-    method: str = "auto",
 ) -> tuple[ClassCounts, ClassCounts]:
-    """Full and small counts over override_primes plus p, by the method's routes.
+    """Full and small counts over override_primes plus p.
 
     These are the counts that abcd_from_counts splits at p and that
     ratio_from_counts weights at any weight whose overrides they cover.
@@ -589,15 +489,10 @@ def counts_for_split(
         raise RangeError(f"p={p} beyond table limit {tables.limit}")
     if tables.spf[p] != p:
         raise DomainError(f"p={p} is not prime")
-    if method not in _SPLIT_ROUTES:
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected one of {tuple(_SPLIT_ROUTES)}"
-        )
-    full_method, small_method = _SPLIT_ROUTES[method]
     ops = tuple(sorted(set(override_primes) | {p}))
     return (
-        full_class_counts(x, ops, tables, full_method),
-        small_class_counts(x, k, ops, tables, small_method),
+        full_class_counts(x, ops, tables),
+        small_class_counts(x, k, ops, tables),
     )
 
 
@@ -630,8 +525,8 @@ def compose_decomposition(
 ) -> ClassCounts:
     """Reassemble a split: shift the p-part up by p and add the rest.
 
-    The result must equal the undecomposed ClassCounts exactly; tests and
-    the CLI use this as the integer-level identity check.
+    The result must equal the undecomposed ClassCounts exactly; the tests
+    use this as the integer-level identity check.
     """
     ops = part_with_p.override_primes
     if p not in ops or part_without_p.override_primes != ops:

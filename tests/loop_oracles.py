@@ -1,16 +1,26 @@
-"""Per-prime-loop builders that the production tables are checked against.
+"""Slow, plainly correct routes that the production code is checked against.
 
-These are the earlier production routes: the sieve fills omega with one
-strided pass per prime up to limit/2, and the g and e tables multiply in
-one factor per prime up to upper.  They are slow but plainly correct.
+These are the earlier production routes:
+- the sieve fills omega with one strided pass per prime up to limit/2, and
+  the g and e tables multiply in one factor per prime up to upper;
+- the class counts enumerate the divisors of each squarefree n (n-major),
+  or count the squarefree cofactors of each squarefree d (d-major);
+- the census walks all k**omega(n) assignments of primes to slots.
 """
 
 import math
+from collections import Counter
 from math import isqrt
 
 import numpy as np
 
-from divisorlab.sieve import SieveTables, primes_up_to
+from divisorlab.divisor_sums import ClassCounts, integer_kth_root
+from divisorlab.sieve import (
+    SieveTables,
+    distinct_primes,
+    primes_up_to,
+    squarefree_coprime_count_range,
+)
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -61,3 +71,94 @@ def loop_e_table(upper: int) -> np.ndarray:
     for p in map(int, primes_up_to(upper)):
         out[p::p] *= 1.0 + 1.0 / math.sqrt(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# class counts; each returns the ClassCounts the production route returns
+
+
+def _flag_of_map(ops):
+    return {p: 1 << i for i, p in enumerate(ops)}
+
+
+def _divisor_triples(primes: list[int], flag_of: dict[int, int]):
+    """All divisors of prod(primes) as (value, omega, flags), by doubling."""
+    triples = [(1, 0, 0)]
+    for p in primes:
+        fb = flag_of.get(p, 0)
+        triples += [(v * p, om + 1, fl | fb) for v, om, fl in triples]
+    return triples
+
+
+def full_n_major(x, ops, tables) -> ClassCounts:
+    ops = tuple(sorted(ops))
+    flag_of = _flag_of_map(ops)
+    mu = tables.mu
+    out: Counter = Counter()
+    for n in range(1, x + 1):
+        if mu[n] == 0:
+            continue
+        for _, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+            out[(om, fl)] += 1
+    return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+def full_d_major(x, ops, tables) -> ClassCounts:
+    ops = tuple(sorted(ops))
+    flag_of = _flag_of_map(ops)
+    mu = tables.mu
+    out: Counter = Counter()
+    for d in range(1, x + 1):
+        if mu[d] == 0:
+            continue
+        primes = distinct_primes(d, tables)
+        cnt = squarefree_coprime_count_range(1, x // d, primes, tables)
+        if cnt:
+            fl = 0
+            for p in primes:
+                fl |= flag_of.get(p, 0)
+            out[(len(primes), fl)] += cnt
+    return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+def small_n_major(x, k, ops, tables) -> ClassCounts:
+    ops = tuple(sorted(ops))
+    flag_of = _flag_of_map(ops)
+    mu = tables.mu
+    out: Counter = Counter()
+    for n in range(1, x + 1):
+        if mu[n] == 0:
+            continue
+        r_n = integer_kth_root(n, k)
+        for val, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+            if val <= r_n:
+                out[(om, fl)] += 1
+    return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+# ---------------------------------------------------------------------------
+# census
+
+
+def count_small_parts_walk(primes, k, r) -> int:
+    """Small slots (product <= r) summed over every assignment of primes to k slots."""
+    slots = [1] * k
+    small = sum(1 for s in slots if s <= r)
+    total = 0
+
+    def assign(i, small):
+        nonlocal total
+        if i == len(primes):
+            total += small
+            return
+        p = primes[i]
+        for s in range(k):
+            old = slots[s]
+            new = old * p
+            slots[s] = new
+            delta = (1 if new <= r else 0) - (1 if old <= r else 0)
+            assign(i + 1, small + delta)
+            slots[s] = old
+
+    assign(0, small)
+    return total

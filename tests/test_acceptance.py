@@ -15,6 +15,7 @@ import pytest
 
 import divisorlab.divisor_sums as ds
 import divisorlab.experiments as ex
+import loop_oracles as oracle
 from divisorlab.census import census, census_sample, census_sample_synthetic
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.euler import ZETA2, f0, f1, gamma_fn, selberg_exact
@@ -38,8 +39,8 @@ def test_criterion_01_oracle_equivalence(tables_medium):
     values_equal = True
     for x in (10**3, 10**4, 10**5):
         full = [
-            ds.full_class_counts(x, (), tables_medium, method)
-            for method in ds.FULL_METHODS
+            route(x, (), tables_medium)
+            for route in (oracle.full_n_major, oracle.full_d_major, ds.full_class_counts)
         ]
         counts_equal &= full[0] == full[1] == full[2]
         for w in weights:
@@ -47,8 +48,8 @@ def test_criterion_01_oracle_equivalence(tables_medium):
             values_equal &= len(vals) == 1
         for k in (2, 3, 4):
             small = [
-                ds.small_class_counts(x, k, (), tables_medium, method)
-                for method in ds.SMALL_METHODS
+                route(x, k, (), tables_medium)
+                for route in (oracle.small_n_major, ds.small_class_counts)
             ]
             counts_equal &= small[0] == small[1]
             for w in weights:

@@ -1,25 +1,25 @@
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from divisorlab.census import (
     CensusRecord,
-    _count_small_parts_py,
     census,
     census_sample,
     census_sample_synthetic,
-    small_part_identity,
 )
 from divisorlab.divisor_sums import integer_kth_root
 from divisorlab.errors import DomainError, InsufficientPopulationError, RangeError
 from divisorlab.sieve import factor_squarefree
+from loop_oracles import count_small_parts_walk
 
 
 def test_census_pair_example(tables_small):
     rec = census(6, 2, tables_small)
     assert (rec.tau_k, rec.g_k, rec.ratio) == (4, 4, 1.0)
-    assert rec.enumerated == 4
 
 
 def test_census_30_cubed_example(tables_small):
@@ -43,15 +43,27 @@ def test_census_matches_python_twin(tables_small):
             rec = census(n, k, tables_small)
             primes = factor_squarefree(n, tables_small)
             r = integer_kth_root(n, k)
-            assert rec.g_k == _count_small_parts_py(primes, k, r)
+            assert rec.g_k == count_small_parts_walk(primes, k, r)
 
 
-def test_census_matches_closed_form_identity(tables_small):
-    for n in (2, 15, 30, 105, 2310):
-        for k in (2, 3, 5):
-            assert census(n, k, tables_small).g_k == small_part_identity(
-                n, k, tables_small
-            )
+FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+WALK_BUDGET = 10**5  # assignments the walk oracle may visit per example
+
+
+def _primes_and_k(k):
+    max_omega = min(9, int(math.log(WALK_BUDGET, k)))
+    primes = st.lists(st.sampled_from(FIRST_PRIMES), max_size=max_omega, unique=True)
+    return st.tuples(primes.map(sorted), st.just(k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.integers(2, 6).flatmap(_primes_and_k))
+@example(case=(FIRST_PRIMES[-13:], 2))  # n = 13*17*...*61 > 2**62
+def test_census_matches_walk_oracle(tables_small, case):
+    primes, k = case
+    n = math.prod(primes)
+    r = integer_kth_root(n, k)
+    assert census(n, k, tables_small).g_k == count_small_parts_walk(primes, k, r)
 
 
 def test_slot_relabeling_invariance(tables_small):
@@ -59,7 +71,7 @@ def test_slot_relabeling_invariance(tables_small):
     for n in (30, 210, 2310):
         primes = factor_squarefree(n, tables_small)
         r = integer_kth_root(n, 3)
-        assert _count_small_parts_py(primes, 3, r) == _count_small_parts_py(
+        assert count_small_parts_walk(primes, 3, r) == count_small_parts_walk(
             primes[::-1], 3, r
         )
 
@@ -88,14 +100,19 @@ def test_trivial_bounds(tables_small):
 def test_census_k_guard(tables_small):
     with pytest.raises(DomainError):
         census(30, 1, tables_small)
-    with pytest.raises(DomainError):
-        census(30, 17, tables_small)
 
 
-def test_census_budget_exceeded(tables_medium):
+def test_census_of_a_billion_factorizations(tables_medium):
     n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # omega = 9
-    with pytest.raises(RangeError, match="budget"):
-        census(n, 10, tables_medium)  # 10**9 states
+    rec = census(n, 10, tables_medium)
+    assert rec.tau_k == 10**9
+    assert rec.tau_k <= rec.g_k <= 9 * rec.tau_k
+
+
+def test_census_omega_cap(tables_small):
+    n = math.prod(int(p) for p in tables_small.primes()[:26])
+    with pytest.raises(RangeError, match="omega"):
+        census(n, 2, tables_small)
 
 
 def test_census_rejects_non_squarefree(tables_small):
@@ -154,7 +171,7 @@ def test_synthetic_sample_deterministic(tables_small):
 
 def test_synthetic_pool_guard(tables_small):
     with pytest.raises(InsufficientPopulationError):
-        census_sample_synthetic(19, 3, 2, 1, tables_small, prime_pool=18)
+        census_sample_synthetic(19, 3, 2, 1, tables_small)
 
 
 def test_census_submodule_is_not_shadowed_by_the_function():

@@ -303,3 +303,36 @@ def test_csv_and_json_carry_the_same_rows(cmd, values, capsys):
     assert rows and all(list(row) == header for row in payload["rows"])
     assert [[_cell(v) for v in row.values()] for row in payload["rows"]] == rows
     assert verdicts == ([] if payload["verdict"] is None else [payload["verdict"]])
+
+
+def test_gamma_lemma_log_shift_builds_no_table(capsys, monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"built a table of {limit}")
+
+    monkeypatch.setattr(cli, "build_sieve", no_table)
+    for extra in ((), ("--limit", "50")):  # --limit has no effect on log_shift
+        code, out, err = run(capsys, "gamma-lemma", "--n", "10000", "--f", "log_shift",
+                             "--points", "12", *extra)
+        assert code == 0, err
+        assert "# verdict=pass" in out
+
+
+def test_gamma_lemma_h_table_limit_below_n_exits_one(capsys):
+    code, out, err = run(capsys, "gamma-lemma", "--n", "10000", "--f", "h_table",
+                         "--limit", "5000")
+    assert (code, out) == (1, "")
+    assert "below required extent 10000" in err
+
+
+def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
+    limits = []
+
+    def recording_build(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", recording_build)
+    code, out, _ = run(capsys, "census", "--n", "30030", "--k", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "30030,3,6,729,1128,1.5473251028806585"
+    assert limits == [174]  # isqrt(30030) + 1

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
-from divisorlab.errors import ConfigurationError, DomainError, RangeError
+import loop_oracles as oracle
+from divisorlab.errors import DomainError, RangeError
 from divisorlab.sieve import build_sieve
 from divisorlab.weights import PrimeWeight, g_eval, h_eval
 
@@ -113,8 +114,8 @@ def test_aggregates_match_brute_force(tables_small):
 def test_full_routes_agree_exactly(tables_small, ops):
     for x in (10, 999, 5000):
         counts = [
-            ds.full_class_counts(x, ops, tables_small, method)
-            for method in ds.FULL_METHODS
+            route(x, ops, tables_small)
+            for route in (oracle.full_n_major, oracle.full_d_major, ds.full_class_counts)
         ]
         assert counts[0] == counts[1] == counts[2]
 
@@ -123,13 +124,13 @@ def test_full_routes_agree_exactly(tables_small, ops):
 def test_small_routes_agree_exactly(tables_small, ops):
     for x in (10, 999, 5000):
         for k in (2, 3, 4):
-            a = ds.small_class_counts(x, k, ops, tables_small, "n_major")
-            b = ds.small_class_counts(x, k, ops, tables_small, "d_major")
+            a = oracle.small_n_major(x, k, ops, tables_small)
+            b = ds.small_class_counts(x, k, ops, tables_small)
             assert a == b
 
 
 # Differential properties of the production routes (joint histogram for the
-# full counts, its split at p for abcd) against the enumeration routes.
+# full counts, its split at p for abcd) against the enumeration oracles.
 DIFF_LIMIT = 2 * 10**4
 DIFF_TABLES = build_sieve(DIFF_LIMIT)
 DIFF_PRIMES = [int(q) for q in DIFF_TABLES.primes()]
@@ -144,7 +145,7 @@ differential = settings(max_examples=50, deadline=None, derandomize=True)
 @differential
 @given(x=st.integers(1, DIFF_LIMIT), ops=override_sets)
 def test_histogram_route_equals_n_major(x, ops):
-    want = ds.full_class_counts(x, ops, DIFF_TABLES, "n_major")
+    want = oracle.full_n_major(x, ops, DIFF_TABLES)
     assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
     # a block size below x puts block edges inside the range
     with mock.patch.object(ds, "_HIST_BLOCK", 97):
@@ -156,8 +157,22 @@ def test_histogram_route_wide_keys(r):
     # r > 4 and r > 12 take the uint16 and uint32 keys; two primes lie above x
     x = 5000
     ops = (*DIFF_PRIMES[: r - 2], 4999, DIFF_PRIMES[-1])
-    assert ds.full_class_counts(x, ops, DIFF_TABLES) == ds.full_class_counts(
-        x, ops, DIFF_TABLES, "n_major")
+    assert ds.full_class_counts(x, ops, DIFF_TABLES) == oracle.full_n_major(
+        x, ops, DIFF_TABLES)
+
+
+# (full route, small route) pairs that abcd's production split must match:
+# all four pieces by the divisor walk, then all four by per-n enumeration
+SPLIT_ORACLES = (
+    (oracle.full_d_major, ds.small_class_counts),
+    (oracle.full_n_major, oracle.small_n_major),
+)
+
+
+def oracle_split(x, k, p, ops, tables, full_route, small_route):
+    """abcd_class_counts with the full and small counts taken from the given routes."""
+    ops = tuple(sorted(set(ops) | {p}))
+    return ds._split_counts(full_route(x, ops, tables), small_route(x, k, ops, tables), p)
 
 
 @differential
@@ -168,9 +183,9 @@ def test_histogram_route_wide_keys(r):
     ops=override_sets.map(lambda ops: ops[:3]),
 )
 def test_abcd_auto_equals_single_routes(x, k, p, ops):
-    auto = ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "auto")
-    assert auto == ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "d_major")
-    assert auto == ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES, "n_major")
+    auto = ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES)
+    for full_route, small_route in SPLIT_ORACLES:
+        assert auto == oracle_split(x, k, p, ops, DIFF_TABLES, full_route, small_route)
 
 
 def test_weight_one_total_counts_all_pairs(tables_small):
@@ -277,12 +292,9 @@ def test_abcd_class_count_identity(tables_small):
 
 
 def test_abcd_methods_agree(tables_small):
-    for method in ("auto", "d_major", "n_major"):
-        parts = ds.abcd_class_counts(2000, 3, 2, (3,), tables_small, method)
-        if method == "auto":
-            reference = parts
-        else:
-            assert parts == reference
+    reference = ds.abcd_class_counts(2000, 3, 2, (3,), tables_small)
+    for full_route, small_route in SPLIT_ORACLES:
+        assert oracle_split(2000, 3, 2, (3,), tables_small, full_route, small_route) == reference
 
 
 def test_abcd_x_below_p(tables_small):
@@ -304,10 +316,6 @@ def test_abcd_mobius_quotient_matches_recompute(tables_small):
 
 
 def test_method_validation(tables_small):
-    with pytest.raises(ConfigurationError):
-        ds.full_class_counts(10, (), tables_small, "sideways")
-    with pytest.raises(ConfigurationError):
-        ds.small_class_counts(10, 2, (), tables_small, "omega_identity")
     with pytest.raises(RangeError):
         ds.full_class_counts(10**5, (), tables_small)  # beyond limit
     with pytest.raises(DomainError):
