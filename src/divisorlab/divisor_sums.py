@@ -21,7 +21,7 @@ enumerations they are checked against live in the tests.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, fsum
+from math import comb, frexp, fsum, isqrt, ldexp
 
 import numpy as np
 
@@ -98,17 +98,21 @@ class AbcdDecomposition:
 
 
 def integer_kth_root(n: int, k: int) -> int:
-    """Largest r with r**k <= n, by exact integer arithmetic."""
+    """Largest r with r**k <= n, by exact integer arithmetic in O(log n) steps."""
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if k == 2:
+        return isqrt(n)
+    # Integer Newton from above: r stays >= the root and falls strictly
+    # until it reaches it.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _trial_factor_squarefree(n: int) -> list[int]:
@@ -366,7 +370,7 @@ def ratio(x: int, k: int, w: PrimeWeight, tables: SieveTables) -> RatioReport:
 def h_series(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> float:
     """Partial sum over squarefree j <= x, p not dividing j, of g(j)h(j)/j.
 
-    Accumulated by exact compensated summation in ascending j order.
+    Correctly rounded: the exact sum of the float terms, rounded once.
     """
     terms = _series_terms(x, w, p, tables)
     return fsum(terms[np.flatnonzero(terms)])
@@ -375,50 +379,118 @@ def h_series(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> float:
 def h_series_cumulative(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
     """Array H[0..x] of partial sums of the series above (H[0] = 0).
 
-    Same term order and compensation as h_series, so H[x] == h_series(x).
+    Every H[j] is the correctly rounded sum of the terms up to j, so
+    H[x] == h_series(x) and H is non-decreasing.
     """
-    terms = _series_terms(x, w, p, tables)
-    idx = np.flatnonzero(terms)
-    running = np.zeros(len(idx))
-    s = 0.0
-    comp = 0.0
-    for i, v in enumerate(terms[idx]):
-        # Neumaier update: track the rounding error of each addition.
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-        running[i] = s + comp
-    out = np.zeros(x + 1)
-    out[idx] = running
-    np.maximum.accumulate(out, out=out)  # terms are >= 0, so H is nondecreasing
-    return out
+    return _prefix_fsum(_series_terms(x, w, p, tables))
 
 
 def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
+    """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0.
+
+    e(j) counts the primes of j with the base weight c, and adjust(j)
+    multiplies the overrides that divide j in ascending order.  Built in
+    place, so at most three float arrays of length x are alive at once.
+    """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if p > tables.limit or tables.spf[p] != p:
         raise DomainError(f"p={p} is not a prime in the table")
-    mask = np.array(tables.mu[: x + 1] != 0)
-    mask[0] = False
-    if p <= x:
-        mask[p::p] = False
-    ops = w.override_primes()
-    exponent = tables.omega[: x + 1].astype(np.int64)
-    hv_adjust = np.ones(x + 1)
+    ops = [q for q in w.override_primes() if q <= x]
+    # omega <= 9, and at most 1,600 divisors of one j <= 2**31 can be
+    # override keys, so the exponent fits in int16.
+    exponent = tables.omega[: x + 1].astype(np.int16)
     for q in ops:
-        if q <= x:
-            exponent[q::q] -= 1
-            hv_adjust[q::q] *= w.overrides[q]
-    hv = np.power(float(w.base_c), exponent) * hv_adjust
-    gv = g_table(x, tables)
-    j = np.arange(x + 1, dtype=np.float64)
-    j[0] = 1.0
-    terms = np.where(mask, hv * gv / j, 0.0)
+        exponent[q::q] -= 1
+    terms = np.power(float(w.base_c), exponent)
+    del exponent
+    if ops:
+        adjust = np.ones(x + 1)
+        for q in ops:
+            adjust[q::q] *= w.overrides[q]
+        terms *= adjust
+        del adjust
+    terms *= g_table(x, tables)
+    np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
+    terms[tables.mu[: x + 1] == 0] = 0.0
+    terms[0] = 0.0
+    if p <= x:
+        terms[p::p] = 0.0
     return terms
+
+
+def _prefix_fsum(t: np.ndarray) -> np.ndarray:
+    """P[j] = math.fsum(t[: j + 1]) for finite t >= 0 with a finite sum.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008, Lemma 3.2): if |v_i| <= 2**(c-1) and sum |v_i| <= 2**(c-1), then
+    q = (1.5*2**c + v) - 1.5*2**c is v rounded to a multiple of 2**(c-52),
+    v - q is exact and at most 2**(c-53) in size, and every partial sum
+    of q is an exact float.  t is split twice, at c = a and then at c = b;
+    the float cumsum of the residual errs by at most 2**(2*size+b-104) for
+    2**size >= len(t) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 4.2).  Each prefix is rounded from both ends
+    of its error interval; where the two roundings differ (a near or exact
+    tie) it is recomputed by math.fsum.  The work goes in blocks whose
+    partial sums carry over, so it holds two arrays of the length of t.
+    """
+    out = np.zeros(len(t))
+    first = int(np.argmax(t > 0)) if len(t) else 0
+    if not len(t) or t[first] == 0:
+        return out
+    v = t[first:]
+    size = (len(v) - 1).bit_length()  # len(v) <= 2**size
+    a = max(frexp(float(np.sum(v)))[1] + 2, _MIN_EXTRACT_EXP)  # sum(v) <= 2**(a-1)
+    b = max(a - 52 + size, _MIN_EXTRACT_EXP)  # sum |v - q| <= len(v) * 2**(a-53) <= 2**(b-1)
+    # Twice the error of the residual cumsum, at most 2 * len(v) additions
+    # deep, plus four times the rounding of the tail err + residual, whose
+    # terms are below 2**(a-52) and 2**(size+b-52).
+    bound = (
+        ldexp(1.0, 2 * size + b - 103)
+        + ldexp(1.0, a - 103)
+        + ldexp(1.0, size + b - 103)
+    )
+    carry = [0.0, 0.0, 0.0]
+    ties = []
+    for lo in range(0, len(v), _PREFIX_BLOCK):
+        block = v[lo : lo + _PREFIX_BLOCK]
+        high = _extract(block, a)
+        rest = block - high
+        mid = _extract(rest, b)
+        rest -= mid
+        for k, part in enumerate((high, mid, rest)):
+            np.cumsum(part, out=part)
+            part += carry[k]
+            carry[k] = float(part[-1])
+        # TwoSum: high + mid == s + err exactly; tail = err + residual.
+        s = high + mid
+        back = s - high
+        mid -= back
+        np.subtract(s, back, out=back)
+        high -= back
+        high += mid
+        high += rest
+        below = out[first + lo : first + lo + len(block)]
+        np.subtract(high, bound, out=below)
+        below += s
+        high += bound
+        high += s
+        ties.extend((lo + np.flatnonzero(below != high)).tolist())
+    for j in ties:
+        out[first + j] = fsum(v[: j + 1])
+    return out
+
+
+_PREFIX_BLOCK = 1 << 15
+# Keeps 1.5 * 2**c and the grid 2**(c - 52) of an extraction normal floats.
+_MIN_EXTRACT_EXP = -969
+
+
+def _extract(v: np.ndarray, c: int) -> np.ndarray:
+    sigma = ldexp(1.5, c)
+    q = v + sigma
+    q -= sigma
+    return q
 
 
 def abcd(x: int, k: int, w: PrimeWeight, p: int, tables: SieveTables) -> AbcdDecomposition:

@@ -5,7 +5,9 @@ These are the earlier production routes:
   the g and e tables multiply in one factor per prime up to upper;
 - the class counts enumerate the divisors of each squarefree n (n-major),
   or count the squarefree cofactors of each squarefree d (d-major);
-- the census walks all k**omega(n) assignments of primes to slots.
+- the census walks all k**omega(n) assignments of primes to slots;
+- the series terms are built from whole-length temporaries, and the
+  Kolmogorov distance evaluates math.erf at every sample point.
 """
 
 import math
@@ -15,6 +17,7 @@ from math import isqrt
 import numpy as np
 
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
+from divisorlab.weights import g_table
 from divisorlab.sieve import (
     SieveTables,
     distinct_primes,
@@ -162,3 +165,33 @@ def count_small_parts_walk(primes, k, r) -> int:
 
     assign(0, small)
     return total
+
+
+# ---------------------------------------------------------------------------
+# series terms and the Kolmogorov distance
+
+
+def series_terms(x, w, p, tables) -> np.ndarray:
+    mask = np.array(tables.mu[: x + 1] != 0)
+    mask[0] = False
+    if p <= x:
+        mask[p::p] = False
+    exponent = tables.omega[: x + 1].astype(np.int64)
+    hv_adjust = np.ones(x + 1)
+    for q in w.override_primes():
+        if q <= x:
+            exponent[q::q] -= 1
+            hv_adjust[q::q] *= w.overrides[q]
+    hv = np.power(float(w.base_c), exponent) * hv_adjust
+    gv = g_table(x, tables)
+    j = np.arange(x + 1, dtype=np.float64)
+    j[0] = 1.0
+    return np.where(mask, hv * gv / j, 0.0)
+
+
+def kolmogorov_distance_erf(sorted_stat: np.ndarray) -> float:
+    m = len(sorted_stat)
+    scaled = sorted_stat / math.sqrt(2.0)
+    phi = 0.5 * (1.0 + np.fromiter(map(math.erf, scaled), np.float64, count=m))
+    i = np.arange(1, m + 1)
+    return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))

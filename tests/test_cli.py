@@ -336,3 +336,12 @@ def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[1] == "30030,3,6,729,1128,1.5473251028806585"
     assert limits == [174]  # isqrt(30030) + 1
+
+
+def test_census_of_a_66_digit_n_finishes(capsys):
+    # the product of the 20 largest primes below 2000: its square root is
+    # exact by math.isqrt, where a float start stepped by 1 for hours
+    n = 492861832125015651801152086070674323607943589188600685920669082599
+    code, out, _ = run(capsys, "census", "--n", str(n), "--k", "2")
+    assert code == 0
+    assert out.splitlines()[1] == f"{n},2,20,1048576,1048576,1.0"

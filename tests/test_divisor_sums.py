@@ -4,12 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
 import loop_oracles as oracle
 from divisorlab.errors import DomainError, RangeError
-from divisorlab.sieve import build_sieve
+from divisorlab.sieve import CHUNK, build_sieve
 from divisorlab.weights import PrimeWeight, g_eval, h_eval
 
 
@@ -53,6 +53,18 @@ def test_integer_kth_root_definition():
         for k in (2, 3, 5):
             r = ds.integer_kth_root(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    base=st.integers(1, 2**250), k=st.integers(2, 8), shift=st.integers(-1, 1),
+    n=st.integers(1, 2**2000),
+)
+def test_integer_kth_root_property(base, k, shift, n):
+    # base**k + shift puts n on either side of a perfect power
+    for m in (n, max(1, base**k + shift)):
+        r = ds.integer_kth_root(m, k)
+        assert r**k <= m < (r + 1) ** k
 
 
 def test_full_divisor_sum_examples():
@@ -261,6 +273,99 @@ def test_h_series_cumulative_consistency(tables_small):
     assert np.all(np.diff(H) >= 0)
     for x in (1, 2, 17, 1999, 2000):
         assert H[x] == pytest.approx(ds.h_series(x, w, 2, tables_small), rel=1e-14)
+
+
+def test_h_series_cumulative_is_h_series_exactly(tables_small, tables_medium):
+    w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    for tables, x, p, points in (
+        (tables_small, 2000, 2, (1, 2, 3, 17, 1999, 2000)),
+        (tables_medium, 10**6, 5, (4, 262_144, 10**6 - 1, 10**6)),
+    ):
+        H = ds.h_series_cumulative(x, w, p, tables)
+        for y in points:
+            assert H[y] == ds.h_series(y, w, p, tables)
+
+
+SERIES_CASES = (
+    (PrimeWeight(0.5), 2),
+    (PrimeWeight(0.3, {3: 0.2}, k_context=3), 5),
+    (PrimeWeight(0.7, {2: 0.1, 5: 0.9, 7: 0.0}), 11),
+)
+
+
+@pytest.mark.parametrize(
+    "x", [1, 2, 3, 4, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK, 1_500_000]
+)
+def test_series_terms_match_loop_oracle(tables_large, x):
+    # x at the edges of the chunks of the g table, and at 1.5e6
+    for w, p in SERIES_CASES:
+        got = ds._series_terms(x, w, p, tables_large)
+        assert got.tobytes() == oracle.series_terms(x, w, p, tables_large).tobytes()
+
+
+def _exact_prefix_sums(t):
+    """Correctly rounded prefix sums by exact integer accumulation."""
+    scale = 1 << 1074  # every float is an integer multiple of 2**-1074
+    acc = 0
+    out = []
+    for v in t.tolist():
+        num, den = v.as_integer_ratio()
+        acc += num * (scale // den)
+        out.append(acc / scale)  # int / int is correctly rounded
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 10**4),
+    low=st.integers(-600, 10),
+    zeros=st.sampled_from([0.0, 0.3, 0.9]),
+)
+@example(seed=1, size=10**4, low=-600, zeros=0.3)
+@example(seed=2, size=10**4, low=-40, zeros=0.0)
+def test_prefix_fsum_is_correctly_rounded(seed, size, low, zeros):
+    rng = np.random.default_rng(seed)
+    t = np.ldexp(1.0 + rng.random(size), rng.integers(low, 11, size))
+    t[rng.random(size) < zeros] = 0.0
+    P = ds._prefix_fsum(t)
+    assert P.tobytes() == _exact_prefix_sums(t).tobytes()
+    for j in {0, size // 2, size - 1}:
+        assert P[j] == math.fsum(t[: j + 1])
+
+
+def test_prefix_fsum_rounds_midpoints_to_even():
+    # 1 + 2**-53 and 1 + 5 * 2**-53 are rounding midpoints: no float bound
+    # decides them, so the kernel falls back to math.fsum
+    u = 2.0**-53
+    t = np.array([0.0, 1.0, u, u, 0.0, 3 * u])
+    with mock.patch.object(ds, "fsum", wraps=math.fsum) as spy:
+        P = ds._prefix_fsum(t)
+    assert spy.call_count == 2
+    assert [v.hex() for v in P] == [
+        "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000002p+0",
+    ]
+    tiny = np.array([2.0**-1074] * 3 + [0.0, 2.0**-1000, 2.0**-1022])  # subnormal sums
+    assert ds._prefix_fsum(tiny).tolist() == [math.fsum(tiny[: j + 1]) for j in range(6)]
+    assert ds._prefix_fsum(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
+    assert len(ds._prefix_fsum(np.zeros(0))) == 0
+
+
+@pytest.mark.parametrize("block", [2, 3, 1 << 15])
+def test_prefix_fsum_carries_the_residual_across_blocks(block):
+    # 1 + 2**-53 - 2**-90 + k * 2**-93 is below the midpoint 1 + 2**-53 for
+    # k < 8, on it at k = 8 and above it after.  At 2**15 terms the -2**-90
+    # and the 2**-93 fall below both extraction grids, so they reach the
+    # result only through the residual cumsum, in many blocks.
+    u = 2.0**-53
+    t = np.zeros(1 << 15)
+    t[:12] = [1.0, u - 2.0**-90] + [2.0**-93] * 10
+    with mock.patch.object(ds, "_PREFIX_BLOCK", block):
+        P = ds._prefix_fsum(t)
+    assert P[:12].tolist() == [math.fsum(t[: j + 1]) for j in range(12)]
+    assert P[:12].tolist() == [1.0] * 10 + [1.0 + 2 * u] * 2
+    assert np.all(P[12:] == 1.0 + 2 * u)
 
 
 def test_h_series_requires_prime(tables_small):

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import divisorlab.divisor_sums as ds
 import divisorlab.experiments as ex
+import loop_oracles as oracle
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.euler import gaussian_window
 from divisorlab.sieve import squarefree_coprime_count
@@ -166,6 +168,26 @@ def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
         ex.erdos_kac_distance([10**4, 10**5], tables_medium)
     with pytest.raises(RangeError):
         ex.erdos_kac_distance([1000, 10**4, 10**5], tables_medium)
+
+
+def _kolmogorov_samples(tables):
+    rng = np.random.default_rng(7)
+    yield np.sort(rng.standard_normal(5000))
+    yield np.sort(np.round(rng.standard_normal(20000), 1))  # many ties
+    yield np.sort(rng.integers(-3, 6, 3000) / 1.7)  # nine distinct values
+    yield np.sort(rng.exponential(size=4000) - 0.3)
+    yield np.sort(rng.standard_normal(300) + 2.5)  # sup in the lower tail
+    yield np.array([0.25])
+    yield np.full(100, -0.5)
+    yield np.sort(ex._erdos_kac_statistic(10**4, tables))
+
+
+@pytest.mark.parametrize("nodes", [ex._PHI_NODES, 8])
+def test_kolmogorov_kernel_matches_full_erf(tables_small, nodes):
+    # 8 nodes make the interpolation bound loose, so many indices are refined
+    with mock.patch.object(ex, "_PHI_NODES", nodes):
+        for sample in _kolmogorov_samples(tables_small):
+            assert ex._kolmogorov_distance(sample) == oracle.kolmogorov_distance_erf(sample)
 
 
 def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):
