@@ -171,7 +171,9 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
     mask = squarefree_mask(x, tables)
     om = tables.omega[1 : x + 1]
     if not weighted:
-        counts = np.bincount(om[mask])
+        # Counted per class: np.bincount would copy the classes to int64.
+        classes = om[mask]
+        counts = [np.count_nonzero(classes == j) for j in range(int(classes.max()) + 1)]
         if float(z).is_integer():
             zi = int(z)
             return float(sum(int(cnt) * zi**j for j, cnt in enumerate(counts)))

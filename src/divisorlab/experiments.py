@@ -292,11 +292,20 @@ def gamma_lemma_check(
     )
 
 
+# Elements per block where a length-x computation runs in blocks, so
+# that only its result, not its temporaries, has length x.
+_BLOCK = 1 << 16
+
+
 def _erdos_kac_statistic(x: int, tables: SieveTables) -> np.ndarray:
     """(omega(n) - loglog n)/sqrt(loglog n) for 3 <= n <= x, in order of n."""
-    om = tables.omega[3 : x + 1].astype(np.float64)
-    loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
-    return (om - loglog) / np.sqrt(loglog)
+    stat = tables.omega[3 : x + 1].astype(np.float64)
+    for lo in range(0, len(stat), _BLOCK):
+        part = stat[lo : lo + _BLOCK]
+        loglog = np.log(np.log(np.arange(lo + 3, lo + 3 + len(part), dtype=np.float64)))
+        part -= loglog
+        part /= np.sqrt(loglog)
+    return stat
 
 
 def erdos_kac_histogram(
@@ -363,25 +372,35 @@ def _kolmogorov_distance(sorted_stat: np.ndarray) -> float:
     covers.  Only indices whose interpolated difference lies within twice
     that bound of the largest one can hold the supremum; there Phi is
     evaluated by math.erf in the float expressions of the direct formula,
-    so the result has its bits.
+    so the result has its bits.  The differences are computed block by
+    block, twice for the few blocks that hold a candidate, so no
+    temporary has the length of the sample.
     """
     m = len(sorted_stat)
-    scaled = sorted_stat / math.sqrt(2.0)
-    nodes = np.linspace(scaled[0], scaled[-1], _PHI_NODES)
+    root2 = math.sqrt(2.0)
+    nodes = np.linspace(sorted_stat[0] / root2, sorted_stat[-1] / root2, _PHI_NODES)
     h = float(np.max(np.diff(nodes)))
     tol = h * h / 16.0 + 2.0**-40
     node_phi = 0.5 * (1.0 + np.array([math.erf(u) for u in nodes]))
-    phi = np.interp(scaled, nodes, node_phi)
-    del scaled
-    gap = np.arange(1, m + 1, dtype=np.float64)
-    gap /= m
-    gap -= phi  # i/m - Phi; Phi - (i-1)/m is 1/m - gap
-    del phi
-    floor = max(float(np.max(gap)), 1.0 / m - float(np.min(gap))) - 2.0 * tol
-    cand = np.flatnonzero((gap >= floor) | (gap <= 1.0 / m - floor))
-    del gap
+
+    def gap(lo):  # i/m - Phi on one block; Phi - (i-1)/m is 1/m - gap
+        block = sorted_stat[lo : lo + _BLOCK] / root2
+        g = np.arange(lo + 1, lo + len(block) + 1, dtype=np.float64)
+        g /= m
+        g -= np.interp(block, nodes, node_phi)
+        return g
+
+    starts = range(0, m, _BLOCK)
+    extremes = [(float(np.max(g)), float(np.min(g))) for g in map(gap, starts)]
+    floor = max(max(e[0] for e in extremes), 1.0 / m - min(e[1] for e in extremes)) - 2.0 * tol
+    cand = []
+    for lo, (top, bottom) in zip(starts, extremes):
+        if top >= floor or bottom <= 1.0 / m - floor:
+            g = gap(lo)
+            cand.append(lo + np.flatnonzero((g >= floor) | (g <= 1.0 / m - floor)))
+    cand = np.concatenate(cand)
     i = cand + 1
-    phi = 0.5 * (1.0 + np.array([math.erf(u) for u in sorted_stat[cand] / math.sqrt(2.0)]))
+    phi = 0.5 * (1.0 + np.array([math.erf(u) for u in sorted_stat[cand] / root2]))
     return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))
 
 
@@ -400,7 +419,9 @@ def erdos_kac_distance(x_grid, tables: SieveTables) -> TrendReport:
     if xs[0] < 10**4:
         raise RangeError(f"x={xs[0]} must be >= 1e4")
     stat = _erdos_kac_statistic(xs[-1], tables)
-    distances = [_kolmogorov_distance(np.sort(stat[: x - 2])) for x in xs]
+    distances = [_kolmogorov_distance(np.sort(stat[: x - 2])) for x in xs[:-1]]
+    stat.sort()  # the last grid point takes the whole statistic
+    distances.append(_kolmogorov_distance(stat))
     observed = [d * math.sqrt(math.log(math.log(x))) for d, x in zip(distances, xs)]
     drift_ok = _drift_non_increasing(observed)
     cap_ok = observed[-1] <= _EK_SCALED_CAP

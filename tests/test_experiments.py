@@ -170,6 +170,15 @@ def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
         ex.erdos_kac_distance([1000, 10**4, 10**5], tables_medium)
 
 
+def test_erdos_kac_statistic_matches_whole_array_formula(tables_medium):
+    # the blocked statistic keeps the bits of the one-shot expression
+    for x in (3, 10**4, ex._BLOCK + 2, ex._BLOCK + 3, tables_medium.limit):
+        om = tables_medium.omega[3 : x + 1].astype(np.float64)
+        loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
+        want = (om - loglog) / np.sqrt(loglog)
+        assert ex._erdos_kac_statistic(x, tables_medium).tobytes() == want.tobytes()
+
+
 def _kolmogorov_samples(tables):
     rng = np.random.default_rng(7)
     yield np.sort(rng.standard_normal(5000))
@@ -182,10 +191,11 @@ def _kolmogorov_samples(tables):
     yield np.sort(ex._erdos_kac_statistic(10**4, tables))
 
 
-@pytest.mark.parametrize("nodes", [ex._PHI_NODES, 8])
-def test_kolmogorov_kernel_matches_full_erf(tables_small, nodes):
-    # 8 nodes make the interpolation bound loose, so many indices are refined
-    with mock.patch.object(ex, "_PHI_NODES", nodes):
+@pytest.mark.parametrize("nodes, block", [(ex._PHI_NODES, ex._BLOCK), (8, ex._BLOCK), (ex._PHI_NODES, 64), (8, 64)])
+def test_kolmogorov_kernel_matches_full_erf(tables_small, nodes, block):
+    # 8 nodes make the interpolation bound loose, so many indices are refined;
+    # 64-element blocks make the samples span many blocks
+    with mock.patch.object(ex, "_PHI_NODES", nodes), mock.patch.object(ex, "_BLOCK", block):
         for sample in _kolmogorov_samples(tables_small):
             assert ex._kolmogorov_distance(sample) == oracle.kolmogorov_distance_erf(sample)
 
