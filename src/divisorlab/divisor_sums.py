@@ -13,9 +13,19 @@ The counts do not depend on the weight, so they are built once per
 abcd_from_counts weight a given pair of full and small counts (for a split
 at p, counts_for_split builds them over the override set plus p), and
 ratio and abcd are the wrappers that count first.  Each count has one
-route: the joint (omega, flags) histogram of n for the full counts and the
-divisor walk over d <= x**(1/k) for the small ones.  The per-n and per-d
-enumerations they are checked against live in the tests.
+route: the full counts spread sieve.omega_flag_histogram -- the one
+kernel that counts squarefree n by omega and override flags, also behind
+sieve.omega_class_counts and euler.selberg_exact -- over divisor classes,
+and the small ones come from the divisor walk over d <= x**(1/k).  The
+per-n and per-d enumerations they are checked against live in the tests.
+
+Each table keeps the last few counts it was asked for (SieveTables.memo,
+keyed by ("full", x) or ("small", x, k) and the override set), so a scan
+that asks again at the same x counts once.  A request is served from an
+entry over the same override primes, or else projected from one over a
+superset: each class keeps the flag bits of the requested primes, and the
+classes that then coincide add their counts, an exact integer fold.
+Callers get their own dicts, never the memo's.
 """
 
 from collections import Counter
@@ -29,6 +39,7 @@ from .errors import DomainError, RangeError
 from .sieve import (
     SieveTables,
     distinct_primes,
+    omega_flag_histogram,
     squarefree_coprime_count_range,
 )
 from .weights import PrimeWeight, g_table
@@ -167,42 +178,13 @@ def small_divisor_sum(n: int, k: int, w: PrimeWeight) -> float:
 def _check_override_primes(ops: tuple[int, ...], tables: SieveTables) -> None:
     if len(ops) > 16:
         raise RangeError("more than 16 override primes is unsupported")
+    if len(set(ops)) < len(ops):
+        raise DomainError(f"override primes {ops} repeat")
     for p in ops:
         if p > tables.limit:
             raise RangeError(f"override prime {p} beyond table limit {tables.limit}")
         if tables.spf[p] != p:
             raise DomainError(f"override key {p} is not prime")
-
-
-# Integers per histogram block: a block's key stays in cache.
-_HIST_BLOCK = 1 << 16
-
-
-def _joint_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
-    """Counts of squarefree n <= x per joint key omega(n) << r | flags(n).
-
-    The key is built block by block with omega(n) in its low 4 bits and the
-    r flag bits above them, in the narrowest unsigned type that holds both,
-    so no int64 array of length x is made.  The 4 bits rest on
-    omega(n) <= 9 for n <= 2**31 (the product of the first ten primes
-    exceeds 2**31): the unused value 15 marks the n that are not
-    squarefree, and their counts are dropped after the bincount.
-    """
-    r = len(ops)
-    dtype = np.uint8 if r <= 4 else np.uint16 if r <= 12 else np.uint32
-    block = max(_HIST_BLOCK, 16 << r)  # no block shorter than its histogram
-    counts = np.zeros(16 << r, dtype=np.int64)
-    for lo in range(1, x + 1, block):
-        hi = min(lo + block, x + 1)
-        key = (tables.mu[lo:hi] == 0).astype(dtype)
-        key *= 15
-        key |= tables.omega[lo:hi]
-        for i, q in enumerate(ops):
-            key[(-lo) % q :: q] |= 1 << (4 + i)
-        counts += np.bincount(key, minlength=16 << r)
-    counts = counts.reshape(1 << r, 16)  # row flags, column omega
-    counts[:, 15] = 0
-    return counts.T.ravel()
 
 
 def _submasks(f: int):
@@ -230,17 +212,15 @@ def full_class_counts(
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    classes = _full_omega_identity(x, ops, tables)
-    return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
+    classes = _remembered(tables, ("full", x), ops, lambda: _full_omega_identity(x, ops, tables))
+    return ClassCounts(x=x, override_primes=ops, classes=classes)
 
 
 def _full_omega_identity(x, ops, tables) -> Counter:
-    r = len(ops)
-    hist = _joint_histogram(x, ops, tables)
+    hist = omega_flag_histogram(x, ops, tables)
     classes: Counter = Counter()
-    for key in np.flatnonzero(hist):
-        count = int(hist[key])
-        i, f_n = int(key) >> r, int(key) & ((1 << r) - 1)
+    for i, f_n in np.argwhere(hist).tolist():
+        count = int(hist[i, f_n])
         free = i - f_n.bit_count()
         for s in _submasks(f_n):
             base_om = s.bit_count()
@@ -266,8 +246,8 @@ def small_class_counts(
         raise DomainError(f"k={k} must be >= 2")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    classes = _small_d_major(x, k, ops, tables)
-    return ClassCounts(x=x, override_primes=ops, classes=dict(classes))
+    classes = _remembered(tables, ("small", x, k), ops, lambda: _small_d_major(x, k, ops, tables))
+    return ClassCounts(x=x, override_primes=ops, classes=classes)
 
 
 def _small_d_major(x, k, ops, tables) -> Counter:
@@ -286,6 +266,48 @@ def _small_d_major(x, k, ops, tables) -> Counter:
                 fl |= flag_of.get(p, 0)
             out[(len(primes), fl)] += cnt
     return out
+
+
+# Class counts a table keeps (in SieveTables.memo): enough for what a few
+# ratios, a prime split, a scan and a trend ask for at a handful of x.
+_MEMO_ENTRIES = 32
+
+
+def _remembered(tables: SieveTables, key: tuple, ops: tuple[int, ...], count) -> dict:
+    """The classes at key over ops, from the table's memo or else from count().
+
+    An entry over the same ops is copied; failing that, the entry over the
+    fewest ops that include these is projected onto them.  Only counted
+    classes are kept, at most _MEMO_ENTRIES of them, the least recently
+    used going first.  The caller always gets a dict of its own.
+    """
+    memo = tables.memo
+    if (key, ops) in memo:
+        memo.move_to_end((key, ops))
+        return dict(memo[key, ops])
+    supersets = [o for k, o in memo if k == key and set(ops) <= set(o)]
+    if supersets:
+        sup = min(supersets, key=len)
+        memo.move_to_end((key, sup))
+        return _project(memo[key, sup], sup, ops)
+    classes = dict(count())
+    memo[key, ops] = classes
+    if len(memo) > _MEMO_ENTRIES:
+        memo.popitem(last=False)
+    return dict(classes)
+
+
+def _project(classes: dict, ops: tuple[int, ...], sub: tuple[int, ...]) -> dict:
+    """Classes over ops folded onto the subset sub of ops.
+
+    A class keeps omega and the flag bits of the primes in sub; classes
+    that then share a key merge, and their counts add.
+    """
+    bits = [1 << ops.index(p) for p in sub]
+    out: Counter = Counter()
+    for (om, fl), count in classes.items():
+        out[(om, sum(1 << j for j, b in enumerate(bits) if fl & b))] += count
+    return dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +394,7 @@ def h_series(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> float:
 
     Correctly rounded: the exact sum of the float terms, rounded once.
     """
-    terms = _series_terms(x, w, p, tables)
-    return fsum(terms[np.flatnonzero(terms)])
+    return fsum_nonnegative(_series_terms(x, w, p, tables))
 
 
 def h_series_cumulative(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
@@ -439,25 +460,11 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
     if not len(t) or t[first] == 0:
         return out
     v = t[first:]
-    size = (len(v) - 1).bit_length()  # len(v) <= 2**size
-    a = max(frexp(float(np.sum(v)))[1] + 2, _MIN_EXTRACT_EXP)  # sum(v) <= 2**(a-1)
-    b = max(a - 52 + size, _MIN_EXTRACT_EXP)  # sum |v - q| <= len(v) * 2**(a-53) <= 2**(b-1)
-    # Twice the error of the residual cumsum, at most 2 * len(v) additions
-    # deep, plus four times the rounding of the tail err + residual, whose
-    # terms are below 2**(a-52) and 2**(size+b-52).
-    bound = (
-        ldexp(1.0, 2 * size + b - 103)
-        + ldexp(1.0, a - 103)
-        + ldexp(1.0, size + b - 103)
-    )
+    a, b, bound = _extraction_grid(len(v), float(np.sum(v)))
     carry = [0.0, 0.0, 0.0]
     ties = []
     for lo in range(0, len(v), _PREFIX_BLOCK):
-        block = v[lo : lo + _PREFIX_BLOCK]
-        high = _extract(block, a)
-        rest = block - high
-        mid = _extract(rest, b)
-        rest -= mid
+        high, mid, rest = _split(v[lo : lo + _PREFIX_BLOCK], a, b)
         for k, part in enumerate((high, mid, rest)):
             np.cumsum(part, out=part)
             part += carry[k]
@@ -470,7 +477,7 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
         high -= back
         high += mid
         high += rest
-        below = out[first + lo : first + lo + len(block)]
+        below = out[first + lo : first + lo + len(s)]
         np.subtract(high, bound, out=below)
         below += s
         high += bound
@@ -481,9 +488,59 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def fsum_nonnegative(t: np.ndarray) -> float:
+    """math.fsum(t) for finite t >= 0 with a finite sum, the total of _prefix_fsum.
+
+    The same two extractions split t: the sums of the two extracted parts
+    are exact in any order, and np.sum of the residual errs by no more than
+    its cumsum, so the total is rounded from both ends of the same error
+    interval; math.fsum decides where the two roundings differ.
+    """
+    total = float(np.sum(t))
+    if total == 0.0:
+        return 0.0
+    a, b, bound = _extraction_grid(len(t), total)
+    sums = [0.0, 0.0, 0.0]
+    for lo in range(0, len(t), _PREFIX_BLOCK):
+        for k, part in enumerate(_split(t[lo : lo + _PREFIX_BLOCK], a, b)):
+            sums[k] += float(np.sum(part))
+    high, mid, rest = sums
+    s = high + mid
+    back = s - high
+    tail = (high - (s - back)) + (mid - back) + rest
+    below = (tail - bound) + s
+    return below if below == (tail + bound) + s else fsum(t)
+
+
 _PREFIX_BLOCK = 1 << 15
 # Keeps 1.5 * 2**c and the grid 2**(c - 52) of an extraction normal floats.
 _MIN_EXTRACT_EXP = -969
+
+
+def _extraction_grid(n: int, total: float) -> tuple[int, int, float]:
+    """Exponents a, b of the two extractions of n terms summing to total > 0,
+    and the bound on the error of the residual's sum and of the final tail."""
+    size = (n - 1).bit_length()  # n <= 2**size
+    a = max(frexp(total)[1] + 2, _MIN_EXTRACT_EXP)  # total <= 2**(a-1)
+    b = max(a - 52 + size, _MIN_EXTRACT_EXP)  # sum |v - q| <= n * 2**(a-53) <= 2**(b-1)
+    # Twice the error of the residual sum, at most 2 * n additions deep,
+    # plus four times the rounding of the tail err + residual, whose terms
+    # are below 2**(a-52) and 2**(size+b-52).
+    bound = (
+        ldexp(1.0, 2 * size + b - 103)
+        + ldexp(1.0, a - 103)
+        + ldexp(1.0, size + b - 103)
+    )
+    return a, b, bound
+
+
+def _split(v: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v as high + mid + rest: extracted at a, the remainder extracted at b."""
+    high = _extract(v, a)
+    rest = v - high
+    mid = _extract(rest, b)
+    rest -= mid
+    return high, mid, rest
 
 
 def _extract(v: np.ndarray, c: int) -> np.ndarray:

@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .divisor_sums import fsum_nonnegative
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, primes_up_to, squarefree_mask
+from .sieve import SieveTables, omega_class_counts, primes_up_to, squarefree_mask
 from .weights import g_table
 
 ZETA2 = math.pi**2 / 6
@@ -162,22 +163,19 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
 
     Unweighted sums evaluate per omega class; integer z stays in exact
     integer arithmetic the whole way.  The weighted variant (g(n) = prod
-    p/(p+1) over p | n) sums per n, compensated, in ascending order.
+    p/(p+1) over p | n) is the correctly rounded sum of its float terms.
     """
     if z <= 0:
         raise DomainError(f"z={z} must be positive")
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
-    mask = squarefree_mask(x, tables)
-    om = tables.omega[1 : x + 1]
     if not weighted:
-        # Counted per class: np.bincount would copy the classes to int64.
-        classes = om[mask]
-        counts = [np.count_nonzero(classes == j) for j in range(int(classes.max()) + 1)]
+        counts = omega_class_counts(x, tables)
         if float(z).is_integer():
             zi = int(z)
-            return float(sum(int(cnt) * zi**j for j, cnt in enumerate(counts)))
-        return math.fsum(int(cnt) * z**j for j, cnt in enumerate(counts) if cnt)
+            return float(sum(cnt * zi**j for j, cnt in counts.items()))
+        return math.fsum(cnt * z**j for j, cnt in counts.items())
+    mask = squarefree_mask(x, tables)
     gv = g_table(x, tables)
-    vals = np.where(mask, np.power(z, om.astype(np.float64)) * gv[1:], 0.0)
-    return math.fsum(vals[np.flatnonzero(vals)])
+    vals = np.where(mask, np.power(z, tables.omega[1 : x + 1].astype(np.float64)) * gv[1:], 0.0)
+    return fsum_nonnegative(vals)

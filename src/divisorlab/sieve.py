@@ -8,7 +8,8 @@ vectorised over chunks of integers.  Every aggregate in the package
 reads these tables; they are written once and frozen.
 """
 
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -35,14 +36,18 @@ class SieveTables:
         mu: int8 array; mu[n] is the Mobius function (0 on non-squarefree n).
         omega: uint8 array; omega[n] counts distinct prime divisors.
             omega(n) <= 9 for n <= 2**31, since the product of the first
-            ten primes exceeds 2**31; the joint histogram of divisor_sums
-            packs omega into 4 bits on that bound.
+            ten primes exceeds 2**31; omega_flag_histogram packs omega
+            into 4 bits on that bound.
+        memo: values derived from the tables that an aggregate keeps for
+            later requests (divisor_sums keeps a bounded number of class
+            counts here); it dies with the table.
     """
 
     limit: int
     spf: np.ndarray
     mu: np.ndarray
     omega: np.ndarray
+    memo: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def is_squarefree(self, n: int) -> bool:
         self._check_range(n)
@@ -51,13 +56,16 @@ class SieveTables:
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (int64, read-only).
 
-        Built from spf on the first call and kept on the instance, so a
-        table that is never asked for its primes holds no prime list.
+        Built from spf on the first call, chunk by chunk, and kept on the
+        instance, so a table that is never asked for its primes holds no
+        prime list.
         """
         primes = self.__dict__.get("_primes")
         if primes is None:
-            idx = np.arange(self.limit + 1, dtype=np.uint32)
-            primes = np.flatnonzero((self.spf == idx) & (idx >= 2)).astype(np.int64)
+            primes = np.concatenate([
+                a + np.flatnonzero(self.spf[a:b] == np.arange(a, b, dtype=np.uint32))
+                for a, b in chunks(2, self.limit + 1)
+            ]).astype(np.int64, copy=False)
             primes.setflags(write=False)
             self.__dict__["_primes"] = primes  # frozen: bypass __setattr__
         return primes
@@ -225,14 +233,65 @@ def squarefree_coprime_count_range(
     return int(np.count_nonzero(mask))
 
 
+# Integers per block of omega_flag_histogram: its key and the bincount's
+# int64 copy of it stay near 2 MB, so a count adds little to the peak.
+_HIST_BLOCK = CHUNK
+
+
+def omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
+    """Counts of squarefree n <= x by omega(n) and the override primes dividing n.
+
+    Returns an int64 array h of shape (16, 2**r), r = len(ops): h[i, f] counts
+    the squarefree n <= x with omega(n) = i that are divisible by ops[j]
+    exactly for the bits j set in f.  ops are distinct primes; rows 10-15
+    are zero.
+
+    The key omega(n) | flags(n) << 4 is built block by block in the
+    narrowest unsigned type that holds it, so no array of length x is made.
+    The 4 bits rest on omega(n) <= 9 for n <= 2**31 (the product of the
+    first ten primes exceeds 2**31): the unused value 15 marks the n that
+    are not squarefree, and their row is dropped after counting.  Byte keys
+    (r <= 4) are counted two at a time: a uint16 view of the block indexes
+    65,536 bins, whose row and column sums are the counts of the two bytes.
+    """
+    r = len(ops)
+    bins = 16 << r
+    pairs = r <= 4
+    dtype = np.uint8 if pairs else np.uint16 if r <= 12 else np.uint32
+    counts = np.zeros(1 << 16 if pairs else bins, dtype=np.int64)
+    odd = np.zeros(256, dtype=np.int64)  # the last byte of odd-length blocks
+    block = max(_HIST_BLOCK, bins)  # no block shorter than its histogram
+    for lo in range(1, x + 1, block):
+        hi = min(lo + block, x + 1)
+        key = (tables.mu[lo:hi] == 0).astype(dtype)
+        key *= 15
+        key |= tables.omega[lo:hi]
+        for i, q in enumerate(ops):
+            key[(-lo) % q :: q] |= 1 << (4 + i)
+        if pairs:
+            even = len(key) & ~1
+            counts += np.bincount(key[:even].view(np.uint16), minlength=1 << 16)
+            if even < len(key):
+                odd[key[-1]] += 1
+        else:
+            counts += np.bincount(key, minlength=bins)
+    if pairs:
+        counts = counts.reshape(256, 256)
+        counts = (counts.sum(axis=0) + counts.sum(axis=1) + odd)[:bins]
+    counts = counts.reshape(1 << r, 16).T  # row omega, column flags
+    counts[15] = 0
+    return counts
+
+
 def omega_class_counts(x: int, tables: SieveTables) -> dict[int, int]:
     """Counts of squarefree n <= x, grouped by number of distinct primes.
 
     The returned map lets sums of the form  sum z**omega(n) mu^2(n)  be
     evaluated exactly as  sum_j z**j * count_j.
     """
-    mask = squarefree_mask(x, tables)
-    counts = np.bincount(tables.omega[1 : x + 1][mask])
+    if not 0 <= x <= tables.limit:
+        raise RangeError(f"x={x} outside table range 0..{tables.limit}")
+    counts = omega_flag_histogram(x, (), tables)[:, 0]
     return {int(j): int(c) for j, c in enumerate(counts) if c > 0}
 
 

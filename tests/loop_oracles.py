@@ -5,6 +5,8 @@ These are the earlier production routes:
   the g and e tables multiply in one factor per prime up to upper;
 - the class counts enumerate the divisors of each squarefree n (n-major),
   or count the squarefree cofactors of each squarefree d (d-major);
+- the omega classes are a bincount of omega gathered over a length-x
+  squarefree mask;
 - the census walks all k**omega(n) assignments of primes to slots;
 - the series terms are built from whole-length temporaries, and the
   Kolmogorov distance evaluates math.erf at every sample point.
@@ -137,6 +139,12 @@ def small_n_major(x, k, ops, tables) -> ClassCounts:
             if val <= r_n:
                 out[(om, fl)] += 1
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+def omega_class_counts_masked(x, tables) -> dict[int, int]:
+    mask = tables.mu[1 : x + 1] != 0
+    counts = np.bincount(tables.omega[1 : x + 1][mask])
+    return {int(j): int(c) for j, c in enumerate(counts) if c > 0}
 
 
 # ---------------------------------------------------------------------------

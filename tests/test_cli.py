@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import loop_oracles as oracle
 from divisorlab import cli
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.divisor_sums import ratio
@@ -73,6 +74,18 @@ def test_csv_header_comes_first(capsys):
         first = out.splitlines()[0]
         assert not first.startswith("#")
         assert all(not ch.isdigit() for ch in first.split(",")[0])
+
+
+def test_sieve_stats_rows_equal_masked_bincount(capsys):
+    want = sorted(oracle.omega_class_counts_masked(10**5, build_sieve(10**5)).items())
+    code, csv_out, _ = run(capsys, "sieve-stats", "--limit", "100000")
+    assert code == 0
+    header, *body = csv_out.splitlines()
+    assert header == "omega,count"
+    assert [tuple(map(int, line.split(","))) for line in body] == want
+    code, json_out, _ = run(capsys, "sieve-stats", "--limit", "100000", "--format", "json")
+    assert code == 0
+    assert [(r["omega"], r["count"]) for r in json.loads(json_out)["rows"]] == want
 
 
 def test_json_format_shape(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
+import divisorlab.sieve as sieve
 import loop_oracles as oracle
 from divisorlab.errors import DomainError, RangeError
 from divisorlab.sieve import CHUNK, build_sieve
@@ -144,8 +145,9 @@ def test_small_routes_agree_exactly(tables_small, ops):
 # Differential properties of the production routes (joint histogram for the
 # full counts, its split at p for abcd) against the enumeration oracles.
 DIFF_LIMIT = 2 * 10**4
-DIFF_TABLES = build_sieve(DIFF_LIMIT)
-DIFF_PRIMES = [int(q) for q in DIFF_TABLES.primes()]
+# The table reaches 2**19 + 1 for the kernel's block-edge examples.
+DIFF_TABLES = build_sieve(2**19 + 1)
+DIFF_PRIMES = [int(q) for q in DIFF_TABLES.primes() if q <= DIFF_LIMIT]
 # small primes flag many n; the rest of the table's primes often lie above x
 override_sets = st.lists(
     st.one_of(st.sampled_from(DIFF_PRIMES[:15]), st.sampled_from(DIFF_PRIMES)),
@@ -156,12 +158,18 @@ differential = settings(max_examples=50, deadline=None, derandomize=True)
 
 @differential
 @given(x=st.integers(1, DIFF_LIMIT), ops=override_sets)
+# block edges and odd tails of 2**18-integer blocks, byte keys (r <= 4)
+# counted in pairs and uint16 keys (r = 5)
+@example(x=2**18 - 1, ops=())
+@example(x=2**18 + 1, ops=(2, 3, 5, 7))
+@example(x=2**19 + 1, ops=(2, 3, 5, 7, 11))
 def test_histogram_route_equals_n_major(x, ops):
     want = oracle.full_n_major(x, ops, DIFF_TABLES)
     assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
-    # a block size below x puts block edges inside the range
-    with mock.patch.object(ds, "_HIST_BLOCK", 97):
-        assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
+    # a block size below x puts block edges inside the range; the kernel is
+    # called past the memo, which may already hold these counts
+    with mock.patch.object(sieve, "_HIST_BLOCK", 97):
+        assert ds._full_omega_identity(x, want.override_primes, DIFF_TABLES) == want.classes
 
 
 @pytest.mark.parametrize("r", [5, 13, 16])
@@ -198,6 +206,63 @@ def test_abcd_auto_equals_single_routes(x, k, p, ops):
     auto = ds.abcd_class_counts(x, k, p, ops, DIFF_TABLES)
     for full_route, small_route in SPLIT_ORACLES:
         assert auto == oracle_split(x, k, p, ops, DIFF_TABLES, full_route, small_route)
+
+
+# The class-count memo of a table: every answer, counted, projected from a
+# superset or returned as kept, equals fresh oracle counts.
+MEMO_LIMIT = 2 * 10**5
+MEMO_PRIMES = (2, 3, 5, 7, 11, 13, 1009, 199_999)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    x=st.integers(1, MEMO_LIMIT),
+    x2=st.integers(1, MEMO_LIMIT),
+    k=st.integers(2, 6),
+    k2=st.integers(2, 6),
+    ops=st.lists(st.sampled_from(MEMO_PRIMES), max_size=4, unique=True).map(tuple),
+    keep=st.integers(0, 15),
+)
+@example(x=40_000, x2=90_000, k=2, k2=6, ops=(2, 7, 13, 199_999), keep=0b1011)
+def test_memo_answers_equal_fresh_oracle_counts(x, x2, k, k2, ops, keep):
+    tables = build_sieve(MEMO_LIMIT)
+    sub = tuple(p for i, p in enumerate(ops) if keep >> i & 1)
+    fresh = {}
+
+    def check(x, k, ops):
+        full = ds.full_class_counts(x, ops, tables)
+        small = ds.small_class_counts(x, k, ops, tables)
+        if (x, ops) not in fresh:
+            fresh[x, ops] = oracle.full_n_major(x, ops, tables)
+        if (x, k, ops) not in fresh:
+            fresh[x, k, ops] = oracle.small_n_major(x, k, ops, tables)
+        assert full == fresh[x, ops] and small == fresh[x, k, ops]
+        full.classes[(99, 0)] = 1  # the caller's dicts are its own
+        small.classes.clear()
+
+    check(x, k, ops)
+    with mock.patch.object(ds, "_full_omega_identity", side_effect=AssertionError), \
+            mock.patch.object(ds, "_small_d_major", side_effect=AssertionError):
+        check(x, k, sub)  # projected from the superset, not counted
+        check(x, k, ops)  # kept as counted, whatever callers did to their copies
+    check(x, k2, sub)
+    check(x2, k, sub)
+    assert len(tables.memo) <= ds._MEMO_ENTRIES
+
+
+def test_memo_keeps_a_bounded_number_of_counts():
+    tables = build_sieve(1000)
+    xs = range(1, ds._MEMO_ENTRIES + 6)
+    for x in xs:
+        ds.full_class_counts(x, (), tables)
+    assert len(tables.memo) == ds._MEMO_ENTRIES
+    # the least recently used go first: x = 1 is counted again, x = 6 is kept
+    ds.full_class_counts(6, (), tables)
+    with mock.patch.object(ds, "_full_omega_identity", wraps=ds._full_omega_identity) as spy:
+        ds.full_class_counts(6, (), tables)
+        ds.full_class_counts(1, (), tables)
+    assert spy.call_count == 1
+    assert len(tables.memo) == ds._MEMO_ENTRIES
 
 
 def test_weight_one_total_counts_all_pairs(tables_small):
@@ -332,6 +397,7 @@ def test_prefix_fsum_is_correctly_rounded(seed, size, low, zeros):
     assert P.tobytes() == _exact_prefix_sums(t).tobytes()
     for j in {0, size // 2, size - 1}:
         assert P[j] == math.fsum(t[: j + 1])
+    assert ds.fsum_nonnegative(t) == math.fsum(t)
 
 
 def test_prefix_fsum_rounds_midpoints_to_even():
@@ -346,10 +412,15 @@ def test_prefix_fsum_rounds_midpoints_to_even():
         "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.0000000000001p+0", "0x1.0000000000001p+0", "0x1.0000000000002p+0",
     ]
+    with mock.patch.object(ds, "fsum", wraps=math.fsum) as spy:
+        assert ds.fsum_nonnegative(t) == P[-1]
+    assert spy.call_count == 1
     tiny = np.array([2.0**-1074] * 3 + [0.0, 2.0**-1000, 2.0**-1022])  # subnormal sums
     assert ds._prefix_fsum(tiny).tolist() == [math.fsum(tiny[: j + 1]) for j in range(6)]
     assert ds._prefix_fsum(np.zeros(3)).tobytes() == np.zeros(3).tobytes()
     assert len(ds._prefix_fsum(np.zeros(0))) == 0
+    assert ds.fsum_nonnegative(tiny) == math.fsum(tiny)
+    assert ds.fsum_nonnegative(np.zeros(3)) == ds.fsum_nonnegative(np.zeros(0)) == 0.0
 
 
 @pytest.mark.parametrize("block", [2, 3, 1 << 15])
@@ -425,3 +496,5 @@ def test_method_validation(tables_small):
         ds.full_class_counts(10**5, (), tables_small)  # beyond limit
     with pytest.raises(DomainError):
         ds.abcd_class_counts(100, 3, 6, (), tables_small)  # p not prime
+    with pytest.raises(DomainError):
+        ds.full_class_counts(100, (3, 3), tables_small)  # a prime twice

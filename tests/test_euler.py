@@ -3,6 +3,8 @@ import math
 import mpmath
 import pytest
 
+import loop_oracles as oracle
+
 from divisorlab.errors import DomainError, RangeError
 from divisorlab.euler import (
     WEIGHT_ERROR_THRESHOLD,
@@ -16,7 +18,7 @@ from divisorlab.euler import (
     selberg_exact,
 )
 from divisorlab.sieve import primes_up_to
-from divisorlab.weights import g_eval
+from divisorlab.weights import g_eval, g_table
 
 
 def test_f0_at_one_telescopes_to_inverse_zeta2():
@@ -161,6 +163,10 @@ def test_selberg_exact_matches_direct_sum(tables_small):
             if tables_small.mu[n] != 0
         )
         assert selberg_exact(x, z, False, tables_small) == float(direct)
+    # non-integer z: the float sum over the classes of the masked bincount
+    classes = oracle.omega_class_counts_masked(x, tables_small)
+    assert selberg_exact(x, 2.5, False, tables_small) == math.fsum(
+        c * 2.5**j for j, c in classes.items())
     direct_w = math.fsum(
         2.0 ** int(tables_small.omega[n]) * g_eval(n, tables_small)
         for n in range(1, 2001)
@@ -169,6 +175,10 @@ def test_selberg_exact_matches_direct_sum(tables_small):
     assert selberg_exact(2000, 2.0, True, tables_small) == pytest.approx(
         direct_w, rel=1e-13
     )
+    # the weighted sum is the correctly rounded sum of its float terms
+    terms = (2.0 ** tables_small.omega[1:2001].astype(float)) * g_table(2000, tables_small)[1:]
+    assert selberg_exact(2000, 2.0, True, tables_small) == math.fsum(
+        terms[tables_small.mu[1:2001] != 0])
 
 
 def test_selberg_exact_validation(tables_small):

@@ -212,6 +212,13 @@ def test_primes_built_once_and_read_only():
         first[0] = 4
 
 
+@pytest.mark.parametrize("limit", [2, 3, sieve.CHUNK - 1, sieve.CHUNK + 1, 2 * sieve.CHUNK + 1])
+def test_primes_equal_primes_up_to(limit):
+    primes = build_sieve(limit).primes()
+    assert primes.dtype == np.int64
+    assert np.array_equal(primes, primes_up_to(limit))
+
+
 def assert_tables_equal(got, want):
     assert got.limit == want.limit
     for name in ("spf", "mu", "omega"):
