@@ -16,8 +16,10 @@ ratio and abcd are the wrappers that count first.  Each count has one
 route: the full counts spread sieve.omega_flag_histogram -- the one
 kernel that counts squarefree n by omega and override flags, also behind
 sieve.omega_class_counts and euler.selberg_exact -- over divisor classes,
-and the small ones come from the divisor walk over d <= x**(1/k).  The
-per-n and per-d enumerations they are checked against live in the tests.
+and the small ones take, for all squarefree d <= x**(1/k) at once, the
+squarefree cofactors coprime to d from sieve.coprime_squarefree_counts
+and bin them by the class of d.  The per-n and per-d enumerations they
+are checked against live in the tests.
 
 Each table keeps the last few counts it was asked for (SieveTables.memo,
 keyed by ("full", x) or ("small", x, k) and the override set), so a scan
@@ -36,12 +38,7 @@ from math import comb, frexp, fsum, isqrt, ldexp
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import (
-    SieveTables,
-    distinct_primes,
-    omega_flag_histogram,
-    squarefree_coprime_count_range,
-)
+from .sieve import SieveTables, coprime_squarefree_counts, omega_flag_histogram
 from .weights import PrimeWeight, g_table
 
 ClassKey = tuple[int, int]  # (distinct primes of d, override-divisibility bits)
@@ -235,10 +232,10 @@ def small_class_counts(
     override_primes: tuple[int, ...],
     tables: SieveTables,
 ) -> ClassCounts:
-    """Pair counts restricted to small divisors (d**k <= n), by the divisor walk.
+    """Pair counts restricted to small divisors (d**k <= n), counted per divisor.
 
     Each squarefree d <= x**(1/k) counts its squarefree cofactors m coprime
-    to d with d**k <= d*m <= x.
+    to d with d**k <= d*m <= x, all d at once by coprime_squarefree_counts.
     """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
@@ -246,26 +243,27 @@ def small_class_counts(
         raise DomainError(f"k={k} must be >= 2")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    classes = _remembered(tables, ("small", x, k), ops, lambda: _small_d_major(x, k, ops, tables))
+    classes = _remembered(tables, ("small", x, k), ops, lambda: _small_coprime_ranks(x, k, ops, tables))
     return ClassCounts(x=x, override_primes=ops, classes=classes)
 
 
-def _small_d_major(x, k, ops, tables) -> Counter:
-    flag_of = {p: 1 << i for i, p in enumerate(ops)}
-    mu = tables.mu
-    out: Counter = Counter()
-    for d in range(1, integer_kth_root(x, k) + 1):
-        if mu[d] == 0:
-            continue
-        primes = distinct_primes(d, tables)
-        # n = d*m with d**k <= n <= x, i.e. m in [d**(k-1), x//d]
-        cnt = squarefree_coprime_count_range(d ** (k - 1), x // d, primes, tables)
-        if cnt:
-            fl = 0
-            for p in primes:
-                fl |= flag_of.get(p, 0)
-            out[(len(primes), fl)] += cnt
-    return out
+def _small_coprime_ranks(x, k, ops, tables) -> dict:
+    """The classes of small_class_counts, binned by (omega(d), flags(d)).
+
+    n = d*m with d**k <= n <= x means m in [d**(k-1), x // d], so d adds
+    Q(x // d; d) - Q(d**(k-1) - 1; d) pairs; both ranks of every d come
+    from one call.
+    """
+    d = np.flatnonzero(tables.mu[: integer_kth_root(x, k) + 1]).astype(np.int64)
+    ranks = coprime_squarefree_counts(
+        np.concatenate([x // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
+    ).reshape(2, -1)
+    key = tables.omega[d].astype(np.int64)
+    for i, p in enumerate(ops):
+        key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
+    # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
+    counts = np.bincount(key, weights=(ranks[0] - ranks[1]).astype(np.float64))
+    return {(int(b) & 15, int(b) >> 4): int(counts[b]) for b in np.flatnonzero(counts)}
 
 
 # Class counts a table keeps (in SieveTables.memo): enough for what a few
@@ -592,7 +590,7 @@ def abcd_class_counts(
     All four are keyed over override_primes plus p; since their outer
     variables are never divisible by p, the p bit is always clear in their
     own keys.  They split the production counts: the joint histogram for
-    the full pieces, the divisor walk for the small ones.
+    the full pieces, the coprime squarefree counts per d for the small ones.
     """
     full, small = counts_for_split(x, k, p, override_primes, tables)
     return _split_counts(full, small, p)

@@ -16,7 +16,7 @@ import numpy as np
 from . import divisor_sums as dsums
 from .errors import ConfigurationError, DomainError, RangeError
 from .euler import f0, f1, gamma_fn, gaussian_window, selberg_exact
-from .sieve import SieveTables, squarefree_coprime_count
+from .sieve import SieveTables, coprime_squarefree_counts
 from .weights import PrimeWeight, g_eval
 
 VERDICT_PASS = "pass"
@@ -173,20 +173,21 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
     For every squarefree m <= m_max and every grid x, form
     |count - (6/pi^2) g(m) x| / (tau(m)^(2/3) sqrt(x)) and track the
     maximum.  Pass iff the overall maximum stays below 6 (a documented
-    engineering cap roughly three times the analytic error budget).
+    engineering cap roughly three times the analytic error budget).  The
+    counts at one x come from one coprime_squarefree_counts call.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
     if m_max > tables.limit:
         raise RangeError(f"m_max={m_max} beyond table limit")
     six_over_pi2 = 6.0 / math.pi**2
-    ms = [int(m) for m in np.flatnonzero(tables.mu[: m_max + 1] != 0)]
+    ms = np.flatnonzero(tables.mu[: m_max + 1] != 0)
     observed = []
     argmax = []
     for x in xs:
         worst = 0.0
         worst_m = 1
-        for m in ms:
-            count = squarefree_coprime_count(x, m, tables)
+        counts = coprime_squarefree_counts(x, ms, tables).tolist()
+        for m, count in zip(ms.tolist(), counts):
             tau = 2.0 ** int(tables.omega[m])
             resid = abs(count - six_over_pi2 * g_eval(m, tables) * x)
             constant = resid / (tau ** (2.0 / 3.0) * math.sqrt(x))

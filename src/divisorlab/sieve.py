@@ -6,6 +6,11 @@ Mobius function and the count of distinct prime divisors follow from it
 by the recurrence n -> n / spf(n) (Gries and Misra, CACM 21, 1978),
 vectorised over chunks of integers.  Every aggregate in the package
 reads these tables; they are written once and frozen.
+
+Counts of squarefree integers up to y are read from a rank index over
+mu (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
+and the count of those coprime to a squarefree d follows from them by
+the Liouville-signed sum of coprime_squarefree_counts.
 """
 
 from collections import OrderedDict
@@ -41,6 +46,11 @@ class SieveTables:
         memo: values derived from the tables that an aggregate keeps for
             later requests (divisor_sums keeps a bounded number of class
             counts here); it dies with the table.
+
+    The first squarefree_rank call also builds a rank index over mu and
+    keeps it: a bitmap of the squarefree n <= limit in uint64 words and a
+    uint32 count of the squarefree n below each word, about 0.19 bytes
+    per integer (1.9 MB at 1e7).
     """
 
     limit: int
@@ -70,6 +80,26 @@ class SieveTables:
             self.__dict__["_primes"] = primes  # frozen: bypass __setattr__
         return primes
 
+    def squarefree_rank(self, y: np.ndarray) -> np.ndarray:
+        """Q(y), the number of squarefree n <= y, at every entry of y (int64).
+
+        y holds integers in [0, limit].  Q(y) is the count of squarefree n
+        below y's word plus the set bits of the word up to bit y mod 64.
+        """
+        index = self.__dict__.get("_rank_index")
+        if index is None:
+            index = _squarefree_rank_index(self.mu)
+            self.__dict__["_rank_index"] = index  # frozen: bypass __setattr__
+        words, below = index
+        y = np.asarray(y, dtype=np.int64)
+        flat = y.reshape(-1)  # array arithmetic: the wrap below is silent
+        w = flat >> 6
+        # Bits 0..y mod 64: at y mod 64 = 63 the shift wraps to 0 and the
+        # subtraction to all ones.
+        mask = (np.uint64(2) << (flat & 63).astype(np.uint64)) - np.uint64(1)
+        rank = below[w].astype(np.int64) + np.bitwise_count(words[w] & mask)
+        return rank.reshape(y.shape)
+
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
             raise RangeError(f"n={n} outside table range 1..{self.limit}")
@@ -87,6 +117,22 @@ def chunks(lo: int, hi: int):
         b = min(a + min(a, CHUNK), hi)
         yield a, b
         a = b
+
+
+def _squarefree_rank_index(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(words, below): bit n % 64 of words[n // 64] is set iff mu[n] != 0,
+    and below[i] counts the set bits of words[:i].  Packed chunk by chunk,
+    so no boolean array of length limit is made."""
+    words = np.zeros(len(mu) // 64 + 1, dtype="<u8")
+    raw = words.view(np.uint8)  # little-endian words: byte j holds bits 8j..8j+7
+    for a in range(0, len(mu), CHUNK):  # CHUNK is a multiple of 64
+        packed = np.packbits(mu[a : a + CHUNK] != 0, bitorder="little")
+        raw[a // 8 : a // 8 + len(packed)] = packed
+    below = np.zeros(len(words), dtype=np.uint32)
+    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=below[1:])
+    for arr in (words, below):
+        arr.setflags(write=False)
+    return words, below
 
 
 def _available_bytes() -> int | None:
@@ -213,24 +259,53 @@ def squarefree_coprime_count(x: int, m: int, tables: SieveTables) -> int:
     return int(np.count_nonzero(mask))
 
 
-def squarefree_coprime_count_range(
-    lo: int, hi: int, mprimes: list[int], tables: SieveTables
-) -> int:
-    """Count squarefree n in [lo, hi] divisible by none of mprimes.
+def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
+    """#{squarefree m <= y_i : gcd(m, d_i) = 1} for int64 arrays y and d.
 
-    Internal building block for divisor-major aggregation; lo/hi inclusive.
+    y and d broadcast against each other; each d_i is squarefree and at
+    most limit, each y_i at most limit (y_i < 1 counts nothing).  Since
+    the squarefree m coprime to d have the Dirichlet series
+    zeta(s)/zeta(2s) * prod_{p | d} (1 + p**-s)**-1,
+
+        Q(y; d) = sum over a <= y with rad(a) | d of lambda(a) * Q(y // a),
+
+    with Q = SieveTables.squarefree_rank and lambda(a) = (-1)**Omega(a).
+    The terms (i, y_i // a, lambda(a)) are expanded one prime of d at a
+    time: each pass over a prime p of d_i divides the live terms by p
+    again and flips their sign, at most log2(y_i) passes per prime.
     """
-    lo = max(lo, 1)
-    if hi < lo:
-        return 0
-    if hi > tables.limit:
-        raise RangeError(f"hi={hi} outside table range")
-    mask = tables.mu[lo : hi + 1] != 0
-    for p in mprimes:
-        first = lo + (-lo) % p
-        if first <= hi:
-            mask[first - lo :: p] = False
-    return int(np.count_nonzero(mask))
+    y, d = np.broadcast_arrays(np.asarray(y, dtype=np.int64), np.asarray(d, dtype=np.int64))
+    shape = y.shape
+    y, rem = np.maximum(y.ravel(), 0), d.ravel().copy()
+    if len(y) == 0:
+        return np.zeros(shape, dtype=np.int64)
+    if y.max() > tables.limit or not 1 <= rem.min() <= rem.max() <= tables.limit:
+        raise RangeError(f"y or d outside table range 1..{tables.limit}")
+    if not tables.mu[rem].all():
+        raise DomainError("every d must be squarefree")
+    owner = np.arange(len(y))  # the entry each term belongs to
+    quot = y  # y_i // a
+    sign = np.ones(len(y), dtype=np.int64)  # lambda(a)
+    while True:
+        p = tables.spf[rem].astype(np.int64)  # the next prime of d_i, 1 when none is left
+        if p.max() == 1:
+            break
+        rem //= p
+        p = p[owner]
+        live = np.flatnonzero((p > 1) & (quot >= p))
+        o, q, s, p = owner[live], quot[live], sign[live], p[live]
+        grown = [(owner, quot, sign)]
+        while len(o):
+            q = q // p
+            s = -s
+            grown.append((o, q, s))
+            more = q >= p
+            o, q, s, p = o[more], q[more], s[more], p[more]
+        owner, quot, sign = (np.concatenate(col) for col in zip(*grown))
+    # The terms of entry i add up in size to at most y_i * (1 + ln y_i) <
+    # 2**53 (y_i <= 2**31), so every float partial sum is an exact integer.
+    terms = (sign * tables.squarefree_rank(quot)).astype(np.float64)
+    return np.bincount(owner, weights=terms, minlength=len(y)).astype(np.int64).reshape(shape)
 
 
 # Integers per block of omega_flag_histogram: its key and the bincount's

@@ -4,7 +4,8 @@ These are the earlier production routes:
 - the sieve fills omega with one strided pass per prime up to limit/2, and
   the g and e tables multiply in one factor per prime up to upper;
 - the class counts enumerate the divisors of each squarefree n (n-major),
-  or count the squarefree cofactors of each squarefree d (d-major);
+  or count the squarefree cofactors of each squarefree d (d-major), one
+  boolean mask over the cofactor range per d;
 - the omega classes are a bincount of omega gathered over a length-x
   squarefree mask;
 - the census walks all k**omega(n) assignments of primes to slots;
@@ -20,12 +21,7 @@ import numpy as np
 
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
 from divisorlab.weights import g_table
-from divisorlab.sieve import (
-    SieveTables,
-    distinct_primes,
-    primes_up_to,
-    squarefree_coprime_count_range,
-)
+from divisorlab.sieve import SieveTables, distinct_primes, primes_up_to
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -108,22 +104,46 @@ def full_n_major(x, ops, tables) -> ClassCounts:
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))
 
 
-def full_d_major(x, ops, tables) -> ClassCounts:
+def squarefree_coprime_count_range(lo: int, hi: int, mprimes: list[int], tables: SieveTables) -> int:
+    """Count squarefree n in [lo, hi] divisible by none of mprimes (inclusive)."""
+    lo = max(lo, 1)
+    if hi < lo:
+        return 0
+    mask = tables.mu[lo : hi + 1] != 0
+    for p in mprimes:
+        first = lo + (-lo) % p
+        if first <= hi:
+            mask[first - lo :: p] = False
+    return int(np.count_nonzero(mask))
+
+
+def _d_major(x, lo_of, r, ops, tables) -> ClassCounts:
+    """Each squarefree d <= r counts its squarefree cofactors m coprime to d
+    with lo_of(d) <= m <= x // d, added to the class of d."""
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
     mu = tables.mu
     out: Counter = Counter()
-    for d in range(1, x + 1):
+    for d in range(1, r + 1):
         if mu[d] == 0:
             continue
         primes = distinct_primes(d, tables)
-        cnt = squarefree_coprime_count_range(1, x // d, primes, tables)
+        cnt = squarefree_coprime_count_range(lo_of(d), x // d, primes, tables)
         if cnt:
             fl = 0
             for p in primes:
                 fl |= flag_of.get(p, 0)
             out[(len(primes), fl)] += cnt
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+def full_d_major(x, ops, tables) -> ClassCounts:
+    return _d_major(x, lambda d: 1, x, ops, tables)
+
+
+def small_d_major(x, k, ops, tables) -> ClassCounts:
+    # n = d*m with d**k <= n <= x, i.e. m in [d**(k-1), x//d]
+    return _d_major(x, lambda d: d ** (k - 1), integer_kth_root(x, k), ops, tables)
 
 
 def small_n_major(x, k, ops, tables) -> ClassCounts:

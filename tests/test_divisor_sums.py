@@ -139,7 +139,7 @@ def test_small_routes_agree_exactly(tables_small, ops):
         for k in (2, 3, 4):
             a = oracle.small_n_major(x, k, ops, tables_small)
             b = ds.small_class_counts(x, k, ops, tables_small)
-            assert a == b
+            assert a == b == oracle.small_d_major(x, k, ops, tables_small)
 
 
 # Differential properties of the production routes (joint histogram for the
@@ -181,10 +181,35 @@ def test_histogram_route_wide_keys(r):
         x, ops, DIFF_TABLES)
 
 
+# up to 4 override primes: small ones, any up to DIFF_LIMIT (often above
+# sqrt(x)) and the table's last prime, above every x drawn
+small_override_sets = st.lists(
+    st.one_of(
+        st.sampled_from(DIFF_PRIMES[:15]),
+        st.sampled_from(DIFF_PRIMES),
+        st.just(int(DIFF_TABLES.primes()[-1])),
+    ),
+    max_size=4, unique=True,
+).map(tuple)
+
+
+@differential
+@given(x=st.integers(1, DIFF_LIMIT), k=st.integers(2, 6), ops=small_override_sets)
+@example(x=1, k=2, ops=(2,))
+@example(x=1000, k=10, ops=(2, 3))  # x**(1/k) < 2: only d = 1
+@example(x=2**19 + 1, k=2, ops=(2, 3, 7, 523))  # the table limit
+def test_small_route_equals_n_and_d_major(x, k, ops):
+    want = oracle.small_n_major(x, k, ops, DIFF_TABLES)
+    assert ds.small_class_counts(x, k, ops, DIFF_TABLES) == want
+    assert oracle.small_d_major(x, k, ops, DIFF_TABLES) == want
+    # the kernel past the memo, which may already hold these counts
+    assert ds._small_coprime_ranks(x, k, want.override_primes, DIFF_TABLES) == want.classes
+
+
 # (full route, small route) pairs that abcd's production split must match:
-# all four pieces by the divisor walk, then all four by per-n enumeration
+# all four pieces by the divisor walks, then all four by per-n enumeration
 SPLIT_ORACLES = (
-    (oracle.full_d_major, ds.small_class_counts),
+    (oracle.full_d_major, oracle.small_d_major),
     (oracle.full_n_major, oracle.small_n_major),
 )
 
@@ -242,7 +267,7 @@ def test_memo_answers_equal_fresh_oracle_counts(x, x2, k, k2, ops, keep):
 
     check(x, k, ops)
     with mock.patch.object(ds, "_full_omega_identity", side_effect=AssertionError), \
-            mock.patch.object(ds, "_small_d_major", side_effect=AssertionError):
+            mock.patch.object(ds, "_small_coprime_ranks", side_effect=AssertionError):
         check(x, k, sub)  # projected from the superset, not counted
         check(x, k, ops)  # kept as counted, whatever callers did to their copies
     check(x, k2, sub)

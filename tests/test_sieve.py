@@ -10,14 +10,14 @@ from divisorlab import sieve
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.sieve import (
     build_sieve,
+    coprime_squarefree_counts,
     distinct_primes,
     factor_squarefree,
     omega_class_counts,
     primes_up_to,
     squarefree_coprime_count,
-    squarefree_coprime_count_range,
 )
-from loop_oracles import loop_build_sieve
+from loop_oracles import loop_build_sieve, squarefree_coprime_count_range
 
 
 def trial_mu(n: int) -> int:
@@ -142,6 +142,37 @@ def test_coprime_count_against_enumeration(tables_small):
                 if trial_mu(n) != 0 and math.gcd(n, m) == 1
             )
             assert squarefree_coprime_count(x, m, tables_small) == expected
+
+
+@pytest.mark.parametrize("limit", [4095, 4096, 10**4, sieve.CHUNK + 65])
+def test_squarefree_rank_counts_every_prefix(limit):
+    # limits ending on bit 63 and bit 0 of a word, and one past a packing chunk
+    tables = build_sieve(limit)
+    y = np.arange(limit + 1)
+    assert np.array_equal(tables.squarefree_rank(y), np.cumsum(tables.mu != 0))
+    # word edges one at a time: bit 63 takes the mask whose shift wraps
+    edges = sorted({e for w in range(0, limit + 1, 64) for e in (w, w + 63) if e <= limit} | {limit})
+    want = [np.count_nonzero(tables.mu[1 : e + 1]) for e in edges]
+    assert [int(tables.squarefree_rank(e)) for e in edges] == want
+
+
+def test_coprime_counts_equal_enumeration_oracle(tables_small):
+    ms = np.flatnonzero(tables_small.mu[:301])
+    for x in (1, 64, 1000, 4999):
+        want = [squarefree_coprime_count(x, int(m), tables_small) for m in ms]
+        assert coprime_squarefree_counts(x, ms, tables_small).tolist() == want
+
+
+def test_coprime_counts_shapes_and_validation(tables_small):
+    assert coprime_squarefree_counts(20, 6, tables_small) == 7
+    assert coprime_squarefree_counts([-3, 0, 20], 6, tables_small).tolist() == [0, 0, 7]
+    assert coprime_squarefree_counts([], [], tables_small).shape == (0,)
+    with pytest.raises(DomainError):
+        coprime_squarefree_counts(100, [6, 12], tables_small)
+    with pytest.raises(RangeError):
+        coprime_squarefree_counts(10**4 + 1, 6, tables_small)
+    with pytest.raises(RangeError):
+        coprime_squarefree_counts(100, 0, tables_small)
 
 
 def test_coprime_range_count(tables_small):
