@@ -10,7 +10,8 @@ over omega classes.
 
 import math
 
-from divisorlab import build_sieve, omega_class_counts, squarefree_coprime_count
+from divisorlab import build_sieve, omega_class_counts
+from divisorlab.sieve import coprime_squarefree_counts
 
 LIMIT = 10**6
 
@@ -19,8 +20,8 @@ print(f"tables built up to {LIMIT:,}")
 print(f"  spf[30] = {tables.spf[30]}, mu[30] = {tables.mu[30]}, omega[30] = {tables.omega[30]}")
 
 print("\nexact squarefree counts vs (6/pi^2) x:")
-for x in (10**3, 10**4, 10**5, 10**6):
-    q = squarefree_coprime_count(x, 1, tables)
+XS = (10**3, 10**4, 10**5, 10**6)
+for x, q in zip(XS, coprime_squarefree_counts(XS, 1, tables).tolist()):
     density = 6 / math.pi**2 * x
     print(f"  x = {x:>9,}: count = {q:>7,}   (6/pi^2)x = {density:>11.1f}   gap = {q - density:+.1f}")
 
@@ -30,6 +31,6 @@ for om, count in sorted(omega_class_counts(LIMIT, tables).items()):
     print(f"  omega = {om}: {count:>7,}  {bar}")
 
 print("\ncoprimality restriction: squarefree n <= 1e6 coprime to 30:")
-q30 = squarefree_coprime_count(LIMIT, 30, tables)
+q30 = int(coprime_squarefree_counts(LIMIT, 30, tables))
 g30 = (2 / 3) * (3 / 4) * (5 / 6)
 print(f"  exact {q30:,} vs g(30)*(6/pi^2)*x = {g30 * 6 / math.pi**2 * LIMIT:,.1f}")

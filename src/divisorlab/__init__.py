@@ -21,7 +21,6 @@ from .divisor_sums import (
     abcd_from_counts,
     counts_for_split,
     full_class_counts,
-    full_divisor_sum,
     h_series,
     h_series_cumulative,
     integer_kth_root,
@@ -30,7 +29,6 @@ from .divisor_sums import (
     s_full,
     s_small,
     small_class_counts,
-    small_divisor_sum,
     weighted_total,
 )
 from .errors import (
@@ -66,9 +64,8 @@ from .sieve import (
     build_sieve,
     distinct_primes,
     omega_class_counts,
-    squarefree_coprime_count,
 )
-from .weights import PrimeWeight, e_of_m, g_eval, h_eval, tau_k_squarefree
+from .weights import PrimeWeight
 
 __version__ = "0.1.0"
 
@@ -95,18 +92,14 @@ __all__ = [
     "census_sample_synthetic",
     "counts_for_split",
     "distinct_primes",
-    "e_of_m",
     "erdos_kac_distance",
     "erdos_kac_histogram",
     "f0",
     "f1",
     "full_class_counts",
-    "full_divisor_sum",
-    "g_eval",
     "gamma_fn",
     "gamma_lemma_check",
     "gaussian_window",
-    "h_eval",
     "h_series",
     "h_series_cumulative",
     "integer_kth_root",
@@ -123,8 +116,5 @@ __all__ = [
     "selberg_exact",
     "selberg_trend",
     "small_class_counts",
-    "small_divisor_sum",
-    "squarefree_coprime_count",
-    "tau_k_squarefree",
     "weighted_total",
 ]

@@ -111,6 +111,8 @@ def integer_kth_root(n: int, k: int) -> int:
         raise DomainError(f"n={n} must be >= 1")
     if k < 1:
         raise DomainError(f"k={k} must be >= 1")
+    if k >= n.bit_length():  # 2**k > n
+        return 1
     if k == 2:
         return isqrt(n)
     # Integer Newton from above: r stays >= the root and falls strictly
@@ -121,51 +123,6 @@ def integer_kth_root(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-def _trial_factor_squarefree(n: int) -> list[int]:
-    if n < 1:
-        raise DomainError(f"n={n} must be positive")
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                raise DomainError(f"n={n} is not squarefree")
-            primes.append(d)
-        d += 1 if d == 2 else 2
-    if m > 1:
-        primes.append(m)
-    return primes
-
-
-def full_divisor_sum(n: int, w: PrimeWeight) -> float:
-    """sum of h(d) over all divisors of squarefree n, by enumeration."""
-    primes = _trial_factor_squarefree(n)
-    if len(primes) > 25:
-        raise RangeError(f"omega(n)={len(primes)} too large to enumerate divisors")
-    values = [1.0]
-    for p in primes:
-        vp = w.value_at(p)
-        values += [v * vp for v in values]
-    return fsum(values)
-
-
-def small_divisor_sum(n: int, k: int, w: PrimeWeight) -> float:
-    """sum of h(d) over divisors d of squarefree n with d**k <= n."""
-    if k < 2:
-        raise DomainError(f"k={k} must be >= 2")
-    primes = _trial_factor_squarefree(n)
-    if len(primes) > 25:
-        raise RangeError(f"omega(n)={len(primes)} too large to enumerate divisors")
-    r = integer_kth_root(n, k)
-    divisors = [(1, 1.0)]
-    for p in primes:
-        vp = w.value_at(p)
-        divisors += [(d * p, v * vp) for d, v in divisors]
-    return fsum(v for d, v in divisors if d <= r)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +211,7 @@ def _small_coprime_ranks(x, k, ops, tables) -> dict:
     Q(x // d; d) - Q(d**(k-1) - 1; d) pairs; both ranks of every d come
     from one call.
     """
+    k = min(k, x.bit_length())  # a larger k also leaves d = 1 alone; keeps k - 1 an int64
     d = np.flatnonzero(tables.mu[: integer_kth_root(x, k) + 1]).astype(np.int64)
     ranks = coprime_squarefree_counts(
         np.concatenate([x // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
@@ -555,7 +513,8 @@ def abcd(x: int, k: int, w: PrimeWeight, p: int, tables: SieveTables) -> AbcdDec
     splits S_small into h(p)*a + b and S_full into h(p)*c + d, where the
     four pieces are themselves class-counted double sums that do not
     involve the weight at p.  Identities hold exactly by construction of
-    the counts; see compose_decomposition for the integer-level statement.
+    the counts: shifting the p-pieces a and c up by p and adding b and d
+    gives back the small and full counts class for class.
     """
     full, small = counts_for_split(x, k, p, w.override_primes(), tables)
     return abcd_from_counts(full, small, k, p, w)
@@ -607,20 +566,13 @@ def counts_for_split(
 
     These are the counts that abcd_from_counts splits at p and that
     ratio_from_counts weights at any weight whose overrides they cover.
+    The two counts check their arguments over the union: RangeError for x
+    or p beyond the table, DomainError for a composite p or k < 2.  The
+    small counts come first, so a bad k fails before the full pass.
     """
-    if not 1 <= x <= tables.limit:
-        raise RangeError(f"x={x} outside table range 1..{tables.limit}")
-    if k < 2:
-        raise DomainError(f"k={k} must be >= 2")
-    if p > tables.limit:
-        raise RangeError(f"p={p} beyond table limit {tables.limit}")
-    if tables.spf[p] != p:
-        raise DomainError(f"p={p} is not prime")
     ops = tuple(sorted(set(override_primes) | {p}))
-    return (
-        full_class_counts(x, ops, tables),
-        small_class_counts(x, k, ops, tables),
-    )
+    small = small_class_counts(x, k, ops, tables)
+    return full_class_counts(x, ops, tables), small
 
 
 def _split_counts(full: ClassCounts, small: ClassCounts, p: int):
@@ -646,22 +598,3 @@ def _split_at_prime(classes: dict, pbit: int) -> tuple[Counter, Counter]:
             without_p[(om, fl)] += count
     return with_p, without_p
 
-
-def compose_decomposition(
-    part_with_p: ClassCounts, part_without_p: ClassCounts, p: int
-) -> ClassCounts:
-    """Reassemble a split: shift the p-part up by p and add the rest.
-
-    The result must equal the undecomposed ClassCounts exactly; the tests
-    use this as the integer-level identity check.
-    """
-    ops = part_with_p.override_primes
-    if p not in ops or part_without_p.override_primes != ops:
-        raise DomainError("decomposition parts must share an override set containing p")
-    pbit = 1 << ops.index(p)
-    classes: Counter = Counter()
-    for (om, fl), count in part_with_p.classes.items():
-        classes[(om + 1, fl | pbit)] += count
-    for (om, fl), count in part_without_p.classes.items():
-        classes[(om, fl)] += count
-    return ClassCounts(x=part_with_p.x, override_primes=ops, classes=dict(classes))

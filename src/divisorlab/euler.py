@@ -14,7 +14,7 @@ import numpy as np
 
 from .divisor_sums import fsum_nonnegative
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, omega_class_counts, primes_up_to, squarefree_mask
+from .sieve import SieveTables, omega_class_counts, primes_up_to
 from .weights import g_table
 
 ZETA2 = math.pi**2 / 6
@@ -131,24 +131,23 @@ def gaussian_window(a: float, b: float) -> float:
     return 0.5 * (math.erf(b * inv_sqrt2) - math.erf(a * inv_sqrt2))
 
 
-def predict_s_full(x: float, c: float, truncation: int = DEFAULT_TRUNCATION) -> float:
+def predict_s_full(x: float, c: float) -> float:
     """Main-term prediction (6/pi^2) * f1(c)/(c*Gamma(c)) * x * log(x)**c.
 
     A reporting aid for trend checks; never asserted against exact sums at
     a fixed tolerance (no rate is available for the omitted lower order).
+    f1 is truncated at DEFAULT_TRUNCATION.
     """
     _check_predict_args(x, c)
-    lead = f1(c, truncation).value / (c * gamma_fn(c))
+    lead = f1(c).value / (c * gamma_fn(c))
     return lead / ZETA2 * x * math.log(x) ** c
 
 
-def predict_s_small(
-    x: float, k: int, c: float, truncation: int = DEFAULT_TRUNCATION
-) -> float:
+def predict_s_small(x: float, k: int, c: float) -> float:
     """predict_s_full divided by k**c (the small-divisor main term)."""
     if k < 2:
         raise DomainError(f"k={k} must be >= 2")
-    return predict_s_full(x, c, truncation) / float(k) ** c
+    return predict_s_full(x, c) / float(k) ** c
 
 
 def _check_predict_args(x: float, c: float) -> None:
@@ -175,7 +174,7 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
             zi = int(z)
             return float(sum(cnt * zi**j for j, cnt in counts.items()))
         return math.fsum(cnt * z**j for j, cnt in counts.items())
-    mask = squarefree_mask(x, tables)
+    mask = tables.mu[1 : x + 1] != 0
     gv = g_table(x, tables)
     vals = np.where(mask, np.power(z, tables.omega[1 : x + 1].astype(np.float64)) * gv[1:], 0.0)
     return fsum_nonnegative(vals)

@@ -17,7 +17,7 @@ from . import divisor_sums as dsums
 from .errors import ConfigurationError, DomainError, RangeError
 from .euler import f0, f1, gamma_fn, gaussian_window, selberg_exact
 from .sieve import SieveTables, coprime_squarefree_counts
-from .weights import PrimeWeight, g_eval
+from .weights import PrimeWeight, g_table
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -127,8 +127,6 @@ def monotonicity_scan(
         raise ConfigurationError("v_grid must be strictly increasing")
     if any(v < 0 for v in vs):
         raise DomainError("v_grid values must be >= 0")
-    if p > tables.limit:
-        raise RangeError(f"p={p} beyond table limit")
     base = PrimeWeight(c, k_context=k, strict_mode=False)
     full, small = dsums.counts_for_split(x, k, p, (), tables)
     dec = dsums.abcd_from_counts(full, small, k, p, base)
@@ -174,22 +172,24 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
     |count - (6/pi^2) g(m) x| / (tau(m)^(2/3) sqrt(x)) and track the
     maximum.  Pass iff the overall maximum stays below 6 (a documented
     engineering cap roughly three times the analytic error budget).  The
-    counts at one x come from one coprime_squarefree_counts call.
+    counts at one x come from one coprime_squarefree_counts call, and g
+    from one g_table.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
     if m_max > tables.limit:
         raise RangeError(f"m_max={m_max} beyond table limit")
     six_over_pi2 = 6.0 / math.pi**2
     ms = np.flatnonzero(tables.mu[: m_max + 1] != 0)
+    gs = g_table(m_max, tables)[ms].tolist()
     observed = []
     argmax = []
     for x in xs:
         worst = 0.0
         worst_m = 1
         counts = coprime_squarefree_counts(x, ms, tables).tolist()
-        for m, count in zip(ms.tolist(), counts):
+        for m, g, count in zip(ms.tolist(), gs, counts):
             tau = 2.0 ** int(tables.omega[m])
-            resid = abs(count - six_over_pi2 * g_eval(m, tables) * x)
+            resid = abs(count - six_over_pi2 * g * x)
             constant = resid / (tau ** (2.0 / 3.0) * math.sqrt(x))
             if constant > worst:
                 worst, worst_m = constant, m
@@ -229,6 +229,10 @@ class _SeriesInterpolant:
         return float(self._h[j] + frac * (self._h[j + 1] - self._h[j]))
 
 
+# Relative distance above sqrt(N) at which the gamma-lemma grid starts.
+_ROOT_OFFSET = 0.02
+
+
 def gamma_lemma_check(
     N: int,
     f_choice: str,
@@ -236,20 +240,19 @@ def gamma_lemma_check(
     tables: SieveTables,
     weight: PrimeWeight | None = None,
     p: int | None = None,
-    eps: float = 0.02,
 ) -> TrendReport:
     """Discrete check that f(x) f(N/x) peaks at sqrt(N) and falls beyond it.
 
     f_choice "log_shift" uses f(t) = log(e + t); "h_table" uses the
     monotone piecewise-linear interpolation of the excluded-prime series
     at integer arguments (requires weight and p).  Samples a geometric
-    grid from sqrt(N)*(1+eps) to N; pass iff the samples strictly
+    grid from sqrt(N)*(1 + _ROOT_OFFSET) to N; pass iff the samples strictly
     decrease.  The symmetry defect max |gamma(x) - gamma(N/x)| / gamma(x)
     and the value at sqrt(N) are reported in extra.
     """
     if N < 100:
         raise ConfigurationError(f"N={N} must be >= 100")
-    start = math.sqrt(N) * (1.0 + eps)
+    start = math.sqrt(N) * (1.0 + _ROOT_OFFSET)
     if sample_points < 3 or start >= N:
         raise RangeError(f"N={N} too small for a {sample_points}-point grid")
     if f_choice == "log_shift":
@@ -442,20 +445,19 @@ def erdos_kac_distance(x_grid, tables: SieveTables) -> TrendReport:
     )
 
 
-def selberg_trend(
-    z: float, weighted: bool, x_grid, tables: SieveTables, truncation: int = 10**6
-) -> TrendReport:
+def selberg_trend(z: float, weighted: bool, x_grid, tables: SieveTables) -> TrendReport:
     """Exact omega-power sums against their main-term prediction.
 
     observed = exact / (x log^(z-1) x * f(z) / Gamma(z)) per grid point,
-    with f = f1 for the weighted sum and f0 otherwise.  Pass iff
+    with f = f1 for the weighted sum and f0 otherwise, both truncated at
+    euler.DEFAULT_TRUNCATION.  Pass iff
     |observed - 1| is non-increasing over the last three points and the
     final value lies in [0.8, 1.2].
     """
     xs = _check_grid(x_grid, tables, min_points=1)
     if not 0.0 < z <= 4.0:
         raise DomainError(f"z={z} outside supported range (0, 4]")
-    constant = (f1(z, truncation) if weighted else f0(z, truncation)).value
+    constant = (f1(z) if weighted else f0(z)).value
     gamma_z = gamma_fn(z)
     observed = []
     for x in xs:

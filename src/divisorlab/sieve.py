@@ -59,10 +59,6 @@ class SieveTables:
     omega: np.ndarray
     memo: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
-    def is_squarefree(self, n: int) -> bool:
-        self._check_range(n)
-        return bool(self.mu[n] != 0)
-
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (int64, read-only).
 
@@ -235,28 +231,6 @@ def factor_squarefree(m: int, tables: SieveTables) -> list[int]:
             )
         primes.append(rem)
     return sorted(primes)
-
-
-def squarefree_mask(x: int, tables: SieveTables) -> np.ndarray:
-    """Boolean mask over 1..x (index i <-> integer i+1) of squarefree integers."""
-    if not 0 <= x <= tables.limit:
-        raise RangeError(f"x={x} outside table range 0..{tables.limit}")
-    return tables.mu[1 : x + 1] != 0
-
-
-def squarefree_coprime_count(x: int, m: int, tables: SieveTables) -> int:
-    """Exact count of squarefree n <= x with gcd(n, m) = 1.
-
-    Counts by direct divisibility tests against the distinct primes of m,
-    not by a density formula; this is the enumeration oracle that the
-    main-term predictions are judged against.
-    """
-    mprimes = factor_squarefree(m, tables)
-    mask = np.array(squarefree_mask(x, tables))
-    for p in mprimes:
-        if p <= x:
-            mask[p - 1 :: p] = False
-    return int(np.count_nonzero(mask))
 
 
 def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:

@@ -5,13 +5,12 @@ per-prime overrides; it is only ever evaluated on squarefree integers,
 where its value is the product of its values at the distinct primes.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, chunks, distinct_primes, factor_squarefree
+from .sieve import SieveTables, chunks
 
 
 @dataclass(frozen=True)
@@ -59,28 +58,6 @@ class PrimeWeight:
         return PrimeWeight(self.base_c, ov, self.k_context, self.strict_mode)
 
 
-def h_eval(n: int, w: PrimeWeight, tables: SieveTables) -> float:
-    """Weight of a squarefree n: product of per-prime values; h_eval(1) = 1."""
-    if n > tables.limit:
-        primes = factor_squarefree(n, tables)
-    else:
-        if tables.mu[n] == 0:
-            raise DomainError(f"n={n} is not squarefree")
-        primes = distinct_primes(n, tables)
-    out = 1.0
-    for p in primes:
-        out *= w.value_at(p)
-    return out
-
-
-def g_eval(m: int, tables: SieveTables) -> float:
-    """Product of p/(p+1) over the distinct primes of squarefree m; g(1) = 1."""
-    out = 1.0
-    for p in factor_squarefree(m, tables):
-        out *= p / (p + 1)
-    return out
-
-
 def _prime_product_table(upper: int, tables: SieveTables, factor) -> np.ndarray:
     """out[m] = product of factor(p) over the distinct primes p of m, m = 0..upper.
 
@@ -124,41 +101,8 @@ def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     return _prime_product_table(upper, tables, lambda p: p / (p + 1.0))
 
 
-def tau_k_squarefree(n: int, k: int, tables: SieveTables) -> int:
-    """Number of ordered k-tuples of positives with product n (n squarefree).
-
-    For squarefree n each distinct prime independently lands in one of the
-    k slots, so the count is k**omega(n).
-
-    Raises:
-        RangeError: if k**omega(n) exceeds 64 bits.
-    """
-    if k < 2:
-        raise DomainError(f"k={k} must be >= 2")
-    om = len(factor_squarefree(n, tables))
-    value = k**om
-    if value >= 2**63:
-        raise RangeError(f"k**omega = {k}**{om} does not fit in 64 bits")
-    return value
-
-
-def e_of_m(m: int, tables: SieveTables) -> float:
-    """Exact divisor sum of 1/sqrt(d) over the divisors of squarefree m.
-
-    Enumerates all 2**omega(m) divisors and adds compensated; bounded by
-    2 * tau(m)**(2/3) for every squarefree m.
-    """
-    primes = factor_squarefree(m, tables)
-    if len(primes) > 25:
-        raise RangeError(f"omega(m)={len(primes)} too large for divisor enumeration")
-    divisors = [1]
-    for p in primes:
-        divisors += [d * p for d in divisors]
-    return math.fsum(1.0 / math.sqrt(d) for d in divisors)
-
-
 def e_table(upper: int, tables: SieveTables) -> np.ndarray:
-    """Vectorized table of e_of_m for all m = 0..upper.
+    """Table of e(m) = sum of 1/sqrt(d) over the divisors d of squarefree m, m = 0..upper.
 
     Uses the multiplicative product form prod (1 + 1/sqrt(p)), factors in
     ascending prime order; agrees with the divisor-sum enumeration because

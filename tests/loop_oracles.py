@@ -1,11 +1,16 @@
 """Slow, plainly correct routes that the production code is checked against.
 
-These are the earlier production routes:
+These are the earlier production routes and the per-value references:
 - the sieve fills omega with one strided pass per prime up to limit/2, and
   the g and e tables multiply in one factor per prime up to upper;
+- h, g and e at one squarefree n from its primes (h_eval, g_eval, e_of_m,
+  the last by enumerating the divisors), and the squarefree count coprime
+  to one m by a boolean mask (squarefree_coprime_count);
 - the class counts enumerate the divisors of each squarefree n (n-major),
   or count the squarefree cofactors of each squarefree d (d-major), one
   boolean mask over the cofactor range per d;
+- the inverse of the prime split (compose_decomposition), which must
+  give the counts back;
 - the omega classes are a bincount of omega gathered over a length-x
   squarefree mask;
 - the census walks all k**omega(n) assignments of primes to slots;
@@ -20,8 +25,9 @@ from math import isqrt
 import numpy as np
 
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
-from divisorlab.weights import g_table
-from divisorlab.sieve import SieveTables, distinct_primes, primes_up_to
+from divisorlab.errors import DomainError
+from divisorlab.weights import PrimeWeight, g_table
+from divisorlab.sieve import SieveTables, distinct_primes, factor_squarefree, primes_up_to
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -72,6 +78,42 @@ def loop_e_table(upper: int) -> np.ndarray:
     for p in map(int, primes_up_to(upper)):
         out[p::p] *= 1.0 + 1.0 / math.sqrt(p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# values at one integer
+
+
+def h_eval(n: int, w: PrimeWeight, tables: SieveTables) -> float:
+    """Weight of a squarefree n: product of per-prime values; h_eval(1) = 1."""
+    out = 1.0
+    for p in factor_squarefree(n, tables):
+        out *= w.value_at(p)
+    return out
+
+
+def g_eval(m: int, tables: SieveTables) -> float:
+    """Product of p/(p+1) over the distinct primes of squarefree m; g(1) = 1."""
+    out = 1.0
+    for p in factor_squarefree(m, tables):
+        out *= p / (p + 1)
+    return out
+
+
+def e_of_m(m: int, tables: SieveTables) -> float:
+    """Sum of 1/sqrt(d) over all 2**omega(m) divisors of squarefree m, compensated."""
+    divisors = [1]
+    for p in factor_squarefree(m, tables):
+        divisors += [d * p for d in divisors]
+    return math.fsum(1.0 / math.sqrt(d) for d in divisors)
+
+
+def squarefree_coprime_count(x: int, m: int, tables: SieveTables) -> int:
+    """Squarefree n <= x with gcd(n, m) = 1, by striking the primes of m from a mask."""
+    mask = tables.mu[1 : x + 1] != 0
+    for p in factor_squarefree(m, tables):
+        mask[p - 1 :: p] = False
+    return int(np.count_nonzero(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +201,20 @@ def small_n_major(x, k, ops, tables) -> ClassCounts:
             if val <= r_n:
                 out[(om, fl)] += 1
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))
+
+
+def compose_decomposition(part_with_p: ClassCounts, part_without_p: ClassCounts, p: int) -> ClassCounts:
+    """Reassemble a split: shift the p-part up by p and add the rest."""
+    ops = part_with_p.override_primes
+    if p not in ops or part_without_p.override_primes != ops:
+        raise DomainError("decomposition parts must share an override set containing p")
+    pbit = 1 << ops.index(p)
+    classes: Counter = Counter()
+    for (om, fl), count in part_with_p.classes.items():
+        classes[(om + 1, fl | pbit)] += count
+    for (om, fl), count in part_without_p.classes.items():
+        classes[(om, fl)] += count
+    return ClassCounts(x=part_with_p.x, override_primes=ops, classes=dict(classes))
 
 
 def omega_class_counts_masked(x, tables) -> dict[int, int]:

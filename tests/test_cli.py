@@ -358,3 +358,14 @@ def test_census_of_a_66_digit_n_finishes(capsys):
     code, out, _ = run(capsys, "census", "--n", str(n), "--k", "2")
     assert code == 0
     assert out.splitlines()[1] == f"{n},2,20,1048576,1048576,1.0"
+
+
+def test_k_beyond_the_bit_length_of_x_exits_zero(capsys):
+    # only d = 1 is small: S_small counts the 608 squarefree n <= 1000
+    k = 2**70
+    code, out, _ = run(capsys, "ratio", "--x", "1000", "--k", str(k), "--c", "0.3", "--no-strict")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "608.0"
+    code, out, _ = run(capsys, "census", "--n", "30", "--k", str(k))
+    assert code == 0
+    assert out.splitlines()[1].split(",")[:5] == ["30", str(k), "3", str(k**3), str(k * (k - 1) ** 3)]

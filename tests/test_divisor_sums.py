@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
+import divisorlab.experiments as ex
 import divisorlab.sieve as sieve
 import loop_oracles as oracle
+from divisorlab.cli import parse_and_dispatch
 from divisorlab.errors import DomainError, RangeError
 from divisorlab.sieve import CHUNK, build_sieve
-from divisorlab.weights import PrimeWeight, g_eval, h_eval
+from divisorlab.weights import PrimeWeight
 
 
 W1 = PrimeWeight(1.0, strict_mode=False)
@@ -25,7 +27,7 @@ def brute_s_full(x, w, tables):
     for n in range(1, x + 1):
         if tables.mu[n] == 0:
             continue
-        total += sum(h_eval(d, w, tables) for d in range(1, n + 1) if n % d == 0)
+        total += sum(oracle.h_eval(d, w, tables) for d in range(1, n + 1) if n % d == 0)
     return total
 
 
@@ -35,7 +37,7 @@ def brute_s_small(x, k, w, tables):
         if tables.mu[n] == 0:
             continue
         total += sum(
-            h_eval(d, w, tables)
+            oracle.h_eval(d, w, tables)
             for d in range(1, n + 1)
             if n % d == 0 and d**k <= n
         )
@@ -47,6 +49,10 @@ def test_integer_kth_root_examples():
     assert ds.integer_kth_root(27, 3) == 3
     assert ds.integer_kth_root(10**6, 2) == 1000
     assert ds.integer_kth_root(1, 5) == 1
+    # any k >= n.bit_length() has root 1, with no Newton step forming 2**(k-1)
+    assert ds.integer_kth_root(1000, 2**70) == 1
+    assert ds.integer_kth_root(2**62, 63) == 1
+    assert ds.integer_kth_root(2**62, 62) == 2
 
 
 def test_integer_kth_root_definition():
@@ -54,6 +60,13 @@ def test_integer_kth_root_definition():
         for k in (2, 3, 5):
             r = ds.integer_kth_root(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+def test_small_counts_at_a_huge_k_equal_those_at_root_one(tables_small):
+    huge = ds.small_class_counts(1000, 2**70, (), tables_small)
+    assert huge.classes == ds.small_class_counts(1000, 11, (), tables_small).classes
+    assert huge.classes == {(0, 0): 608}
+    assert ds.small_class_counts(1000, 2**70, (3,), tables_small).classes == {(0, 0): 608}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -66,37 +79,6 @@ def test_integer_kth_root_property(base, k, shift, n):
     for m in (n, max(1, base**k + shift)):
         r = ds.integer_kth_root(m, k)
         assert r**k <= m < (r + 1) ** k
-
-
-def test_full_divisor_sum_examples():
-    assert ds.full_divisor_sum(30, WHALF) == pytest.approx(3.375)
-    assert ds.full_divisor_sum(1, WHALF) == 1.0
-    assert ds.full_divisor_sum(10, W1) == pytest.approx(4.0)  # tau(10)
-
-
-def test_full_divisor_sum_matches_product_form():
-    w = PrimeWeight(0.37, {3: 0.11}, strict_mode=False)
-    for n in (1, 2, 6, 30, 210, 46189):
-        primes = []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.append(d)
-                m //= d
-            d += 1
-        if m > 1:
-            primes.append(m)
-        product = math.prod(1.0 + w.value_at(p) for p in primes)
-        assert ds.full_divisor_sum(n, w) == pytest.approx(product, rel=1e-12)
-
-
-def test_small_divisor_sum_examples():
-    for c in (0.2, 0.5, 0.9):
-        w = PrimeWeight(c, strict_mode=False)
-        assert ds.small_divisor_sum(30, 3, w) == pytest.approx(1 + 2 * c)
-        assert ds.small_divisor_sum(6, 2, w) == pytest.approx(1 + c)
-        assert ds.small_divisor_sum(1, 4, w) == 1.0
 
 
 def test_s_full_examples(tables_small):
@@ -348,7 +330,7 @@ def test_h_series_brute_force(tables_small):
     w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
     for x, p in [(50, 2), (500, 3), (999, 7)]:
         expected = math.fsum(
-            g_eval(j, tables_small) * h_eval(j, w, tables_small) / j
+            oracle.g_eval(j, tables_small) * oracle.h_eval(j, w, tables_small) / j
             for j in range(1, x + 1)
             if tables_small.mu[j] != 0 and j % p != 0
         )
@@ -488,8 +470,8 @@ def test_abcd_class_count_identity(tables_small):
     a_cc, b_cc, c_cc, d_cc = ds.abcd_class_counts(x, k, p, (), tables_small)
     small = ds.small_class_counts(x, k, (p,), tables_small)
     full = ds.full_class_counts(x, (p,), tables_small)
-    assert ds.compose_decomposition(a_cc, b_cc, p) == small
-    assert ds.compose_decomposition(c_cc, d_cc, p) == full
+    assert oracle.compose_decomposition(a_cc, b_cc, p) == small
+    assert oracle.compose_decomposition(c_cc, d_cc, p) == full
 
 
 def test_abcd_methods_agree(tables_small):
@@ -520,6 +502,17 @@ def test_method_validation(tables_small):
     with pytest.raises(RangeError):
         ds.full_class_counts(10**5, (), tables_small)  # beyond limit
     with pytest.raises(DomainError):
-        ds.abcd_class_counts(100, 3, 6, (), tables_small)  # p not prime
+        ds.counts_for_split(100, 3, 6, (), tables_small)  # p not prime
+    with pytest.raises(DomainError):
+        ds.abcd(100, 3, W3, 6, tables_small)
+    with pytest.raises(RangeError):  # p beyond the table
+        ds.abcd(100, 3, W3, 10**4 + 7, tables_small)
+    with pytest.raises(RangeError):
+        ex.monotonicity_scan(100, 3, 0.3, 10**4 + 7, [0.1, 0.2], tables_small)
+    with pytest.raises(RangeError):  # x beyond the table
+        ds.counts_for_split(10**5, 3, 2, (), tables_small)
+    with pytest.raises(DomainError):
+        ds.counts_for_split(100, 1, 2, (), tables_small)  # k < 2
+    assert parse_and_dispatch(["adbc", "--x", "100", "--prime", "4"]) == 1
     with pytest.raises(DomainError):
         ds.full_class_counts(100, (3, 3), tables_small)  # a prime twice

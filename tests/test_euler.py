@@ -18,7 +18,7 @@ from divisorlab.euler import (
     selberg_exact,
 )
 from divisorlab.sieve import primes_up_to
-from divisorlab.weights import g_eval, g_table
+from divisorlab.weights import g_table
 
 
 def test_f0_at_one_telescopes_to_inverse_zeta2():
@@ -168,7 +168,7 @@ def test_selberg_exact_matches_direct_sum(tables_small):
     assert selberg_exact(x, 2.5, False, tables_small) == math.fsum(
         c * 2.5**j for j, c in classes.items())
     direct_w = math.fsum(
-        2.0 ** int(tables_small.omega[n]) * g_eval(n, tables_small)
+        2.0 ** int(tables_small.omega[n]) * oracle.g_eval(n, tables_small)
         for n in range(1, 2001)
         if tables_small.mu[n] != 0
     )

@@ -10,8 +10,7 @@ import divisorlab.experiments as ex
 import loop_oracles as oracle
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.euler import gaussian_window
-from divisorlab.sieve import squarefree_coprime_count
-from divisorlab.weights import PrimeWeight, g_eval
+from divisorlab.weights import PrimeWeight
 
 
 def test_trend_report_validation():
@@ -89,8 +88,8 @@ def test_monotonicity_scan_grid_validation(tables_small):
 
 def test_prop32_scan_hand_example(tables_small):
     # m = 2, x = 10: odd squarefree up to 10 are {1, 3, 5, 7}
-    assert squarefree_coprime_count(10, 2, tables_small) == 4
-    resid = abs(4 - (6 / math.pi**2) * g_eval(2, tables_small) * 10)
+    assert oracle.squarefree_coprime_count(10, 2, tables_small) == 4
+    resid = abs(4 - (6 / math.pi**2) * oracle.g_eval(2, tables_small) * 10)
     constant = resid / (2 ** (2 / 3) * math.sqrt(10))
     assert constant < 0.05
     rep = ex.prop32_scan(30, [10, 10**3], tables_small)

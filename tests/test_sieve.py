@@ -15,9 +15,8 @@ from divisorlab.sieve import (
     factor_squarefree,
     omega_class_counts,
     primes_up_to,
-    squarefree_coprime_count,
 )
-from loop_oracles import loop_build_sieve, squarefree_coprime_count_range
+from loop_oracles import loop_build_sieve, squarefree_coprime_count, squarefree_coprime_count_range
 
 
 def trial_mu(n: int) -> int:

