@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Build the factor tables and look at what lives inside them.
 
-Everything else in divisorlab reads these three arrays: smallest prime
-factor, the Mobius function, and the distinct-prime count.  This script
-builds them at 10^6, checks the classical squarefree density 6/pi^2
-against the exact count, and prints how squarefree integers distribute
-over omega classes.
+Everything else in divisorlab reads these two arrays: the Mobius
+function and the distinct-prime count.  This script builds them at 10^6,
+checks the classical squarefree density 6/pi^2 against the exact count,
+and prints how squarefree integers distribute over omega classes.
 """
 
 import math
 
-from divisorlab import build_sieve, omega_class_counts
+from divisorlab import build_sieve, distinct_primes, omega_class_counts
 from divisorlab.sieve import coprime_squarefree_counts
 
 LIMIT = 10**6
 
 tables = build_sieve(LIMIT)
 print(f"tables built up to {LIMIT:,}")
-print(f"  spf[30] = {tables.spf[30]}, mu[30] = {tables.mu[30]}, omega[30] = {tables.omega[30]}")
+print(
+    f"  primes of 30 = {distinct_primes(30, tables)}, "
+    f"mu[30] = {tables.mu[30]}, omega[30] = {tables.omega[30]}"
+)
 
 print("\nexact squarefree counts vs (6/pi^2) x:")
 XS = (10**3, 10**4, 10**5, 10**6)

@@ -137,7 +137,7 @@ def _check_override_primes(ops: tuple[int, ...], tables: SieveTables) -> None:
     for p in ops:
         if p > tables.limit:
             raise RangeError(f"override prime {p} beyond table limit {tables.limit}")
-        if tables.spf[p] != p:
+        if not tables.is_prime(p):
             raise DomainError(f"override key {p} is not prime")
 
 
@@ -371,7 +371,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
     """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
-    if p > tables.limit or tables.spf[p] != p:
+    if not tables.is_prime(p):
         raise DomainError(f"p={p} is not a prime in the table")
     ops = [q for q in w.override_primes() if q <= x]
     # omega <= 9, and at most 1,600 divisors of one j <= 2**31 can be

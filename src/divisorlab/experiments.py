@@ -450,11 +450,13 @@ def selberg_trend(z: float, weighted: bool, x_grid, tables: SieveTables) -> Tren
 
     observed = exact / (x log^(z-1) x * f(z) / Gamma(z)) per grid point,
     with f = f1 for the weighted sum and f0 otherwise, both truncated at
-    euler.DEFAULT_TRUNCATION.  Pass iff
-    |observed - 1| is non-increasing over the last three points and the
-    final value lies in [0.8, 1.2].
+    euler.DEFAULT_TRUNCATION.  Pass iff |observed - 1| is non-increasing
+    over the last three points and the final value lies in [0.8, 1.2].
+    A grid point below 2 raises RangeError.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
+    if xs[0] < 2:
+        raise RangeError(f"grid point {xs[0]} below 2: the predictor is 0 at x = 1")
     if not 0.0 < z <= 4.0:
         raise DomainError(f"z={z} outside supported range (0, 4]")
     constant = (f1(z) if weighted else f0(z)).value

@@ -1,11 +1,12 @@
 """Exact arithmetic tables up to a configurable limit.
 
-Builds three per-integer tables in one factoring pass: the smallest
-prime factor is sieved by the primes up to sqrt(limit) only, and the
-Mobius function and the count of distinct prime divisors follow from it
-by the recurrence n -> n / spf(n) (Gries and Misra, CACM 21, 1978),
-vectorised over chunks of integers.  Every aggregate in the package
-reads these tables; they are written once and frozen.
+Builds two per-integer tables, the Mobius function and the count of
+distinct prime divisors, in one pass over chunks of integers: a chunk's
+smallest prime factors come from a segmented sieve by the primes up to
+sqrt(limit) (Bays and Hudson, BIT 17, 1977) and live only as long as the
+chunk, and mu and omega follow by the recurrence n -> n / spf(n) (Gries
+and Misra, CACM 21, 1978).  Every aggregate in the package reads these
+tables; they are written once and frozen.
 
 Counts of squarefree integers up to y are read from a rank index over
 mu (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
@@ -15,7 +16,7 @@ the Liouville-signed sum of coprime_squarefree_counts.
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .errors import ConfigurationError, DomainError, RangeError
 _LIMIT_MAX = 2**31
 # Widest chunk of the n -> n / spf(n) recurrences.
 CHUNK = 2**18
-# What a build holds per integer: spf (uint32), mu (int8) and omega
-# (uint8); a chunk of the recurrence adds about 32 bytes per integer.
-_BYTES_PER_INT = 6
+# What a build holds per integer: mu (int8) and omega (uint8); a chunk
+# of the sieve and the recurrence adds about 32 bytes per integer.
+_BYTES_PER_INT = 2
 _BYTES_PER_CHUNK_INT = 32
 
 
@@ -36,8 +37,6 @@ class SieveTables:
 
     Attributes:
         limit: Largest integer covered (inclusive).
-        spf: uint32 array of length limit+1; spf[n] is the smallest prime
-            factor of n, with spf[1] = 1 and spf[p] = p for primes.
         mu: int8 array; mu[n] is the Mobius function (0 on non-squarefree n).
         omega: uint8 array; omega[n] counts distinct prime divisors.
             omega(n) <= 9 for n <= 2**31, since the product of the first
@@ -54,22 +53,25 @@ class SieveTables:
     """
 
     limit: int
-    spf: np.ndarray
     mu: np.ndarray
     omega: np.ndarray
     memo: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
+    def is_prime(self, p: int) -> bool:
+        """Whether p is a prime <= limit; p < 2 is not (omega[-1] is omega[limit])."""
+        return bool(2 <= p <= self.limit and self.omega[p] == 1 and self.mu[p] != 0)
+
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (int64, read-only).
 
-        Built from spf on the first call, chunk by chunk, and kept on the
-        instance, so a table that is never asked for its primes holds no
-        prime list.
+        Read off omega and mu on the first call, chunk by chunk, and kept
+        on the instance, so a table that is never asked for its primes
+        holds no prime list.
         """
         primes = self.__dict__.get("_primes")
         if primes is None:
             primes = np.concatenate([
-                a + np.flatnonzero(self.spf[a:b] == np.arange(a, b, dtype=np.uint32))
+                a + np.flatnonzero((self.omega[a:b] == 1) & (self.mu[a:b] != 0))
                 for a, b in chunks(2, self.limit + 1)
             ]).astype(np.int64, copy=False)
             primes.setflags(write=False)
@@ -147,7 +149,7 @@ def build_sieve(limit: int) -> SieveTables:
     """Build SieveTables for 1..limit.
 
     The construction is deterministic plain integer sieving, so equal
-    limits give identical tables.  It holds about 6 bytes per integer.
+    limits give identical tables.  It holds about 2 bytes per integer.
 
     Raises:
         ConfigurationError: if limit is outside [2, 2**31].
@@ -163,74 +165,73 @@ def build_sieve(limit: int) -> SieveTables:
             f"{have / 2**20:.0f} MB available"
         )
 
-    # Descending, so each entry ends with its smallest prime; the entries
-    # no root prime touches (0, 1 and the primes) keep spf[n] = n.
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    for p in primes_up_to(isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-
+    roots = primes_up_to(isqrt(limit))
     omega = np.zeros(limit + 1, dtype=np.uint8)
     mu = np.zeros(limit + 1, dtype=np.int8)
     mu[1] = 1
     for a, b in chunks(2, limit + 1):
-        p = spf[a:b]
+        p = smallest_prime_factors(a, b, roots)
         q = np.arange(a, b, dtype=np.uint32) // p
-        new = spf[q] != p  # p does not divide q
+        new = q % p != 0  # p does not divide q
         omega[a:b] = omega[q] + new
         mu[a:b] = np.where(new, -mu[q], 0)
 
-    for arr in (spf, mu, omega):
+    for arr in (mu, omega):
         arr.setflags(write=False)
-    return SieveTables(limit=limit, spf=spf, mu=mu, omega=omega)
+    return SieveTables(limit=limit, mu=mu, omega=omega)
+
+
+def smallest_prime_factors(a: int, b: int, roots: np.ndarray) -> np.ndarray:
+    """spf[n - a], the smallest prime factor of n, for n in [a, b) (uint32).
+
+    0, 1 and the primes keep spf[n] = n.  roots holds at least the primes
+    up to isqrt(b - 1), ascending; they strike their multiples from p*p on
+    in descending order, so each n ends with its smallest prime.
+    """
+    spf = np.arange(a, b, dtype=np.uint32)
+    for p in roots[: np.searchsorted(roots, isqrt(b - 1), side="right")][::-1].tolist():
+        spf[max(p * p, -(-a // p) * p) - a :: p] = p
+    return spf
 
 
 def distinct_primes(n: int, tables: SieveTables) -> list[int]:
-    """Ordered distinct prime factors of n, via repeated spf division."""
+    """Ordered distinct prime factors of n <= limit, by trial division."""
     tables._check_range(n)
+    return _trial_divide(n, tables)
+
+
+def _trial_divide(m: int, tables: SieveTables) -> list[int]:
+    """The primes p of tables.primes() dividing m >= 1, ascending, then the
+    cofactor left (if > 1) once p*p exceeds it or the primes run out."""
     primes = []
-    m = n
-    while m > 1:
-        p = int(tables.spf[m])
-        primes.append(p)
-        while m % p == 0:
-            m //= p
-    return primes
+    for p in map(int, tables.primes()):
+        if p * p > m:
+            break
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    return primes + [m] if m > 1 else primes
 
 
 def factor_squarefree(m: int, tables: SieveTables) -> list[int]:
     """Distinct primes of a squarefree m, allowing m beyond the table limit.
 
-    Beyond the limit, falls back to trial division by sieved primes; that
-    covers exactly the m whose prime factors are all <= limit.
+    Trial division by the sieved primes covers exactly the m whose prime
+    factors are all <= limit, and those with one prime above limit, up to
+    limit**2: a cofactor with no prime <= limit is prime if it is <= limit**2.
 
     Raises:
         DomainError: if m is not squarefree or cannot be fully factored.
     """
     if m < 1:
         raise DomainError(f"m={m} must be a positive integer")
-    if m <= tables.limit:
-        if tables.mu[m] == 0:
-            raise DomainError(f"m={m} is not squarefree")
-        return distinct_primes(m, tables)
-    primes = []
-    rem = m
-    for p in map(int, tables.primes()):
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            rem //= p
-            if rem % p == 0:
-                raise DomainError(f"m={m} is not squarefree")
-            primes.append(p)
-    if rem > 1:
-        if rem > tables.limit * tables.limit or (
-            rem <= tables.limit and tables.spf[rem] != rem
-        ):
-            raise DomainError(
-                f"m={m} has a factor beyond the table limit {tables.limit}"
-            )
-        primes.append(rem)
-    return sorted(primes)
+    primes = _trial_divide(m, tables)
+    if prod(primes) != m:
+        raise DomainError(f"m={m} is not squarefree")
+    if primes and primes[-1] > tables.limit * tables.limit:
+        raise DomainError(f"m={m} has a factor beyond the table limit {tables.limit}")
+    return primes
 
 
 def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
@@ -257,11 +258,12 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
         raise RangeError(f"y or d outside table range 1..{tables.limit}")
     if not tables.mu[rem].all():
         raise DomainError("every d must be squarefree")
+    spf = smallest_prime_factors(0, rem.max() + 1, primes_up_to(isqrt(rem.max())))
     owner = np.arange(len(y))  # the entry each term belongs to
     quot = y  # y_i // a
     sign = np.ones(len(y), dtype=np.int64)  # lambda(a)
     while True:
-        p = tables.spf[rem].astype(np.int64)  # the next prime of d_i, 1 when none is left
+        p = spf[rem].astype(np.int64)  # the next prime of d_i, 1 when none is left
         if p.max() == 1:
             break
         rem //= p

@@ -6,11 +6,12 @@ where its value is the product of its values at the distinct primes.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, chunks
+from .sieve import SieveTables
 
 
 @dataclass(frozen=True)
@@ -61,31 +62,26 @@ class PrimeWeight:
 def _prime_product_table(upper: int, tables: SieveTables, factor) -> np.ndarray:
     """out[m] = product of factor(p) over the distinct primes p of m, m = 0..upper.
 
-    out[0] = out[1] = 1.  One chunked pass of n -> n / spf(n) over
-    tables.spf carries P(m), the largest prime of m, and rad(m), and sets
-    out[m] = out[rad(m) / P(m)] * factor(P(m)).  Every prime of rad(m) / P(m)
-    is below P(m), so the factors are multiplied in ascending prime order
+    out[0] = out[1] = 1; factor takes a float64 array of primes.  The primes
+    up to sqrt(upper) multiply into their multiples in ascending order.  An
+    m <= upper has at most one prime P above sqrt(upper), its largest (m =
+    s*P with s <= upper / P < P), so P multiplies last, at step s for every
+    P <= upper / s at once.  So the factors meet in ascending prime order
     and out[m] has the bits of the per-prime product; a non-squarefree m
-    gets the value of its radical.  P and rad are kept only up to upper / 2,
-    the largest n / spf(n).
+    gets the value of its radical.
     """
     if upper > tables.limit:
         raise RangeError(f"upper={upper} beyond table limit")
     out = np.ones(upper + 1)
-    half = upper // 2
-    big = np.zeros(half + 1, dtype=np.uint32)
-    rad = np.ones(half + 1, dtype=np.uint32)
-    spf = tables.spf
-    for a, b in chunks(2, upper + 1):
-        p = spf[a:b]
-        q = np.arange(a, b, dtype=np.uint32) // p
-        big_n = np.maximum(big[q], p)
-        rad_n = np.where(spf[q] != p, rad[q] * p, rad[q])
-        out[a:b] = out[rad_n // big_n] * factor(big_n.astype(np.float64))
-        if a <= half:
-            k = min(b, half + 1) - a
-            big[a : a + k] = big_n[:k]
-            rad[a : a + k] = rad_n[:k]
+    primes, root = tables.primes(), isqrt(upper)
+    cut, end = np.searchsorted(primes, [root, upper], side="right")
+    small, big = primes[:cut], primes[cut:end]
+    for p, f in zip(small.tolist(), factor(small.astype(np.float64)).tolist()):
+        out[p::p] *= f
+    f_big = factor(big.astype(np.float64))
+    for s in range(1, root + 1):
+        n = np.searchsorted(big, upper // s, side="right")
+        out[s * big[:n]] *= f_big[:n]
     return out
 
 

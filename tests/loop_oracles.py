@@ -8,7 +8,8 @@ These are the earlier production routes and the per-value references:
   to one m by a boolean mask (squarefree_coprime_count);
 - the class counts enumerate the divisors of each squarefree n (n-major),
   or count the squarefree cofactors of each squarefree d (d-major), one
-  boolean mask over the cofactor range per d;
+  boolean mask over the cofactor range per d; both take the primes of
+  every n from one strided pass per prime;
 - the inverse of the prime split (compose_decomposition), which must
   give the counts back;
 - the omega classes are a bincount of omega gathered over a length-x
@@ -27,7 +28,7 @@ import numpy as np
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
 from divisorlab.errors import DomainError
 from divisorlab.weights import PrimeWeight, g_table
-from divisorlab.sieve import SieveTables, distinct_primes, factor_squarefree, primes_up_to
+from divisorlab.sieve import SieveTables, factor_squarefree, primes_up_to
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -61,9 +62,9 @@ def loop_build_sieve(limit: int) -> SieveTables:
     mu[~squarefree] = 0
     mu[0] = 0
 
-    for arr in (spf, mu, omega):
+    for arr in (mu, omega):
         arr.setflags(write=False)
-    return SieveTables(limit=limit, spf=spf, mu=mu, omega=omega)
+    return SieveTables(limit=limit, mu=mu, omega=omega)
 
 
 def loop_g_table(upper: int) -> np.ndarray:
@@ -120,6 +121,15 @@ def squarefree_coprime_count(x: int, m: int, tables: SieveTables) -> int:
 # class counts; each returns the ClassCounts the production route returns
 
 
+def _prime_lists(x: int) -> list[list[int]]:
+    """lists[n], the ascending distinct primes of n for n = 0..x (lists[0] = [])."""
+    lists = [[] for _ in range(x + 1)]
+    for p in primes_up_to(x).tolist():
+        for n in range(p, x + 1, p):
+            lists[n].append(p)
+    return lists
+
+
 def _flag_of_map(ops):
     return {p: 1 << i for i, p in enumerate(ops)}
 
@@ -137,11 +147,12 @@ def full_n_major(x, ops, tables) -> ClassCounts:
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
     mu = tables.mu
+    primes_of = _prime_lists(x)
     out: Counter = Counter()
     for n in range(1, x + 1):
         if mu[n] == 0:
             continue
-        for _, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+        for _, om, fl in _divisor_triples(primes_of[n], flag_of):
             out[(om, fl)] += 1
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))
 
@@ -165,11 +176,12 @@ def _d_major(x, lo_of, r, ops, tables) -> ClassCounts:
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
     mu = tables.mu
+    primes_of = _prime_lists(r)
     out: Counter = Counter()
     for d in range(1, r + 1):
         if mu[d] == 0:
             continue
-        primes = distinct_primes(d, tables)
+        primes = primes_of[d]
         cnt = squarefree_coprime_count_range(lo_of(d), x // d, primes, tables)
         if cnt:
             fl = 0
@@ -192,12 +204,13 @@ def small_n_major(x, k, ops, tables) -> ClassCounts:
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
     mu = tables.mu
+    primes_of = _prime_lists(x)
     out: Counter = Counter()
     for n in range(1, x + 1):
         if mu[n] == 0:
             continue
         r_n = integer_kth_root(n, k)
-        for val, om, fl in _divisor_triples(distinct_primes(n, tables), flag_of):
+        for val, om, fl in _divisor_triples(primes_of[n], flag_of):
             if val <= r_n:
                 out[(om, fl)] += 1
     return ClassCounts(x=x, override_primes=ops, classes=dict(out))

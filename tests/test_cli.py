@@ -34,6 +34,22 @@ def test_ratio_rejects_bad_k(capsys):
     assert "k=1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["adbc", "--x", "1000", "--prime", "1"],
+    ["adbc", "--x", "1000", "--prime", "0"],
+    ["adbc", "--x", "1009", "--prime", "-1"],  # 1009 is prime: omega[-1] == 1
+    ["monotone", "--x", "1000", "--prime", "0"],
+    ["gamma-lemma", "--n", "1000", "--f", "h_table", "--prime", "1"],
+    ["selberg", "--x", "1", "--z", "2"],
+    ["selberg", "--x", "1", "--z", "2", "--weighted"],
+])
+def test_bad_prime_or_grid_is_an_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run(capsys, "ratio", "--x", "10", "--sideways")
     assert code == 1

@@ -516,3 +516,18 @@ def test_method_validation(tables_small):
     assert parse_and_dispatch(["adbc", "--x", "100", "--prime", "4"]) == 1
     with pytest.raises(DomainError):
         ds.full_class_counts(100, (3, 3), tables_small)  # a prime twice
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_zero_one_and_negative_keys_are_not_primes(p):
+    # 1009 is prime, so omega[-1] == omega[1009] == 1 on this table
+    tables = build_sieve(1009)
+    w = PrimeWeight(0.3, k_context=3)
+    with pytest.raises(DomainError):
+        ds.full_class_counts(100, (p,), tables)
+    with pytest.raises(DomainError):
+        ds.small_class_counts(100, 3, (p,), tables)
+    with pytest.raises(DomainError):
+        ds.h_series(100, w, p, tables)
+    with pytest.raises(DomainError):
+        ds.abcd(100, 3, w, p, tables)

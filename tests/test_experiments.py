@@ -240,6 +240,16 @@ def test_selberg_trend_weighted_z1(tables_small):
     assert rep.observed[-1] == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_selberg_trend_rejects_grid_points_below_two(tables_small, weighted):
+    # the predictor x log^(z-1) x is 0 at x = 1
+    with pytest.raises(RangeError):
+        ex.selberg_trend(2.0, weighted, [1], tables_small)
+    with pytest.raises(RangeError):
+        ex.selberg_trend(1.7, weighted, [1, 100, 1000], tables_small)
+    assert ex.selberg_trend(2.0, weighted, [2], tables_small).observed[0] > 0
+
+
 def test_selberg_trend_short_grid_is_informational(tables_small):
     rep = ex.selberg_trend(2.0, False, [1000, 10**4], tables_small)
     assert rep.verdict == "informational"

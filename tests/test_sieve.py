@@ -16,6 +16,7 @@ from divisorlab.sieve import (
     omega_class_counts,
     primes_up_to,
 )
+import loop_oracles as oracle
 from loop_oracles import loop_build_sieve, squarefree_coprime_count, squarefree_coprime_count_range
 
 
@@ -60,8 +61,26 @@ def test_mu_matches_trial_division_oracle(tables_small):
 
 def test_smallest_case():
     t = build_sieve(2)
-    assert t.spf[1] == 1 and t.spf[2] == 2
+    assert t.primes().tolist() == [2]
+    assert [t.is_prime(n) for n in (-1, 0, 1, 2, 3)] == [False, False, False, True, False]
     assert t.omega[1] == 0 and t.omega[2] == 1
+
+
+def test_is_prime_matches_trial_division():
+    tables = build_sieve(1009)  # prime: omega[-1] == 1 and mu[-1] == -1
+    assert not tables.is_prime(-1) and not tables.is_prime(1010)
+    assert [n for n in range(1010) if tables.is_prime(n)] == [
+        n for n in range(2, 1010) if trial_factor(n) == [n]
+    ]
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0, 2), (0, 100), (2, 3), (97, 98), (1000, 1300), (2**18 - 7, 2**18 + 600)]
+)
+def test_smallest_prime_factors_of_a_segment(a, b):
+    spf = sieve.smallest_prime_factors(a, b, primes_up_to(math.isqrt(b)))
+    assert spf.dtype == np.uint32
+    assert spf.tolist() == [n if n < 2 else trial_factor(n)[0] for n in range(a, b)]
 
 
 def test_omega_30(tables_small):
@@ -70,12 +89,12 @@ def test_omega_30(tables_small):
 
 def test_prime_rows(tables_small):
     for p in (2, 3, 5, 7, 97, 9973):
-        assert tables_small.spf[p] == p
+        assert tables_small.is_prime(p)
         assert tables_small.mu[p] == -1
         assert tables_small.omega[p] == 1
 
 
-def test_omega_matches_spf_walk(tables_small):
+def test_omega_matches_trial_division(tables_small):
     for n in range(2, 3000):
         assert tables_small.omega[n] == len(distinct_primes(n, tables_small))
 
@@ -101,10 +120,11 @@ def test_distinct_primes_examples(tables_small):
 
 
 def test_distinct_primes_reconstructs(tables_small):
+    lists = oracle._prime_lists(2000)  # where the n- and d-major oracles read primes
     for n in range(2, 2000):
         primes = distinct_primes(n, tables_small)
         assert primes == sorted(primes) == sorted(set(primes))
-        assert primes == trial_factor(n)
+        assert primes == trial_factor(n) == lists[n]
 
 
 def test_limit_validation():
@@ -211,7 +231,7 @@ def test_squarefree_density_classical_bound(tables_small):
 
 def test_build_is_deterministic(tables_small):
     again = build_sieve(10**4)
-    assert np.array_equal(again.spf, tables_small.spf)
+    assert np.array_equal(again.primes(), tables_small.primes())
     assert np.array_equal(again.mu, tables_small.mu)
     assert np.array_equal(again.omega, tables_small.omega)
 
@@ -226,6 +246,12 @@ def test_factor_squarefree_beyond_limit(tables_small):
     assert factor_squarefree(6 * (10**4 + 7), tables_small) == [2, 3, 10**4 + 7]
     with pytest.raises(DomainError):
         factor_squarefree(4 * (10**4 + 7), tables_small)
+    # a cofactor with no prime <= limit is certified prime only up to limit**2
+    assert factor_squarefree(99999989, tables_small) == [99999989]  # past 9973**2
+    with pytest.raises(DomainError):
+        factor_squarefree(10007 * 10009, tables_small)
+    with pytest.raises(DomainError):
+        factor_squarefree(0, tables_small)
 
 
 def test_primes_up_to():
@@ -251,7 +277,7 @@ def test_primes_equal_primes_up_to(limit):
 
 def assert_tables_equal(got, want):
     assert got.limit == want.limit
-    for name in ("spf", "mu", "omega"):
+    for name in ("mu", "omega"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -289,16 +315,31 @@ def test_chunks_read_only_finished_entries():
 
 
 def test_memory_guard_rejects_before_allocating():
-    with mock.patch.object(sieve, "_available_bytes", return_value=8 * 2**30):
+    with mock.patch.object(sieve, "_available_bytes", return_value=2 * 2**30):
         tracemalloc.start()
         try:
-            with pytest.raises(RangeError, match=r"needs about 12296 MB; 8192 MB available"):
+            with pytest.raises(RangeError, match=r"needs about 4104 MB; 2048 MB available"):
                 build_sieve(2**31)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         assert build_sieve(1000).limit == 1000
+
+
+def test_build_peak_stays_below_three_bytes_per_integer():
+    # mu and omega hold 2 bytes per integer; spf lives one chunk at a time
+    limit = 2**23
+    tracemalloc.start()
+    try:
+        tables = build_sieve(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    need = sieve._BYTES_PER_INT * (limit + 1) + sieve._BYTES_PER_CHUNK_INT * sieve.CHUNK
+    assert peak < 3 * limit
+    assert peak < need
+    assert tables.limit == limit
 
 
 def test_memory_guard_needs_a_known_figure():

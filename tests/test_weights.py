@@ -104,11 +104,13 @@ def test_e_bound_sweep_vectorized(tables_small):
     assert np.all(table[idx] < 2.0 * tau[idx] ** (2.0 / 3.0))
 
 
-# Every chunk edge of the recurrence +-1, and the upper / 2 edge of its
-# carried arrays, all read from one table.
+# Powers of two and multiples of CHUNK +-1, and p**2 - 1, p**2 and
+# p**2 + 1, where the primes split at sqrt(upper) gain or lose one; all
+# read from one table.
 PRODUCT_UPPERS = sorted(
     {2**k + d for k in range(1, 20) for d in (-1, 0, 1)}
     | {m * CHUNK + d for m in (1, 2, 3) for d in (-1, 1)}
+    | {p * p + d for p in (2, 3, 5, 7, 31, 881) for d in (-1, 0, 1)}
 )
 PRODUCT_TABLES = build_sieve(3 * CHUNK + 1)
 
