@@ -14,20 +14,20 @@ abcd_from_counts weight a given pair of full and small counts (for a split
 at p, counts_for_split builds them over the override set plus p), and
 ratio and abcd are the wrappers that count first.  Each count has one
 route: the full counts spread sieve.omega_flag_histogram -- the one
-kernel that counts squarefree n by omega and override flags, also behind
+count of squarefree n by omega and override flags, read from the table's
+prefix index at the floor values x // b, also behind
 sieve.omega_class_counts and euler.selberg_exact -- over divisor classes,
 and the small ones take, for all squarefree d <= x**(1/k) at once, the
 squarefree cofactors coprime to d from sieve.coprime_squarefree_counts
 and bin them by the class of d.  The per-n and per-d enumerations they
 are checked against live in the tests.
 
-Each table keeps the last few counts it was asked for (SieveTables.memo,
-keyed by ("full", x) or ("small", x, k) and the override set), so a scan
-that asks again at the same x counts once.  A request is served from an
-entry over the same override primes, or else projected from one over a
-superset: each class keeps the flag bits of the requested primes, and the
-classes that then coincide add their counts, an exact integer fold.
-Callers get their own dicts, never the memo's.
+The per-d counts of the small route do not depend on the override set,
+so each table keeps the last few of them (SieveTables.memo, keyed by
+("small", x, k)) and bins them by (omega(d), flags) on every request: a
+scan that asks again at the same x and k, over any override primes,
+counts once.  The full counts cost a few lookups and are not kept.
+Callers get their own dicts.
 """
 
 from collections import Counter
@@ -166,8 +166,7 @@ def full_class_counts(
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    classes = _remembered(tables, ("full", x), ops, lambda: _full_omega_identity(x, ops, tables))
-    return ClassCounts(x=x, override_primes=ops, classes=classes)
+    return ClassCounts(x=x, override_primes=ops, classes=dict(_full_omega_identity(x, ops, tables)))
 
 
 def _full_omega_identity(x, ops, tables) -> Counter:
@@ -193,6 +192,8 @@ def small_class_counts(
 
     Each squarefree d <= x**(1/k) counts its squarefree cofactors m coprime
     to d with d**k <= d*m <= x, all d at once by coprime_squarefree_counts.
+    The per-d counts are kept per (x, k) and binned by the class of d on
+    each request.
     """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
@@ -200,12 +201,18 @@ def small_class_counts(
         raise DomainError(f"k={k} must be >= 2")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    classes = _remembered(tables, ("small", x, k), ops, lambda: _small_coprime_ranks(x, k, ops, tables))
+    d, pairs = _remembered(tables, ("small", x, k), lambda: _small_coprime_ranks(x, k, tables))
+    key = tables.omega[d].astype(np.int64)
+    for i, p in enumerate(ops):
+        key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
+    # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
+    counts = np.bincount(key, weights=pairs)
+    classes = {(int(b) & 15, int(b) >> 4): int(counts[b]) for b in np.flatnonzero(counts)}
     return ClassCounts(x=x, override_primes=ops, classes=classes)
 
 
-def _small_coprime_ranks(x, k, ops, tables) -> dict:
-    """The classes of small_class_counts, binned by (omega(d), flags(d)).
+def _small_coprime_ranks(x, k, tables) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree d <= x**(1/k) and the pairs (d, m) of each (float64).
 
     n = d*m with d**k <= n <= x means m in [d**(k-1), x // d], so d adds
     Q(x // d; d) - Q(d**(k-1) - 1; d) pairs; both ranks of every d come
@@ -216,54 +223,32 @@ def _small_coprime_ranks(x, k, ops, tables) -> dict:
     ranks = coprime_squarefree_counts(
         np.concatenate([x // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
     ).reshape(2, -1)
-    key = tables.omega[d].astype(np.int64)
-    for i, p in enumerate(ops):
-        key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
-    # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
-    counts = np.bincount(key, weights=(ranks[0] - ranks[1]).astype(np.float64))
-    return {(int(b) & 15, int(b) >> 4): int(counts[b]) for b in np.flatnonzero(counts)}
+    pairs = (ranks[0] - ranks[1]).astype(np.float64)
+    for arr in (d, pairs):
+        arr.setflags(write=False)
+    return d, pairs
 
 
-# Class counts a table keeps (in SieveTables.memo): enough for what a few
-# ratios, a prime split, a scan and a trend ask for at a handful of x.
+# Small-count entries a table keeps (in SieveTables.memo): enough for what
+# a few ratios, a prime split, a scan and a trend ask for at a handful of x.
 _MEMO_ENTRIES = 32
 
 
-def _remembered(tables: SieveTables, key: tuple, ops: tuple[int, ...], count) -> dict:
-    """The classes at key over ops, from the table's memo or else from count().
+def _remembered(tables: SieveTables, key: tuple, count):
+    """The value at key in the table's memo, or else count(), then kept.
 
-    An entry over the same ops is copied; failing that, the entry over the
-    fewest ops that include these is projected onto them.  Only counted
-    classes are kept, at most _MEMO_ENTRIES of them, the least recently
-    used going first.  The caller always gets a dict of its own.
+    At most _MEMO_ENTRIES values are kept, the least recently used going
+    first.  Callers read the kept value itself, so count() returns
+    read-only arrays.
     """
     memo = tables.memo
-    if (key, ops) in memo:
-        memo.move_to_end((key, ops))
-        return dict(memo[key, ops])
-    supersets = [o for k, o in memo if k == key and set(ops) <= set(o)]
-    if supersets:
-        sup = min(supersets, key=len)
-        memo.move_to_end((key, sup))
-        return _project(memo[key, sup], sup, ops)
-    classes = dict(count())
-    memo[key, ops] = classes
+    if key in memo:
+        memo.move_to_end(key)
+        return memo[key]
+    value = memo[key] = count()
     if len(memo) > _MEMO_ENTRIES:
         memo.popitem(last=False)
-    return dict(classes)
-
-
-def _project(classes: dict, ops: tuple[int, ...], sub: tuple[int, ...]) -> dict:
-    """Classes over ops folded onto the subset sub of ops.
-
-    A class keeps omega and the flag bits of the primes in sub; classes
-    that then share a key merge, and their counts add.
-    """
-    bits = [1 << ops.index(p) for p in sub]
-    out: Counter = Counter()
-    for (om, fl), count in classes.items():
-        out[(om, sum(1 << j for j, b in enumerate(bits) if fl & b))] += count
-    return dict(out)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,22 @@ chunk, and mu and omega follow by the recurrence n -> n / spf(n) (Gries
 and Misra, CACM 21, 1978).  Every aggregate in the package reads these
 tables; they are written once and frozen.
 
-Counts of squarefree integers up to y are read from a rank index over
-mu (Jacobson, "Space-efficient static trees and graphs", FOCS 1989),
-and the count of those coprime to a squarefree d follows from them by
-the Liouville-signed sum of coprime_squarefree_counts.
+Counts of squarefree integers up to y, in all and by omega, are read
+from a prefix index over the tables (in the manner of Jacobson's rank
+index, "Space-efficient static trees and graphs", FOCS 1989).  The
+count of those coprime to a squarefree d follows from them by the
+Liouville-signed sum of coprime_squarefree_counts, and the histogram of
+squarefree n <= x by omega and override flags by the same expansion
+over the override primes, one lookup per distinct floor value x // b.
 """
 
+import mmap
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import isqrt, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, RangeError
 
@@ -40,16 +45,21 @@ class SieveTables:
         mu: int8 array; mu[n] is the Mobius function (0 on non-squarefree n).
         omega: uint8 array; omega[n] counts distinct prime divisors.
             omega(n) <= 9 for n <= 2**31, since the product of the first
-            ten primes exceeds 2**31; omega_flag_histogram packs omega
-            into 4 bits on that bound.
+            ten primes exceeds 2**31; squarefree_omega_rank and
+            omega_flag_histogram keep ten omega rows on that bound.
         memo: values derived from the tables that an aggregate keeps for
-            later requests (divisor_sums keeps a bounded number of class
-            counts here); it dies with the table.
+            later requests (divisor_sums keeps the per-d small counts of
+            a bounded number of (x, k) here); it dies with the table.
 
-    The first squarefree_rank call also builds a rank index over mu and
-    keeps it: a bitmap of the squarefree n <= limit in uint64 words and a
-    uint32 count of the squarefree n below each word, about 0.19 bytes
-    per integer (1.9 MB at 1e7).
+    The first squarefree_rank or squarefree_omega_rank call also builds a
+    prefix index over mu and omega and keeps it: a bitmap of the
+    squarefree n <= limit in uint64 words and, per block of 256 integers,
+    the count of squarefree n below the block with omega(n) <= j for each
+    j from 1 to the largest omega in the table (8 from 9699690 to
+    223092869), a uint32 per 2**16 integers and a uint16 within.  That is
+    (32 + 2 * 8) / 256 = 0.1875 bytes per integer and a little more for
+    the uint32s (1.88 MB at 1e7).  A request whose index would not fit
+    in the available memory raises RangeError before it allocates.
     """
 
     limit: int
@@ -82,21 +92,80 @@ class SieveTables:
         """Q(y), the number of squarefree n <= y, at every entry of y (int64).
 
         y holds integers in [0, limit].  Q(y) is the count of squarefree n
-        below y's word plus the set bits of the word up to bit y mod 64.
+        below y's block plus the set bits of the block's words up to y.
         """
-        index = self.__dict__.get("_rank_index")
-        if index is None:
-            index = _squarefree_rank_index(self.mu)
-            self.__dict__["_rank_index"] = index  # frozen: bypass __setattr__
-        words, below = index
+        words, high, low = self._prefix_index()
         y = np.asarray(y, dtype=np.int64)
         flat = y.reshape(-1)  # array arithmetic: the wrap below is silent
         w = flat >> 6
-        # Bits 0..y mod 64: at y mod 64 = 63 the shift wraps to 0 and the
-        # subtraction to all ones.
-        mask = (np.uint64(2) << (flat & 63).astype(np.uint64)) - np.uint64(1)
-        rank = below[w].astype(np.int64) + np.bitwise_count(words[w] & mask)
+        rank = high[-1][flat >> 16].astype(np.int64)
+        rank += low[-1][w >> 2]
+        # Bits 0..y mod 64 of y's word: at y mod 64 = 63 the shift wraps
+        # to 0 and the subtraction to all ones.
+        bits = (np.uint64(2) << (flat & 63).astype(np.uint64)) - np.uint64(1)
+        bits &= words[w]
+        rank += np.bitwise_count(bits)
+        del bits
+        lane = (w & 3).astype(np.uint8)
+        for i in range(1, _BLOCK // 64):  # the whole words of the block before y's
+            w -= 1
+            rank += np.bitwise_count(words[w]) * (lane >= i)
         return rank.reshape(y.shape)
+
+    def squarefree_omega_rank(self, y: np.ndarray) -> np.ndarray:
+        """N_j(y), the number of squarefree n <= y with omega(n) = j (int64).
+
+        y is a 1-D array of integers in [0, limit]; row i of the result
+        holds N_0(y_i) .. N_9(y_i).  The count of squarefree n <= y with
+        omega(n) <= j is the count below y's block plus that of the
+        block's entries up to y, at most 256 bytes of mu and omega.
+        """
+        _, high, low = self._prefix_index()
+        y = np.asarray(y, dtype=np.int64)
+        cols = len(low)
+        at_most = np.zeros((_OMEGA_ROWS, len(y)), dtype=np.int64)
+        at_most[0] = y >= 1  # omega(n) = 0 only at n = 1
+        at_most[1 : cols + 1] = high[:, y >> 16]
+        at_most[1 : cols + 1] += low[:, y >> 8]
+        for lo in range(0, len(y), _QUERY_ROWS):  # bounds the block rows
+            part = slice(lo, lo + _QUERY_ROWS)
+            rows = self._block_keys(y[part])
+            for j in range(1, cols + 1):
+                at_most[j, part] += _rows_at_most(rows, j)
+        at_most[cols + 1 :] = at_most[cols]
+        return np.diff(at_most, axis=0, prepend=0).T
+
+    def _block_keys(self, y: np.ndarray) -> np.ndarray:
+        """Row i holds omega(n) for the squarefree n of y_i's block up to
+        y_i, and 255 in every other of its 256 bytes (uint8)."""
+        start = y & -_BLOCK
+        # the window of a block that the table ends inside ends at limit;
+        # a table of fewer than 256 entries is read whole
+        base = np.maximum(np.minimum(start, len(self.mu) - _BLOCK), 0)
+        width = min(_BLOCK, len(self.mu))
+        rows = np.full((len(y), _BLOCK), 255, dtype=np.uint8)
+        rows[:, :width] = sliding_window_view(self.omega, width)[base]
+        squarefree = sliding_window_view(self.mu, width)[base] != 0
+        rows[:, :width] |= squarefree.view(np.uint8) - np.uint8(1)
+        at = np.arange(_BLOCK, dtype=np.uint8)
+        outside = (at < (start - base).astype(np.uint8)[:, None]) | (at > (y - base).astype(np.uint8)[:, None])
+        rows |= np.uint8(0) - outside.view(np.uint8)
+        return rows
+
+    def _prefix_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table's prefix index, built on the first call and kept."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            need = _index_bytes(self.limit)
+            have = _available_bytes()
+            if have is not None and need > have:
+                raise RangeError(
+                    f"the prefix index of a {self.limit} table needs about "
+                    f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
+                )
+            index = _build_prefix_index(self.mu, self.omega)
+            self.__dict__["_index"] = index  # frozen: bypass __setattr__
+        return index
 
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -117,20 +186,108 @@ def chunks(lo: int, hi: int):
         a = b
 
 
-def _squarefree_rank_index(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(words, below): bit n % 64 of words[n // 64] is set iff mu[n] != 0,
-    and below[i] counts the set bits of words[:i].  Packed chunk by chunk,
-    so no boolean array of length limit is made."""
-    words = np.zeros(len(mu) // 64 + 1, dtype="<u8")
+# The prefix index: integers per block and per superblock, the rows of
+# N_j(y) (omega(n) <= 9 for n <= 2**31: the product of the first ten primes
+# exceeds 2**31), and y values whose block rows one pass reads at a time.
+_BLOCK = 256
+_SUPER = 2**16
+_OMEGA_ROWS = 10
+_QUERY_ROWS = 2**12
+# Integers per pass of the index build, whole superblocks.
+_INDEX_CHUNK = 4 * _SUPER
+_PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870)
+
+
+def _omega_columns(limit: int) -> int:
+    """The largest omega(n) of n <= limit: the primorials up to limit."""
+    return sum(q <= limit for q in _PRIMORIALS)
+
+
+def _index_bytes(limit: int) -> int:
+    """What _build_prefix_index holds at its peak for a table of limit."""
+    blocks = limit // _BLOCK + 1
+    cols = _omega_columns(limit)
+    kept = blocks * (_BLOCK // 8 + 2 * cols) + (limit // _SUPER + 1) * 4 * cols
+    # a pass holds mu != 0, its packed bits, the keys and one comparison
+    return kept + 4 * _INDEX_CHUNK
+
+
+def _rows_at_most(rows: np.ndarray, j: int) -> np.ndarray:
+    """The number of entries <= j in each 256-byte row of rows (int64).
+
+    A row's comparisons pack into four uint64 words, whose popcounts are
+    the four bytes of one uint32.  They add up to at most 192: 64 of any
+    256 consecutive integers are multiples of 4, so at most 192 entries
+    of a row are squarefree keys <= j.
+    """
+    bits = np.packbits(rows <= j, bitorder="little").view(np.uint64)
+    return _lane_sums(np.bitwise_count(bits).view(np.uint32))
+
+
+def _lane_sums(words: np.ndarray) -> np.ndarray:
+    """The sum of the four bytes of each uint32 word (int64).
+
+    The multiply adds the bytes up into the top byte, exactly when their
+    sum is below 256, as for the counts of one 256-integer block.
+    """
+    return ((words * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
+
+
+def _mapped_zeros(shape, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous mapping of its own, freed with it.
+
+    The prefix index outlives the temporaries of every later call.  Taken
+    from the malloc heap, it can sit on top of the heap and keep the
+    length-x temporaries freed below it resident: after the series layer
+    on a 1e7 table, a 1.9 MB index so kept 8 MB more resident.
+    """
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape))
+    return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype, count=size).reshape(shape)
+
+
+def _build_prefix_index(mu: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, high, low) over the table, in passes of _INDEX_CHUNK integers.
+
+    Bit n % 64 of words[n // 64] is set iff mu[n] != 0, four words to a
+    block of 256 integers.  With L_j(b) the count of squarefree n below
+    block b with omega(n) <= j, high[j - 1, s] is L_j at the first block of
+    superblock s (2**16 integers) and low[j - 1, b] is L_j(b) less that,
+    for j = 1 .. cols; row cols counts every squarefree n.
+    """
+    blocks = (len(mu) - 1) // _BLOCK + 1
+    cols = _omega_columns(len(mu) - 1)
+    per_super = _SUPER // _BLOCK
+    words = _mapped_zeros(blocks * _BLOCK // 64, "<u8")
     raw = words.view(np.uint8)  # little-endian words: byte j holds bits 8j..8j+7
-    for a in range(0, len(mu), CHUNK):  # CHUNK is a multiple of 64
-        packed = np.packbits(mu[a : a + CHUNK] != 0, bitorder="little")
+    high = _mapped_zeros((cols, (blocks - 1) // per_super + 1), np.uint32)
+    low = _mapped_zeros((cols, blocks), np.uint16)
+    below = np.zeros((cols, 1), dtype=np.int64)  # L at the pass's first block
+    for a in range(0, len(mu), _INDEX_CHUNK):
+        squarefree = mu[a : a + _INDEX_CHUNK] != 0
+        packed = np.packbits(squarefree, bitorder="little")
         raw[a // 8 : a // 8 + len(packed)] = packed
-    below = np.zeros(len(words), dtype=np.uint32)
-    np.cumsum(np.bitwise_count(words[:-1]), dtype=np.uint32, out=below[1:])
-    for arr in (words, below):
+        # omega where squarefree, else 255
+        keys = np.empty(-(-len(squarefree) // _BLOCK) * _BLOCK, dtype=np.uint8)
+        keys[len(squarefree) :] = 255
+        np.subtract(squarefree.view(np.uint8), 1, out=keys[: len(squarefree)])
+        keys[: len(squarefree)] |= omega[a : a + _INDEX_CHUNK]
+        rows = keys.reshape(-1, _BLOCK)
+        b = a // _BLOCK
+        counts = np.empty((cols, len(rows)), dtype=np.int64)
+        counts[-1] = _lane_sums(np.bitwise_count(words[4 * b : 4 * (b + len(rows))]).view(np.uint32))
+        for j in range(1, cols):
+            counts[j - 1] = _rows_at_most(rows, j)
+        at = np.cumsum(counts, axis=1)
+        at -= counts
+        at += below
+        below = at[:, -1:] + counts[:, -1:]
+        opens = at[:, ::per_super]
+        high[:, a // _SUPER : a // _SUPER + opens.shape[1]] = opens
+        low[:, b : b + len(rows)] = at - np.repeat(opens, per_super, axis=1)[:, : len(rows)]
+    for arr in (words, high, low):
         arr.setflags(write=False)
-    return words, below
+    return words, high, low
 
 
 def _available_bytes() -> int | None:
@@ -284,54 +441,54 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
     return np.bincount(owner, weights=terms, minlength=len(y)).astype(np.int64).reshape(shape)
 
 
-# Integers per block of omega_flag_histogram: its key and the bincount's
-# int64 copy of it stay near 2 MB, so a count adds little to the peak.
-_HIST_BLOCK = CHUNK
-
-
 def omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
     """Counts of squarefree n <= x by omega(n) and the override primes dividing n.
 
     Returns an int64 array h of shape (16, 2**r), r = len(ops): h[i, f] counts
     the squarefree n <= x with omega(n) = i that are divisible by ops[j]
     exactly for the bits j set in f.  ops are distinct primes; rows 10-15
-    are zero.
+    are zero (omega(n) <= 9 for n <= 2**31).
 
-    The key omega(n) | flags(n) << 4 is built block by block in the
-    narrowest unsigned type that holds it, so no array of length x is made.
-    The 4 bits rest on omega(n) <= 9 for n <= 2**31 (the product of the
-    first ten primes exceeds 2**31): the unused value 15 marks the n that
-    are not squarefree, and their row is dropped after counting.  Byte keys
-    (r <= 4) are counted two at a time: a uint16 view of the block indexes
-    65,536 bins, whose row and column sums are the counts of the two bytes.
+    The squarefree n divisible by the primes of a set T and coprime to
+    the other primes of T's product t are n = t*m, m coprime to t, with the
+    generating function prod_{p | t} (1 + z p**-s)**-1 over all squarefree
+    m.  So with b over the products of override primes (Omega(b) <= 9, as
+    no row i >= 10 is kept),
+
+        G[i, supp(b)] += (-1)**Omega(b) * N_{i - Omega(b)}(x // b)
+
+    gives (-1)**|T| times the count of those n with omega(n) = i divisible
+    by all of T, and h[i, S] = (-1)**|S| * sum over T >= S of G[i, T], a
+    superset sum over the 2**r masks.  N is SieveTables.squarefree_omega_rank,
+    read once per distinct x // b (at most 2 * sqrt(x) of them).
     """
     r = len(ops)
-    bins = 16 << r
-    pairs = r <= 4
-    dtype = np.uint8 if pairs else np.uint16 if r <= 12 else np.uint32
-    counts = np.zeros(1 << 16 if pairs else bins, dtype=np.int64)
-    odd = np.zeros(256, dtype=np.int64)  # the last byte of odd-length blocks
-    block = max(_HIST_BLOCK, bins)  # no block shorter than its histogram
-    for lo in range(1, x + 1, block):
-        hi = min(lo + block, x + 1)
-        key = (tables.mu[lo:hi] == 0).astype(dtype)
-        key *= 15
-        key |= tables.omega[lo:hi]
-        for i, q in enumerate(ops):
-            key[(-lo) % q :: q] |= 1 << (4 + i)
-        if pairs:
-            even = len(key) & ~1
-            counts += np.bincount(key[:even].view(np.uint16), minlength=1 << 16)
-            if even < len(key):
-                odd[key[-1]] += 1
-        else:
-            counts += np.bincount(key, minlength=bins)
-    if pairs:
-        counts = counts.reshape(256, 256)
-        counts = (counts.sum(axis=0) + counts.sum(axis=1) + odd)[:bins]
-    counts = counts.reshape(1 << r, 16).T  # row omega, column flags
-    counts[15] = 0
-    return counts
+    # the b of each Omega(b), each b once: its primes in ascending index
+    level = (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    levels = [level]  # (b, index of b's last prime, supp(b) as bits)
+    for _ in range(1, _OMEGA_ROWS):
+        b, last, supp = level
+        grown = []
+        for q, p in enumerate(ops):
+            more = np.flatnonzero((last <= q) & (b <= x // p))
+            grown.append((b[more] * p, np.full(len(more), q), supp[more] | 1 << q))
+        if not sum(len(g[0]) for g in grown):
+            break
+        level = tuple(np.concatenate(col) for col in zip(*grown))
+        levels.append(level)
+    y, at = np.unique(np.concatenate([x // b for b, _, _ in levels]), return_inverse=True)
+    counts = tables.squarefree_omega_rank(y)
+    hist = np.zeros((1 << r, 16), dtype=np.int64)  # G, then h, mask-major
+    lo = 0
+    for e, (b, _, supp) in enumerate(levels):
+        terms = counts[at[lo : lo + len(b)], : _OMEGA_ROWS - e]
+        lo += len(b)
+        np.add.at(hist, (supp[:, None], np.arange(e, _OMEGA_ROWS)), -terms if e & 1 else terms)
+    for j in range(r):
+        pairs = hist.reshape(-1, 2, 16 << j)
+        pairs[:, 0] += pairs[:, 1]
+    hist *= 1 - 2 * (np.bitwise_count(np.arange(1 << r)) & 1).astype(np.int64)[:, None]
+    return hist.T
 
 
 def omega_class_counts(x: int, tables: SieveTables) -> dict[int, int]:

@@ -13,7 +13,8 @@ These are the earlier production routes and the per-value references:
 - the inverse of the prime split (compose_decomposition), which must
   give the counts back;
 - the omega classes are a bincount of omega gathered over a length-x
-  squarefree mask;
+  squarefree mask, and the (omega, flags) histogram counts one key per
+  n <= x, block by block (blocked_omega_flag_histogram);
 - the census walks all k**omega(n) assignments of primes to slots;
 - the series terms are built from whole-length temporaries, and the
   Kolmogorov distance evaluates math.erf at every sample point.
@@ -234,6 +235,50 @@ def omega_class_counts_masked(x, tables) -> dict[int, int]:
     mask = tables.mu[1 : x + 1] != 0
     counts = np.bincount(tables.omega[1 : x + 1][mask])
     return {int(j): int(c) for j, c in enumerate(counts) if c > 0}
+
+
+# Integers per block of blocked_omega_flag_histogram: its key and the
+# bincount's int64 copy of it stay near 2 MB.
+HIST_BLOCK = 2**18
+
+
+def blocked_omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
+    """sieve.omega_flag_histogram by one pass over n <= x.
+
+    The key omega(n) | flags(n) << 4 is built block by block in the
+    narrowest unsigned type that holds it; the unused omega value 15 marks
+    the n that are not squarefree, and their row is dropped after counting.
+    Byte keys (r <= 4) are counted two at a time: a uint16 view of the
+    block indexes 65,536 bins, whose row and column sums are the counts of
+    the two bytes.
+    """
+    r = len(ops)
+    bins = 16 << r
+    pairs = r <= 4
+    dtype = np.uint8 if pairs else np.uint16 if r <= 12 else np.uint32
+    counts = np.zeros(1 << 16 if pairs else bins, dtype=np.int64)
+    odd = np.zeros(256, dtype=np.int64)  # the last byte of odd-length blocks
+    block = max(HIST_BLOCK, bins)  # no block shorter than its histogram
+    for lo in range(1, x + 1, block):
+        hi = min(lo + block, x + 1)
+        key = (tables.mu[lo:hi] == 0).astype(dtype)
+        key *= 15
+        key |= tables.omega[lo:hi]
+        for i, q in enumerate(ops):
+            key[(-lo) % q :: q] |= 1 << (4 + i)
+        if pairs:
+            even = len(key) & ~1
+            counts += np.bincount(key[:even].view(np.uint16), minlength=1 << 16)
+            if even < len(key):
+                odd[key[-1]] += 1
+        else:
+            counts += np.bincount(key, minlength=bins)
+    if pairs:
+        counts = counts.reshape(256, 256)
+        counts = (counts.sum(axis=0) + counts.sum(axis=1) + odd)[:bins]
+    counts = counts.reshape(1 << r, 16).T  # row omega, column flags
+    counts[15] = 0
+    return counts
 
 
 # ---------------------------------------------------------------------------

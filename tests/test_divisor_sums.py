@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -140,18 +141,25 @@ differential = settings(max_examples=50, deadline=None, derandomize=True)
 
 @differential
 @given(x=st.integers(1, DIFF_LIMIT), ops=override_sets)
-# block edges and odd tails of 2**18-integer blocks, byte keys (r <= 4)
-# counted in pairs and uint16 keys (r = 5)
+# the prefix index's block edges (256 integers) and superblock edges (2**16),
+# the blocked oracle's 2**18-integer block edges and the table limit
+@example(x=255, ops=(2, 3))
+@example(x=256, ops=())
+@example(x=257, ops=(2, 3, 5, 7, 11))
+@example(x=2**16 - 1, ops=(2, 3, 5, 7))
+@example(x=2**16 + 1, ops=(3, 7, 13, 4999))
 @example(x=2**18 - 1, ops=())
 @example(x=2**18 + 1, ops=(2, 3, 5, 7))
 @example(x=2**19 + 1, ops=(2, 3, 5, 7, 11))
 def test_histogram_route_equals_n_major(x, ops):
     want = oracle.full_n_major(x, ops, DIFF_TABLES)
     assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
-    # a block size below x puts block edges inside the range; the kernel is
-    # called past the memo, which may already hold these counts
-    with mock.patch.object(sieve, "_HIST_BLOCK", 97):
-        assert ds._full_omega_identity(x, want.override_primes, DIFF_TABLES) == want.classes
+    # bit for bit against the blocked kernel, with a block size below x
+    # that puts block edges inside the range
+    hist = sieve.omega_flag_histogram(x, want.override_primes, DIFF_TABLES)
+    with mock.patch.object(oracle, "HIST_BLOCK", 97):
+        blocked = oracle.blocked_omega_flag_histogram(x, want.override_primes, DIFF_TABLES)
+    assert hist.dtype == blocked.dtype and np.array_equal(hist, blocked)
 
 
 @pytest.mark.parametrize("r", [5, 13, 16])
@@ -161,6 +169,26 @@ def test_histogram_route_wide_keys(r):
     ops = (*DIFF_PRIMES[: r - 2], 4999, DIFF_PRIMES[-1])
     assert ds.full_class_counts(x, ops, DIFF_TABLES) == oracle.full_n_major(
         x, ops, DIFF_TABLES)
+    assert np.array_equal(
+        sieve.omega_flag_histogram(x, ops, DIFF_TABLES),
+        oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES))
+
+
+def test_histogram_with_sixteen_primes_peaks_below_blocked_kernel():
+    # the 16 smallest primes: 2**16 flag columns and about 24,000 products b
+    x = DIFF_TABLES.limit
+    ops = tuple(DIFF_PRIMES[:16])
+    DIFF_TABLES.squarefree_rank(np.array([x]))  # the index is built once per table
+    peaks = []
+    for route in (sieve.omega_flag_histogram, oracle.blocked_omega_flag_histogram):
+        tracemalloc.start()
+        try:
+            hist = route(x, ops, DIFF_TABLES)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert hist.sum() == int(DIFF_TABLES.squarefree_rank(np.array([x]))[0])
+    assert peaks[0] <= peaks[1]
 
 
 # up to 4 override primes: small ones, any up to DIFF_LIMIT (often above
@@ -184,8 +212,8 @@ def test_small_route_equals_n_and_d_major(x, k, ops):
     want = oracle.small_n_major(x, k, ops, DIFF_TABLES)
     assert ds.small_class_counts(x, k, ops, DIFF_TABLES) == want
     assert oracle.small_d_major(x, k, ops, DIFF_TABLES) == want
-    # the kernel past the memo, which may already hold these counts
-    assert ds._small_coprime_ranks(x, k, want.override_primes, DIFF_TABLES) == want.classes
+    DIFF_TABLES.memo.clear()  # counted afresh, not binned from an earlier example's counts
+    assert ds.small_class_counts(x, k, ops, DIFF_TABLES) == want
 
 
 # (full route, small route) pairs that abcd's production split must match:
@@ -215,8 +243,8 @@ def test_abcd_auto_equals_single_routes(x, k, p, ops):
         assert auto == oracle_split(x, k, p, ops, DIFF_TABLES, full_route, small_route)
 
 
-# The class-count memo of a table: every answer, counted, projected from a
-# superset or returned as kept, equals fresh oracle counts.
+# The small-count memo of a table: every answer, counted or binned from the
+# kept per-d counts over any override set, equals fresh oracle counts.
 MEMO_LIMIT = 2 * 10**5
 MEMO_PRIMES = (2, 3, 5, 7, 11, 13, 1009, 199_999)
 
@@ -234,6 +262,7 @@ MEMO_PRIMES = (2, 3, 5, 7, 11, 13, 1009, 199_999)
 def test_memo_answers_equal_fresh_oracle_counts(x, x2, k, k2, ops, keep):
     tables = build_sieve(MEMO_LIMIT)
     sub = tuple(p for i, p in enumerate(ops) if keep >> i & 1)
+    other = tuple(p for p in MEMO_PRIMES if p not in ops)[-3:]
     fresh = {}
 
     def check(x, k, ops):
@@ -248,9 +277,9 @@ def test_memo_answers_equal_fresh_oracle_counts(x, x2, k, k2, ops, keep):
         small.classes.clear()
 
     check(x, k, ops)
-    with mock.patch.object(ds, "_full_omega_identity", side_effect=AssertionError), \
-            mock.patch.object(ds, "_small_coprime_ranks", side_effect=AssertionError):
-        check(x, k, sub)  # projected from the superset, not counted
+    with mock.patch.object(ds, "_small_coprime_ranks", side_effect=AssertionError):
+        check(x, k, sub)  # binned from the kept counts, not counted
+        check(x, k, other)  # over primes the first request did not have
         check(x, k, ops)  # kept as counted, whatever callers did to their copies
     check(x, k2, sub)
     check(x2, k, sub)
@@ -261,15 +290,17 @@ def test_memo_keeps_a_bounded_number_of_counts():
     tables = build_sieve(1000)
     xs = range(1, ds._MEMO_ENTRIES + 6)
     for x in xs:
-        ds.full_class_counts(x, (), tables)
+        ds.small_class_counts(x, 2, (), tables)
     assert len(tables.memo) == ds._MEMO_ENTRIES
     # the least recently used go first: x = 1 is counted again, x = 6 is kept
-    ds.full_class_counts(6, (), tables)
-    with mock.patch.object(ds, "_full_omega_identity", wraps=ds._full_omega_identity) as spy:
-        ds.full_class_counts(6, (), tables)
-        ds.full_class_counts(1, (), tables)
+    ds.small_class_counts(6, 2, (), tables)
+    with mock.patch.object(ds, "_small_coprime_ranks", wraps=ds._small_coprime_ranks) as spy:
+        ds.small_class_counts(6, 2, (3,), tables)
+        ds.small_class_counts(1, 2, (), tables)
     assert spy.call_count == 1
     assert len(tables.memo) == ds._MEMO_ENTRIES
+    ds.full_class_counts(7, (), tables)  # full counts are not kept
+    assert ("small", 6, 2) in tables.memo and len(tables.memo) == ds._MEMO_ENTRIES
 
 
 def test_weight_one_total_counts_all_pairs(tables_small):

@@ -163,9 +163,11 @@ def test_coprime_count_against_enumeration(tables_small):
             assert squarefree_coprime_count(x, m, tables_small) == expected
 
 
-@pytest.mark.parametrize("limit", [4095, 4096, 10**4, sieve.CHUNK + 65])
+@pytest.mark.parametrize("limit", [2, 255, 4095, 4096, 10**4, 2**16 + 1, sieve.CHUNK + 65])
 def test_squarefree_rank_counts_every_prefix(limit):
-    # limits ending on bit 63 and bit 0 of a word, and one past a packing chunk
+    # limits ending on bit 63 and bit 0 of a word, a table shorter than one
+    # 256-integer block, one past a superblock (2**16) and one past a
+    # packing chunk
     tables = build_sieve(limit)
     y = np.arange(limit + 1)
     assert np.array_equal(tables.squarefree_rank(y), np.cumsum(tables.mu != 0))
@@ -173,6 +175,18 @@ def test_squarefree_rank_counts_every_prefix(limit):
     edges = sorted({e for w in range(0, limit + 1, 64) for e in (w, w + 63) if e <= limit} | {limit})
     want = [np.count_nonzero(tables.mu[1 : e + 1]) for e in edges]
     assert [int(tables.squarefree_rank(e)) for e in edges] == want
+
+
+@pytest.mark.parametrize("limit", [2, 255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65])
+def test_squarefree_omega_rank_counts_every_prefix(limit):
+    # tables shorter than, equal to and one past a 256-integer block, one
+    # past a superblock (2**16) and one past a pass of the index build
+    tables = build_sieve(limit)
+    squarefree = np.flatnonzero(tables.mu)
+    onehot = np.zeros((limit + 1, 10), dtype=np.int64)
+    onehot[squarefree, tables.omega[squarefree]] = 1
+    got = tables.squarefree_omega_rank(np.arange(limit + 1))
+    assert got.dtype == np.int64 and np.array_equal(got, np.cumsum(onehot, axis=0))
 
 
 def test_coprime_counts_equal_enumeration_oracle(tables_small):
@@ -340,6 +354,38 @@ def test_build_peak_stays_below_three_bytes_per_integer():
     assert peak < 3 * limit
     assert peak < need
     assert tables.limit == limit
+
+
+def test_index_memory_guard_rejects_before_allocating():
+    limit = 2**20
+    tables = build_sieve(limit)
+    need = sieve._index_bytes(limit)
+    with mock.patch.object(sieve, "_available_bytes", return_value=need - 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=r"prefix index of a 1048576 table needs about 1 MB; 1 MB available"):
+                tables.squarefree_rank(np.array([limit]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < need // 8
+    with mock.patch.object(sieve, "_available_bytes", return_value=need):
+        assert tables.squarefree_rank(np.array([limit]))[0] == np.count_nonzero(tables.mu)
+
+
+def test_index_build_peak_stays_below_its_estimate():
+    # at most 0.1875 bytes per integer kept, in mappings of their own that
+    # tracemalloc does not see, plus the temporaries of one pass of the build
+    limit = 2**23
+    tables = build_sieve(limit)
+    tracemalloc.start()
+    try:
+        tables.squarefree_omega_rank(np.array([limit]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sieve._index_bytes(limit)
+    assert sum(part.nbytes for part in tables._prefix_index()) < 0.1875 * limit
 
 
 def test_memory_guard_needs_a_known_figure():
