@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Build the factor tables and look at what lives inside them.
+"""Build the factor table and look at what lives inside it.
 
-Everything else in divisorlab reads these two arrays: the Mobius
-function and the distinct-prime count.  This script builds them at 10^6,
-checks the classical squarefree density 6/pi^2 against the exact count,
-and prints how squarefree integers distribute over omega classes.
+Everything else in divisorlab reads its one byte per integer: the
+distinct-prime count omega(n), with a flag bit set when n is not
+squarefree, from which the Mobius function follows.  This script builds
+it at 10^6, checks the classical squarefree density 6/pi^2 against the
+exact count, and prints how squarefree integers distribute over omega
+classes.
 """
 
 import math
 
 from divisorlab import build_sieve, distinct_primes, omega_class_counts
-from divisorlab.sieve import coprime_squarefree_counts
+from divisorlab.sieve import NOT_SQUAREFREE, coprime_squarefree_counts
 
 LIMIT = 10**6
 
 tables = build_sieve(LIMIT)
 print(f"tables built up to {LIMIT:,}")
-print(
-    f"  primes of 30 = {distinct_primes(30, tables)}, "
-    f"mu[30] = {tables.mu[30]}, omega[30] = {tables.omega[30]}"
-)
+key = int(tables.key[30])
+omega = key & (NOT_SQUAREFREE - 1)
+mu = (-1) ** omega if key < NOT_SQUAREFREE else 0
+print(f"  primes of 30 = {distinct_primes(30, tables)}, mu[30] = {mu}, omega[30] = {omega}")
 
 print("\nexact squarefree counts vs (6/pi^2) x:")
 XS = (10**3, 10**4, 10**5, 10**6)

@@ -11,6 +11,7 @@ reported as trends instead of hard assertions.
 import numpy as np
 
 from divisorlab import build_sieve, erdos_kac_histogram, gaussian_window
+from divisorlab.sieve import NOT_SQUAREFREE
 
 LIMIT = 10**6
 tables = build_sieve(LIMIT)
@@ -28,7 +29,7 @@ for x in (10**4, 10**5, 10**6):
     print(f"  x = {x:>9,}: {rep.observed[0]:.4f}  (limit 0.6827)")
 
 print("\nraw distribution of omega(n) for n <= 1e6:")
-counts = np.bincount(tables.omega[2:])
+counts = np.bincount(tables.key[2:] & (NOT_SQUAREFREE - 1))
 for om, cnt in enumerate(counts):
     if cnt:
         print(f"  omega = {om}: {cnt:>7,}  {'#' * max(1, cnt * 50 // 400000)}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .divisor_sums import integer_kth_root
 from .errors import DomainError, InsufficientPopulationError, RangeError
-from .sieve import SieveTables, factor_squarefree
+from .sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree
 
 _SYNTHETIC_POOL = 18  # primes that synthetic samples draw from
 
@@ -85,9 +85,9 @@ def _population(omega_target: int, tables: SieveTables) -> np.ndarray:
         raise InsufficientPopulationError(
             "omega_target=0 selects only n=1, which sits outside the bound regime"
         )
-    mask = (tables.mu != 0) & (tables.omega == omega_target)
-    mask[0] = False
-    return np.flatnonzero(mask)
+    # no n has omega >= NOT_SQUAREFREE, but the key of a non-squarefree n may
+    key = tables.key if omega_target < NOT_SQUAREFREE else tables.key[:0]
+    return np.flatnonzero(key == omega_target)
 
 
 def census_sample(

@@ -217,7 +217,9 @@ def _run_sieve_stats(args, tables, out):
 
 def _run_ratio(args, tables, out):
     xs = sorted(set(args.x))
-    overrides = dict(_parse_override(t) for t in args.override)
+    overrides = dict(map(_parse_override, args.override))
+    if len(overrides) < len(args.override):
+        raise ConfigurationError(f"--override gives a prime more than once: {args.override}")
     w = PrimeWeight(args.c, overrides, k_context=args.k, strict_mode=args.strict)
     if len(xs) >= 4:
         rep = ex.ratio_convergence(args.k, args.c, xs, tables,

@@ -38,10 +38,12 @@ from math import comb, frexp, fsum, isqrt, ldexp
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, coprime_squarefree_counts, omega_flag_histogram
+from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts, omega_flag_histogram
+from .sieve import superset_sums
 from .weights import PrimeWeight, g_table
 
 ClassKey = tuple[int, int]  # (distinct primes of d, override-divisibility bits)
+_BINOMIAL = np.array([[comb(i, j) for j in range(16)] for i in range(16)], dtype=np.int64)  # C(i, j)
 
 
 @dataclass(frozen=True)
@@ -141,15 +143,6 @@ def _check_override_primes(ops: tuple[int, ...], tables: SieveTables) -> None:
             raise DomainError(f"override key {p} is not prime")
 
 
-def _submasks(f: int):
-    s = f
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & f
-
-
 def full_class_counts(
     x: int,
     override_primes: tuple[int, ...],
@@ -166,20 +159,20 @@ def full_class_counts(
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    return ClassCounts(x=x, override_primes=ops, classes=dict(_full_omega_identity(x, ops, tables)))
+    return ClassCounts(x=x, override_primes=ops, classes=_full_omega_identity(x, ops, tables))
 
 
-def _full_omega_identity(x, ops, tables) -> Counter:
-    hist = omega_flag_histogram(x, ops, tables)
-    classes: Counter = Counter()
-    for i, f_n in np.argwhere(hist).tolist():
-        count = int(hist[i, f_n])
-        free = i - f_n.bit_count()
-        for s in _submasks(f_n):
-            base_om = s.bit_count()
-            for j in range(free + 1):
-                classes[(base_om + j, s)] += comb(free, j) * count
-    return classes
+def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
+    """The full class counts: a squarefree n with flags f and i primes outside
+    the override set has C(i, j) divisors of class (|s| + j, s) for each s <= f.
+    So row f of the histogram shifts down by |f| (its first |f| entries are
+    zero, so the shift may wrap), spreads by C and sums over the f >= s."""
+    hist = omega_flag_histogram(x, ops, tables).T  # mask-major: row f by omega
+    size = np.bitwise_count(np.arange(len(hist)))  # |f|
+    free = np.take_along_axis(hist, (np.arange(16) + size[:, None]) % 16, axis=1)
+    spread = superset_sums(free @ _BINOMIAL)  # spread[s, j]
+    masks, js = np.nonzero(spread)
+    return dict(zip(zip((js + size[masks]).tolist(), masks.tolist()), spread[masks, js].tolist()))
 
 
 def small_class_counts(
@@ -202,7 +195,7 @@ def small_class_counts(
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
     d, pairs = _remembered(tables, ("small", x, k), lambda: _small_coprime_ranks(x, k, tables))
-    key = tables.omega[d].astype(np.int64)
+    key = tables.key[d].astype(np.int64)  # omega(d): d is squarefree
     for i, p in enumerate(ops):
         key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
     # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
@@ -219,7 +212,7 @@ def _small_coprime_ranks(x, k, tables) -> tuple[np.ndarray, np.ndarray]:
     from one call.
     """
     k = min(k, x.bit_length())  # a larger k also leaves d = 1 alone; keeps k - 1 an int64
-    d = np.flatnonzero(tables.mu[: integer_kth_root(x, k) + 1]).astype(np.int64)
+    d = np.flatnonzero(tables.key[: integer_kth_root(x, k) + 1] < NOT_SQUAREFREE).astype(np.int64)
     ranks = coprime_squarefree_counts(
         np.concatenate([x // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
     ).reshape(2, -1)
@@ -361,7 +354,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
     ops = [q for q in w.override_primes() if q <= x]
     # omega <= 9, and at most 1,600 divisors of one j <= 2**31 can be
     # override keys, so the exponent fits in int16.
-    exponent = tables.omega[: x + 1].astype(np.int16)
+    exponent = (tables.key[: x + 1] & (NOT_SQUAREFREE - 1)).astype(np.int16)
     for q in ops:
         exponent[q::q] -= 1
     terms = np.power(float(w.base_c), exponent)
@@ -374,7 +367,7 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
         del adjust
     terms *= g_table(x, tables)
     np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
-    terms[tables.mu[: x + 1] == 0] = 0.0
+    terms[tables.key[: x + 1] >= NOT_SQUAREFREE] = 0.0
     terms[0] = 0.0
     if p <= x:
         terms[p::p] = 0.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .divisor_sums import fsum_nonnegative
 from .errors import DomainError, RangeError
-from .sieve import SieveTables, omega_class_counts, primes_up_to
+from .sieve import NOT_SQUAREFREE, SieveTables, omega_class_counts, primes_up_to
 from .weights import g_table
 
 ZETA2 = math.pi**2 / 6
@@ -174,7 +174,7 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
             zi = int(z)
             return float(sum(cnt * zi**j for j, cnt in counts.items()))
         return math.fsum(cnt * z**j for j, cnt in counts.items())
-    mask = tables.mu[1 : x + 1] != 0
-    gv = g_table(x, tables)
-    vals = np.where(mask, np.power(z, tables.omega[1 : x + 1].astype(np.float64)) * gv[1:], 0.0)
+    key = tables.key[1 : x + 1]
+    omega = (key & (NOT_SQUAREFREE - 1)).astype(np.float64)
+    vals = np.where(key < NOT_SQUAREFREE, np.power(z, omega) * g_table(x, tables)[1:], 0.0)
     return fsum_nonnegative(vals)

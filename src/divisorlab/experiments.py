@@ -16,7 +16,7 @@ import numpy as np
 from . import divisor_sums as dsums
 from .errors import ConfigurationError, DomainError, RangeError
 from .euler import f0, f1, gamma_fn, gaussian_window, selberg_exact
-from .sieve import SieveTables, coprime_squarefree_counts
+from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts
 from .weights import PrimeWeight, g_table
 
 VERDICT_PASS = "pass"
@@ -176,10 +176,12 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
     from one g_table.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
+    if m_max < 1:
+        raise DomainError(f"m_max={m_max} must be >= 1")
     if m_max > tables.limit:
         raise RangeError(f"m_max={m_max} beyond table limit")
     six_over_pi2 = 6.0 / math.pi**2
-    ms = np.flatnonzero(tables.mu[: m_max + 1] != 0)
+    ms = np.flatnonzero(tables.key[: m_max + 1] < NOT_SQUAREFREE)
     gs = g_table(m_max, tables)[ms].tolist()
     observed = []
     argmax = []
@@ -188,7 +190,7 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
         worst_m = 1
         counts = coprime_squarefree_counts(x, ms, tables).tolist()
         for m, g, count in zip(ms.tolist(), gs, counts):
-            tau = 2.0 ** int(tables.omega[m])
+            tau = 2.0 ** int(tables.key[m])  # omega(m): m is squarefree
             resid = abs(count - six_over_pi2 * g * x)
             constant = resid / (tau ** (2.0 / 3.0) * math.sqrt(x))
             if constant > worst:
@@ -303,9 +305,10 @@ _BLOCK = 1 << 16
 
 def _erdos_kac_statistic(x: int, tables: SieveTables) -> np.ndarray:
     """(omega(n) - loglog n)/sqrt(loglog n) for 3 <= n <= x, in order of n."""
-    stat = tables.omega[3 : x + 1].astype(np.float64)
+    stat = np.empty(x - 2)
     for lo in range(0, len(stat), _BLOCK):
         part = stat[lo : lo + _BLOCK]
+        part[:] = tables.key[lo + 3 : lo + 3 + len(part)] & (NOT_SQUAREFREE - 1)
         loglog = np.log(np.log(np.arange(lo + 3, lo + 3 + len(part), dtype=np.float64)))
         part -= loglog
         part /= np.sqrt(loglog)

@@ -1,15 +1,15 @@
 """Exact arithmetic tables up to a configurable limit.
 
-Builds two per-integer tables, the Mobius function and the count of
-distinct prime divisors, in one pass over chunks of integers: a chunk's
+Builds one byte per integer, key[n] = omega(n) | NOT_SQUAREFREE when n
+is not squarefree, in one pass over chunks of integers: a chunk's
 smallest prime factors come from a segmented sieve by the primes up to
 sqrt(limit) (Bays and Hudson, BIT 17, 1977) and live only as long as the
-chunk, and mu and omega follow by the recurrence n -> n / spf(n) (Gries
-and Misra, CACM 21, 1978).  Every aggregate in the package reads these
-tables; they are written once and frozen.
+chunk, and the key follows by the recurrence n -> n / spf(n) (Gries and
+Misra, CACM 21, 1978).  Every aggregate in the package reads this
+table; it is written once and frozen.
 
 Counts of squarefree integers up to y, in all and by omega, are read
-from a prefix index over the tables (in the manner of Jacobson's rank
+from a prefix index over the table (in the manner of Jacobson's rank
 index, "Space-efficient static trees and graphs", FOCS 1989).  The
 count of those coprime to a squarefree d follows from them by the
 Liouville-signed sum of coprime_squarefree_counts, and the histogram of
@@ -30,20 +30,24 @@ from .errors import ConfigurationError, DomainError, RangeError
 _LIMIT_MAX = 2**31
 # Widest chunk of the n -> n / spf(n) recurrences.
 CHUNK = 2**18
-# What a build holds per integer: mu (int8) and omega (uint8); a chunk
-# of the sieve and the recurrence adds about 32 bytes per integer.
-_BYTES_PER_INT = 2
+# The key bit of a non-squarefree n, above the four bits of omega(n) <= 9.
+NOT_SQUAREFREE = 16
+# What a build holds per integer: the key; a chunk of the sieve and the
+# recurrence adds about 32 bytes per integer.
+_BYTES_PER_INT = 1
 _BYTES_PER_CHUNK_INT = 32
 
 
 @dataclass(frozen=True)
 class SieveTables:
-    """Immutable factor tables for 1..limit.
+    """Immutable factor table for 1..limit.
 
     Attributes:
         limit: Largest integer covered (inclusive).
-        mu: int8 array; mu[n] is the Mobius function (0 on non-squarefree n).
-        omega: uint8 array; omega[n] counts distinct prime divisors.
+        key: uint8 array; key[n] is omega(n), the count of distinct prime
+            divisors, with the bit NOT_SQUAREFREE set where n is not
+            squarefree and at n = 0.  So mu(n) = (-1)**key[n] if key[n] <
+            NOT_SQUAREFREE, else 0, and n is prime iff key[n] == 1.
             omega(n) <= 9 for n <= 2**31, since the product of the first
             ten primes exceeds 2**31; squarefree_omega_rank and
             omega_flag_histogram keep ten omega rows on that bound.
@@ -52,7 +56,7 @@ class SieveTables:
             a bounded number of (x, k) here); it dies with the table.
 
     The first squarefree_rank or squarefree_omega_rank call also builds a
-    prefix index over mu and omega and keeps it: a bitmap of the
+    prefix index over the key and keeps it: a bitmap of the
     squarefree n <= limit in uint64 words and, per block of 256 integers,
     the count of squarefree n below the block with omega(n) <= j for each
     j from 1 to the largest omega in the table (8 from 9699690 to
@@ -63,25 +67,24 @@ class SieveTables:
     """
 
     limit: int
-    mu: np.ndarray
-    omega: np.ndarray
+    key: np.ndarray
     memo: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def is_prime(self, p: int) -> bool:
-        """Whether p is a prime <= limit; p < 2 is not (omega[-1] is omega[limit])."""
-        return bool(2 <= p <= self.limit and self.omega[p] == 1 and self.mu[p] != 0)
+        """Whether p is a prime <= limit; p < 2 is not (key[-1] is key[limit])."""
+        return bool(2 <= p <= self.limit and self.key[p] == 1)
 
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (int64, read-only).
 
-        Read off omega and mu on the first call, chunk by chunk, and kept
+        Read off the key on the first call, chunk by chunk, and kept
         on the instance, so a table that is never asked for its primes
         holds no prime list.
         """
         primes = self.__dict__.get("_primes")
         if primes is None:
             primes = np.concatenate([
-                a + np.flatnonzero((self.omega[a:b] == 1) & (self.mu[a:b] != 0))
+                a + np.flatnonzero(self.key[a:b] == 1)
                 for a, b in chunks(2, self.limit + 1)
             ]).astype(np.int64, copy=False)
             primes.setflags(write=False)
@@ -118,7 +121,7 @@ class SieveTables:
         y is a 1-D array of integers in [0, limit]; row i of the result
         holds N_0(y_i) .. N_9(y_i).  The count of squarefree n <= y with
         omega(n) <= j is the count below y's block plus that of the
-        block's entries up to y, at most 256 bytes of mu and omega.
+        block's entries up to y, at most 256 bytes of the key.
         """
         _, high, low = self._prefix_index()
         y = np.asarray(y, dtype=np.int64)
@@ -136,17 +139,15 @@ class SieveTables:
         return np.diff(at_most, axis=0, prepend=0).T
 
     def _block_keys(self, y: np.ndarray) -> np.ndarray:
-        """Row i holds omega(n) for the squarefree n of y_i's block up to
-        y_i, and 255 in every other of its 256 bytes (uint8)."""
+        """Row i holds the keys of y_i's block up to y_i, and 255 in every
+        other of its 256 bytes (uint8); a non-squarefree key is above 9 too."""
         start = y & -_BLOCK
         # the window of a block that the table ends inside ends at limit;
         # a table of fewer than 256 entries is read whole
-        base = np.maximum(np.minimum(start, len(self.mu) - _BLOCK), 0)
-        width = min(_BLOCK, len(self.mu))
+        base = np.maximum(np.minimum(start, len(self.key) - _BLOCK), 0)
+        width = min(_BLOCK, len(self.key))
         rows = np.full((len(y), _BLOCK), 255, dtype=np.uint8)
-        rows[:, :width] = sliding_window_view(self.omega, width)[base]
-        squarefree = sliding_window_view(self.mu, width)[base] != 0
-        rows[:, :width] |= squarefree.view(np.uint8) - np.uint8(1)
+        rows[:, :width] = sliding_window_view(self.key, width)[base]
         at = np.arange(_BLOCK, dtype=np.uint8)
         outside = (at < (start - base).astype(np.uint8)[:, None]) | (at > (y - base).astype(np.uint8)[:, None])
         rows |= np.uint8(0) - outside.view(np.uint8)
@@ -163,7 +164,7 @@ class SieveTables:
                     f"the prefix index of a {self.limit} table needs about "
                     f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
                 )
-            index = _build_prefix_index(self.mu, self.omega)
+            index = _build_prefix_index(self.key)
             self.__dict__["_index"] = index  # frozen: bypass __setattr__
         return index
 
@@ -208,7 +209,7 @@ def _index_bytes(limit: int) -> int:
     blocks = limit // _BLOCK + 1
     cols = _omega_columns(limit)
     kept = blocks * (_BLOCK // 8 + 2 * cols) + (limit // _SUPER + 1) * 4 * cols
-    # a pass holds mu != 0, its packed bits, the keys and one comparison
+    # a pass holds the squarefree mask, its packed bits, the keys and one comparison
     return kept + 4 * _INDEX_CHUNK
 
 
@@ -246,33 +247,29 @@ def _mapped_zeros(shape, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype, count=size).reshape(shape)
 
 
-def _build_prefix_index(mu: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_prefix_index(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(words, high, low) over the table, in passes of _INDEX_CHUNK integers.
 
-    Bit n % 64 of words[n // 64] is set iff mu[n] != 0, four words to a
+    Bit n % 64 of words[n // 64] is set iff n is squarefree, four words to a
     block of 256 integers.  With L_j(b) the count of squarefree n below
     block b with omega(n) <= j, high[j - 1, s] is L_j at the first block of
     superblock s (2**16 integers) and low[j - 1, b] is L_j(b) less that,
     for j = 1 .. cols; row cols counts every squarefree n.
     """
-    blocks = (len(mu) - 1) // _BLOCK + 1
-    cols = _omega_columns(len(mu) - 1)
+    blocks = (len(key) - 1) // _BLOCK + 1
+    cols = _omega_columns(len(key) - 1)
     per_super = _SUPER // _BLOCK
     words = _mapped_zeros(blocks * _BLOCK // 64, "<u8")
     raw = words.view(np.uint8)  # little-endian words: byte j holds bits 8j..8j+7
     high = _mapped_zeros((cols, (blocks - 1) // per_super + 1), np.uint32)
     low = _mapped_zeros((cols, blocks), np.uint16)
     below = np.zeros((cols, 1), dtype=np.int64)  # L at the pass's first block
-    for a in range(0, len(mu), _INDEX_CHUNK):
-        squarefree = mu[a : a + _INDEX_CHUNK] != 0
-        packed = np.packbits(squarefree, bitorder="little")
+    for a in range(0, len(key), _INDEX_CHUNK):
+        part = key[a : a + _INDEX_CHUNK]
+        packed = np.packbits(part < NOT_SQUAREFREE, bitorder="little")
         raw[a // 8 : a // 8 + len(packed)] = packed
-        # omega where squarefree, else 255
-        keys = np.empty(-(-len(squarefree) // _BLOCK) * _BLOCK, dtype=np.uint8)
-        keys[len(squarefree) :] = 255
-        np.subtract(squarefree.view(np.uint8), 1, out=keys[: len(squarefree)])
-        keys[: len(squarefree)] |= omega[a : a + _INDEX_CHUNK]
-        rows = keys.reshape(-1, _BLOCK)
+        # a non-squarefree key is above every j of _rows_at_most
+        rows = np.pad(part, (0, -len(part) % _BLOCK), constant_values=NOT_SQUAREFREE).reshape(-1, _BLOCK)
         b = a // _BLOCK
         counts = np.empty((cols, len(rows)), dtype=np.int64)
         counts[-1] = _lane_sums(np.bitwise_count(words[4 * b : 4 * (b + len(rows))]).view(np.uint32))
@@ -306,7 +303,7 @@ def build_sieve(limit: int) -> SieveTables:
     """Build SieveTables for 1..limit.
 
     The construction is deterministic plain integer sieving, so equal
-    limits give identical tables.  It holds about 2 bytes per integer.
+    limits give identical tables.  It holds about 1 byte per integer.
 
     Raises:
         ConfigurationError: if limit is outside [2, 2**31].
@@ -323,19 +320,16 @@ def build_sieve(limit: int) -> SieveTables:
         )
 
     roots = primes_up_to(isqrt(limit))
-    omega = np.zeros(limit + 1, dtype=np.uint8)
-    mu = np.zeros(limit + 1, dtype=np.int8)
-    mu[1] = 1
+    key = np.empty(limit + 1, dtype=np.uint8)
+    key[:2] = NOT_SQUAREFREE, 0
     for a, b in chunks(2, limit + 1):
         p = smallest_prime_factors(a, b, roots)
         q = np.arange(a, b, dtype=np.uint32) // p
-        new = q % p != 0  # p does not divide q
-        omega[a:b] = omega[q] + new
-        mu[a:b] = np.where(new, -mu[q], 0)
+        same = (q % p == 0).view(np.uint8)  # 1 where p | q: no new prime, and p*p | n
+        key[a:b] = (key[q] + 1 - same) | same * NOT_SQUAREFREE
 
-    for arr in (mu, omega):
-        arr.setflags(write=False)
-    return SieveTables(limit=limit, mu=mu, omega=omega)
+    key.setflags(write=False)
+    return SieveTables(limit=limit, key=key)
 
 
 def smallest_prime_factors(a: int, b: int, roots: np.ndarray) -> np.ndarray:
@@ -413,7 +407,7 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
     if y.max() > tables.limit or not 1 <= rem.min() <= rem.max() <= tables.limit:
         raise RangeError(f"y or d outside table range 1..{tables.limit}")
-    if not tables.mu[rem].all():
+    if (tables.key[rem] >= NOT_SQUAREFREE).any():
         raise DomainError("every d must be squarefree")
     spf = smallest_prime_factors(0, rem.max() + 1, primes_up_to(isqrt(rem.max())))
     owner = np.arange(len(y))  # the entry each term belongs to
@@ -484,11 +478,17 @@ def omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> n
         terms = counts[at[lo : lo + len(b)], : _OMEGA_ROWS - e]
         lo += len(b)
         np.add.at(hist, (supp[:, None], np.arange(e, _OMEGA_ROWS)), -terms if e & 1 else terms)
-    for j in range(r):
-        pairs = hist.reshape(-1, 2, 16 << j)
-        pairs[:, 0] += pairs[:, 1]
+    superset_sums(hist)
     hist *= 1 - 2 * (np.bitwise_count(np.arange(1 << r)) & 1).astype(np.int64)[:, None]
     return hist.T
+
+
+def superset_sums(h: np.ndarray) -> np.ndarray:
+    """h[s] := the sum of h[f] over the masks f >= s, in place on the 2**r rows of a C-contiguous h."""
+    for j in range((len(h) - 1).bit_length()):
+        pairs = h.reshape(-1, 2, h[0].size << j)
+        pairs[:, 0] += pairs[:, 1]
+    return h
 
 
 def omega_class_counts(x: int, tables: SieveTables) -> dict[int, int]:

@@ -1,8 +1,10 @@
 """Slow, plainly correct routes that the production code is checked against.
 
 These are the earlier production routes and the per-value references:
-- the sieve fills omega with one strided pass per prime up to limit/2, and
-  the g and e tables multiply in one factor per prime up to upper;
+- the sieve fills omega with one strided pass per prime up to limit/2 and
+  strikes the multiples of each p*p for the squarefree flag, and the g
+  and e tables multiply in one factor per prime up to upper; mu_of and
+  omega_of read mu and omega back off a table's key;
 - h, g and e at one squarefree n from its primes (h_eval, g_eval, e_of_m,
   the last by enumerating the divisors), and the squarefree count coprime
   to one m by a boolean mask (squarefree_coprime_count);
@@ -14,7 +16,9 @@ These are the earlier production routes and the per-value references:
   give the counts back;
 - the omega classes are a bincount of omega gathered over a length-x
   squarefree mask, and the (omega, flags) histogram counts one key per
-  n <= x, block by block (blocked_omega_flag_histogram);
+  n <= x, block by block (blocked_omega_flag_histogram); the full class
+  counts spread each bin of it over the submasks of its flags
+  (spread_histogram);
 - the census walks all k**omega(n) assignments of primes to slots;
 - the series terms are built from whole-length temporaries, and the
   Kolmogorov distance evaluates math.erf at every sample point.
@@ -29,7 +33,7 @@ import numpy as np
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
 from divisorlab.errors import DomainError
 from divisorlab.weights import PrimeWeight, g_table
-from divisorlab.sieve import SieveTables, factor_squarefree, primes_up_to
+from divisorlab.sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree, primes_up_to
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -59,13 +63,23 @@ def loop_build_sieve(limit: int) -> SieveTables:
     for p in primes[primes <= root]:
         squarefree[p * p :: p * p] = False
 
-    mu = np.where(omega & 1, -1, 1).astype(np.int8)
-    mu[~squarefree] = 0
-    mu[0] = 0
+    key = omega  # omega(n), with the flag set on the n that are not squarefree
+    key[~squarefree] |= NOT_SQUAREFREE
+    key.setflags(write=False)
+    return SieveTables(limit=limit, key=key)
 
-    for arr in (mu, omega):
-        arr.setflags(write=False)
-    return SieveTables(limit=limit, mu=mu, omega=omega)
+
+def mu_of(tables: SieveTables) -> np.ndarray:
+    """mu(n) for n = 0..limit (int8): (-1)**omega(n) on squarefree n, else 0."""
+    key = tables.key
+    mu = np.where(key & 1, -1, 1).astype(np.int8)
+    mu[key >= NOT_SQUAREFREE] = 0
+    return mu
+
+
+def omega_of(tables: SieveTables) -> np.ndarray:
+    """omega(n) for n = 0..limit (uint8), the key less its squarefree flag."""
+    return tables.key & (NOT_SQUAREFREE - 1)
 
 
 def loop_g_table(upper: int) -> np.ndarray:
@@ -112,7 +126,7 @@ def e_of_m(m: int, tables: SieveTables) -> float:
 
 def squarefree_coprime_count(x: int, m: int, tables: SieveTables) -> int:
     """Squarefree n <= x with gcd(n, m) = 1, by striking the primes of m from a mask."""
-    mask = tables.mu[1 : x + 1] != 0
+    mask = tables.key[1 : x + 1] < NOT_SQUAREFREE
     for p in factor_squarefree(m, tables):
         mask[p - 1 :: p] = False
     return int(np.count_nonzero(mask))
@@ -147,7 +161,7 @@ def _divisor_triples(primes: list[int], flag_of: dict[int, int]):
 def full_n_major(x, ops, tables) -> ClassCounts:
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
-    mu = tables.mu
+    mu = mu_of(tables)
     primes_of = _prime_lists(x)
     out: Counter = Counter()
     for n in range(1, x + 1):
@@ -163,7 +177,7 @@ def squarefree_coprime_count_range(lo: int, hi: int, mprimes: list[int], tables:
     lo = max(lo, 1)
     if hi < lo:
         return 0
-    mask = tables.mu[lo : hi + 1] != 0
+    mask = tables.key[lo : hi + 1] < NOT_SQUAREFREE
     for p in mprimes:
         first = lo + (-lo) % p
         if first <= hi:
@@ -176,7 +190,7 @@ def _d_major(x, lo_of, r, ops, tables) -> ClassCounts:
     with lo_of(d) <= m <= x // d, added to the class of d."""
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
-    mu = tables.mu
+    mu = mu_of(tables)
     primes_of = _prime_lists(r)
     out: Counter = Counter()
     for d in range(1, r + 1):
@@ -204,7 +218,7 @@ def small_d_major(x, k, ops, tables) -> ClassCounts:
 def small_n_major(x, k, ops, tables) -> ClassCounts:
     ops = tuple(sorted(ops))
     flag_of = _flag_of_map(ops)
-    mu = tables.mu
+    mu = mu_of(tables)
     primes_of = _prime_lists(x)
     out: Counter = Counter()
     for n in range(1, x + 1):
@@ -232,8 +246,8 @@ def compose_decomposition(part_with_p: ClassCounts, part_without_p: ClassCounts,
 
 
 def omega_class_counts_masked(x, tables) -> dict[int, int]:
-    mask = tables.mu[1 : x + 1] != 0
-    counts = np.bincount(tables.omega[1 : x + 1][mask])
+    mask = tables.key[1 : x + 1] < NOT_SQUAREFREE
+    counts = np.bincount(omega_of(tables)[1 : x + 1][mask])
     return {int(j): int(c) for j, c in enumerate(counts) if c > 0}
 
 
@@ -261,9 +275,8 @@ def blocked_omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTabl
     block = max(HIST_BLOCK, bins)  # no block shorter than its histogram
     for lo in range(1, x + 1, block):
         hi = min(lo + block, x + 1)
-        key = (tables.mu[lo:hi] == 0).astype(dtype)
-        key *= 15
-        key |= tables.omega[lo:hi]
+        key = tables.key[lo:hi].astype(dtype)
+        np.minimum(key, 15, out=key)  # every table key of a non-squarefree n is above 15
         for i, q in enumerate(ops):
             key[(-lo) % q :: q] |= 1 << (4 + i)
         if pairs:
@@ -279,6 +292,26 @@ def blocked_omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTabl
     counts = counts.reshape(1 << r, 16).T  # row omega, column flags
     counts[15] = 0
     return counts
+
+
+def spread_histogram(hist: np.ndarray) -> Counter:
+    """The full class counts of an (omega, flags) histogram, bin by bin.
+
+    A squarefree n with omega(n) = i and flags f has C(i - |f|, j)
+    divisors of class (|s| + j, s) for each submask s of f.
+    """
+    classes: Counter = Counter()
+    for i, f in np.argwhere(hist).tolist():
+        count = int(hist[i, f])
+        free = i - f.bit_count()
+        s = f
+        while True:  # the submasks of f, from f down to 0
+            for j in range(free + 1):
+                classes[(s.bit_count() + j, s)] += math.comb(free, j) * count
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +347,10 @@ def count_small_parts_walk(primes, k, r) -> int:
 
 
 def series_terms(x, w, p, tables) -> np.ndarray:
-    mask = np.array(tables.mu[: x + 1] != 0)
-    mask[0] = False
+    mask = tables.key[: x + 1] < NOT_SQUAREFREE
     if p <= x:
         mask[p::p] = False
-    exponent = tables.omega[: x + 1].astype(np.int64)
+    exponent = omega_of(tables)[: x + 1].astype(np.int64)
     hv_adjust = np.ones(x + 1)
     for q in w.override_primes():
         if q <= x:

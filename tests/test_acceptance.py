@@ -20,7 +20,7 @@ from divisorlab.census import census, census_sample, census_sample_synthetic
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.euler import ZETA2, f0, f1, gamma_fn, selberg_exact
 from divisorlab.weights import PrimeWeight, e_table
-from divisorlab.sieve import build_sieve
+from divisorlab.sieve import NOT_SQUAREFREE, build_sieve
 
 
 RESULTS: list[str] = []
@@ -114,10 +114,8 @@ def test_criterion_04_coprime_count_error_layer(tables_medium):
     max_constant = rep.extra["max_constant"]
     upper = 10**5
     etab = e_table(upper, tables_medium)
-    mask = np.array(tables_medium.mu[: upper + 1] != 0)
-    mask[0] = False
-    idx = np.flatnonzero(mask)
-    tau = 2.0 ** tables_medium.omega[idx].astype(np.float64)
+    idx = np.flatnonzero(tables_medium.key[: upper + 1] < NOT_SQUAREFREE)
+    tau = 2.0 ** tables_medium.key[idx].astype(np.float64)
     e_ok = bool(np.all(etab[idx] < 2.0 * tau ** (2.0 / 3.0)))
     ok = max_constant <= 6.0 and e_ok
     _report(4, "coprime-count error layer", ok,
@@ -174,7 +172,7 @@ def test_criterion_06_monotonicity(tables_large):
 
 
 def test_criterion_07_census(tables_large):
-    sq = np.flatnonzero(tables_large.mu[: 10**4 + 1] != 0)
+    sq = np.flatnonzero(tables_large.key[: 10**4 + 1] < NOT_SQUAREFREE)
     pairing_ok = all(
         (rec := census(int(n), 2, tables_large)).g_k == rec.tau_k for n in sq[1:]
     )

@@ -10,10 +10,11 @@ from divisorlab.census import (
     census,
     census_sample,
     census_sample_synthetic,
+    _population,
 )
 from divisorlab.divisor_sums import integer_kth_root
 from divisorlab.errors import DomainError, InsufficientPopulationError, RangeError
-from divisorlab.sieve import factor_squarefree
+from divisorlab.sieve import NOT_SQUAREFREE, build_sieve, factor_squarefree, primes_up_to
 from loop_oracles import count_small_parts_walk
 
 
@@ -37,7 +38,7 @@ def test_census_unit(tables_small):
 
 def test_census_matches_python_twin(tables_small):
     for n in (2, 6, 30, 210, 2310, 9699):
-        if tables_small.mu[n] == 0:
+        if tables_small.key[n] >= NOT_SQUAREFREE:
             continue
         for k in (2, 3, 4):
             rec = census(n, k, tables_small)
@@ -84,7 +85,7 @@ def test_complementary_count_nonnegative(tables_small):
 
 
 def test_pairing_makes_g2_equal_tau(tables_small):
-    sq = np.flatnonzero(tables_small.mu[: 1001] != 0)
+    sq = np.flatnonzero(tables_small.key[: 1001] < NOT_SQUAREFREE)
     for n in sq[1:]:  # skip n = 1
         rec = census(int(n), 2, tables_small)
         assert rec.g_k == rec.tau_k
@@ -136,7 +137,7 @@ def test_sample_summary_fields(tables_small):
     assert summ.half_k_distance == pytest.approx(abs(summ.mean_ratio - 1.5))
     for rec in recs:
         assert rec.omega_n == 2
-        assert tables_small.mu[rec.n] != 0
+        assert tables_small.key[rec.n] < NOT_SQUAREFREE
 
 
 def test_sample_k2_ratios_all_one(tables_small):
@@ -147,6 +148,32 @@ def test_sample_k2_ratios_all_one(tables_small):
 def test_sample_rejects_degenerate_omega(tables_small):
     with pytest.raises(InsufficientPopulationError):
         census_sample(0, 3, 5, 1, tables_small)
+
+
+def _trial_division_population(limit: int, omega_target: int) -> list[int]:
+    """The squarefree n <= limit with omega_target primes, all n at once by
+    dividing out each prime up to sqrt(limit)."""
+    rest = np.arange(1, limit + 1)  # n - 1 indexes n
+    omega = np.zeros(limit, dtype=np.int64)
+    squarefree = np.ones(limit, dtype=bool)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        hit = rest % p == 0
+        omega += hit
+        rest[hit] //= p
+        squarefree &= rest % p != 0
+        while (hit := rest % p == 0).any():
+            rest[hit] //= p
+    omega += rest > 1  # a prime above sqrt(limit) is left
+    return (1 + np.flatnonzero(squarefree & (omega == omega_target))).tolist()
+
+
+def test_population_equals_trial_division():
+    tables = build_sieve(10**5)
+    for omega_target in range(1, 7):
+        want = _trial_division_population(10**5, omega_target)
+        assert _population(omega_target, tables).tolist() == want, omega_target
+    assert _population(7, tables).size == 0  # 510510 is the first with 7 primes
+    assert _population(17, tables).size == 0  # not a key with the flag set
 
 
 def test_sample_rejects_empty_population(tables_small):

@@ -42,12 +42,24 @@ def test_ratio_rejects_bad_k(capsys):
     ["gamma-lemma", "--n", "1000", "--f", "h_table", "--prime", "1"],
     ["selberg", "--x", "1", "--z", "2"],
     ["selberg", "--x", "1", "--z", "2", "--weighted"],
+    ["prop32", "--m-max", "-5", "--x", "1000"],
+    ["prop32", "--m-max", "0", "--x", "1000"],
 ])
 def test_bad_prime_or_grid_is_an_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_repeated_override_prime_is_an_error_line(tmp_path, capsys):
+    argv = ["ratio", "--x", "100", "--k", "3", "--c", "0.3"]
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("override = 2=0.1, 2=0.2\n")
+    for extra in (["--override", "2=0.1", "--override", "2=0.2"], ["--config", str(cfg)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, ""), extra
+        assert err.startswith("error: ") and "more than once" in err, extra
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -25,8 +25,9 @@ W3 = PrimeWeight(0.3, k_context=3)
 
 def brute_s_full(x, w, tables):
     total = 0.0
+    mu = oracle.mu_of(tables)
     for n in range(1, x + 1):
-        if tables.mu[n] == 0:
+        if mu[n] == 0:
             continue
         total += sum(oracle.h_eval(d, w, tables) for d in range(1, n + 1) if n % d == 0)
     return total
@@ -34,8 +35,9 @@ def brute_s_full(x, w, tables):
 
 def brute_s_small(x, k, w, tables):
     total = 0.0
+    mu = oracle.mu_of(tables)
     for n in range(1, x + 1):
-        if tables.mu[n] == 0:
+        if mu[n] == 0:
             continue
         total += sum(
             oracle.h_eval(d, w, tables)
@@ -174,6 +176,31 @@ def test_histogram_route_wide_keys(r):
         oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES))
 
 
+# up to 16 override primes: small ones, any of the table's (often above
+# x) and the table's last prime, above every x drawn
+spread_override_sets = st.lists(
+    st.one_of(
+        st.sampled_from(DIFF_PRIMES[:20]),
+        st.sampled_from([int(q) for q in DIFF_TABLES.primes()]),
+        st.just(int(DIFF_TABLES.primes()[-1])),
+    ),
+    max_size=16, unique=True,
+).map(lambda ops: tuple(sorted(ops)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(x=st.integers(1, 2 * 10**5), ops=spread_override_sets)
+@example(x=1, ops=(2, 3))
+@example(x=30, ops=())
+@example(x=2 * 10**5, ops=tuple(DIFF_PRIMES[:16]))
+@example(x=99991, ops=(2, 199999))
+def test_full_count_spread_equals_bin_by_bin_loop(x, ops):
+    got = ds._full_omega_identity(x, ops, DIFF_TABLES)
+    want = oracle.spread_histogram(sieve.omega_flag_histogram(x, ops, DIFF_TABLES))
+    assert got == dict(want)
+    assert all(type(v) is int and type(om) is int and type(fl) is int for (om, fl), v in got.items())
+
+
 def test_histogram_with_sixteen_primes_peaks_below_blocked_kernel():
     # the 16 smallest primes: 2**16 flag columns and about 24,000 products b
     x = DIFF_TABLES.limit
@@ -307,10 +334,11 @@ def test_weight_one_total_counts_all_pairs(tables_small):
     x = 2000
     counts = ds.full_class_counts(x, (), tables_small)
     tau_sum = 0
+    mu, omega = oracle.mu_of(tables_small), oracle.omega_of(tables_small)
     for n in range(1, x + 1):
-        if tables_small.mu[n] == 0:
+        if mu[n] == 0:
             continue
-        tau_sum += 2 ** int(tables_small.omega[n])
+        tau_sum += 2 ** int(omega[n])
     assert counts.total_pairs() == tau_sum
     assert ds.weighted_total(counts, W1) == tau_sum
 
@@ -348,7 +376,7 @@ def test_zero_weight_counts_only_unit_divisor(tables_small):
     # 0**0 = 1 convention: the d = 1 class survives a zero base weight
     counts = ds.full_class_counts(50, (), tables_small)
     total = ds.weighted_total(counts, W0)
-    assert total == sum(1 for n in range(1, 51) if tables_small.mu[n] != 0)
+    assert total == np.count_nonzero(oracle.mu_of(tables_small)[1:51])
 
 
 def test_h_series_examples(tables_small):
@@ -359,11 +387,12 @@ def test_h_series_examples(tables_small):
 
 def test_h_series_brute_force(tables_small):
     w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    mu = oracle.mu_of(tables_small)
     for x, p in [(50, 2), (500, 3), (999, 7)]:
         expected = math.fsum(
             oracle.g_eval(j, tables_small) * oracle.h_eval(j, w, tables_small) / j
             for j in range(1, x + 1)
-            if tables_small.mu[j] != 0 and j % p != 0
+            if mu[j] != 0 and j % p != 0
         )
         assert ds.h_series(x, w, p, tables_small) == pytest.approx(expected, rel=1e-13)
 

@@ -156,29 +156,25 @@ def test_selberg_exact_examples(tables_small):
 
 def test_selberg_exact_matches_direct_sum(tables_small):
     x = 10**4
+    mu, omega = oracle.mu_of(tables_small), oracle.omega_of(tables_small)
     for z in (2.0, 3.0):
-        direct = sum(
-            int(z) ** int(tables_small.omega[n])
-            for n in range(1, x + 1)
-            if tables_small.mu[n] != 0
-        )
+        direct = sum(int(z) ** int(omega[n]) for n in range(1, x + 1) if mu[n] != 0)
         assert selberg_exact(x, z, False, tables_small) == float(direct)
     # non-integer z: the float sum over the classes of the masked bincount
     classes = oracle.omega_class_counts_masked(x, tables_small)
     assert selberg_exact(x, 2.5, False, tables_small) == math.fsum(
         c * 2.5**j for j, c in classes.items())
     direct_w = math.fsum(
-        2.0 ** int(tables_small.omega[n]) * oracle.g_eval(n, tables_small)
+        2.0 ** int(omega[n]) * oracle.g_eval(n, tables_small)
         for n in range(1, 2001)
-        if tables_small.mu[n] != 0
+        if mu[n] != 0
     )
     assert selberg_exact(2000, 2.0, True, tables_small) == pytest.approx(
         direct_w, rel=1e-13
     )
     # the weighted sum is the correctly rounded sum of its float terms
-    terms = (2.0 ** tables_small.omega[1:2001].astype(float)) * g_table(2000, tables_small)[1:]
-    assert selberg_exact(2000, 2.0, True, tables_small) == math.fsum(
-        terms[tables_small.mu[1:2001] != 0])
+    terms = (2.0 ** omega[1:2001].astype(float)) * g_table(2000, tables_small)[1:]
+    assert selberg_exact(2000, 2.0, True, tables_small) == math.fsum(terms[mu[1:2001] != 0])
 
 
 def test_selberg_exact_validation(tables_small):

@@ -10,6 +10,7 @@ import divisorlab.experiments as ex
 import loop_oracles as oracle
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.euler import gaussian_window
+from divisorlab.sieve import NOT_SQUAREFREE, factor_squarefree
 from divisorlab.weights import PrimeWeight
 
 
@@ -97,6 +98,32 @@ def test_prop32_scan_hand_example(tables_small):
     assert rep.extra["max_constant"] <= 6.0
 
 
+@pytest.mark.parametrize("x", [10**3, 10**4])
+def test_prop32_scan_equals_loop_oracle(tables_small, x):
+    m_max = 300
+    mu = oracle.mu_of(tables_small)
+    worst, worst_m = 0.0, 1
+    for m in range(1, m_max + 1):
+        if mu[m] == 0:
+            continue
+        count = oracle.squarefree_coprime_count(x, m, tables_small)
+        g = oracle.g_eval(m, tables_small)
+        tau = 2.0 ** len(factor_squarefree(m, tables_small))
+        constant = abs(count - 6.0 / math.pi**2 * g * x) / (tau ** (2.0 / 3.0) * math.sqrt(x))
+        if constant > worst:
+            worst, worst_m = constant, m
+    rep = ex.prop32_scan(m_max, [x], tables_small)
+    assert rep.grid == [x]
+    assert rep.observed[0].hex() == worst.hex()
+    assert rep.extra["argmax_m"] == [worst_m]
+
+
+def test_prop32_scan_rejects_m_max_below_one(tables_small):
+    for m_max in (0, -5):
+        with pytest.raises(DomainError):
+            ex.prop32_scan(m_max, [10**3], tables_small)
+
+
 def test_prop32_scan_monotone_in_m_max(tables_small):
     small = ex.prop32_scan(50, [10**3], tables_small)
     bigger = ex.prop32_scan(200, [10**3], tables_small)
@@ -172,7 +199,7 @@ def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
 def test_erdos_kac_statistic_matches_whole_array_formula(tables_medium):
     # the blocked statistic keeps the bits of the one-shot expression
     for x in (3, 10**4, ex._BLOCK + 2, ex._BLOCK + 3, tables_medium.limit):
-        om = tables_medium.omega[3 : x + 1].astype(np.float64)
+        om = oracle.omega_of(tables_medium)[3 : x + 1].astype(np.float64)
         loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
         want = (om - loglog) / np.sqrt(loglog)
         assert ex._erdos_kac_statistic(x, tables_medium).tobytes() == want.tobytes()
@@ -202,7 +229,7 @@ def test_kolmogorov_kernel_matches_full_erf(tables_small, nodes, block):
 def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):
     grid = [10**4, 10**5, 10**6]
     n = np.arange(tables_medium.limit + 1)
-    omega = tables_medium.omega.astype(np.int16)
+    omega = oracle.omega_of(tables_medium).astype(np.int16)
     big_omega = omega.copy()  # prime factors counted with multiplicity
     for p in tables_medium.primes():
         if p * p > tables_medium.limit:
@@ -212,16 +239,21 @@ def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):
             big_omega[q::q] += 1
             q *= p
 
+    def with_omega(values):
+        # the statistic reads the four omega bits of the key, so Omega(n)
+        # above 15 (a few n from 2**16 on) is capped at 15
+        key = np.clip(values, 0, NOT_SQUAREFREE - 1).astype(np.uint8)
+        key |= tables_medium.key & NOT_SQUAREFREE
+        return dataclasses.replace(tables_medium, key=key)
+
     real = ex.erdos_kac_distance(grid, tables_medium)
     assert real.extra["non_increasing"] and real.extra["cap_ok"]
     assert real.verdict == "pass"
     for wrong in (big_omega, omega - (n % 2 == 0)):  # Omega; omega without 2
-        wrong_tables = dataclasses.replace(tables_medium, omega=wrong)
-        rep = ex.erdos_kac_distance(grid, wrong_tables)
+        rep = ex.erdos_kac_distance(grid, with_omega(wrong))
         assert not rep.extra["non_increasing"]
         assert rep.verdict == "fail"
-    shifted_tables = dataclasses.replace(tables_medium, omega=omega + 1)
-    shifted = ex.erdos_kac_distance(grid, shifted_tables)
+    shifted = ex.erdos_kac_distance(grid, with_omega(omega + 1))
     assert shifted.extra["non_increasing"]  # the rate alone misses a shift
     assert not shifted.extra["cap_ok"]
     assert shifted.verdict == "fail"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from divisorlab import sieve
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.sieve import (
+    NOT_SQUAREFREE,
     build_sieve,
     coprime_squarefree_counts,
     distinct_primes,
@@ -17,7 +18,13 @@ from divisorlab.sieve import (
     primes_up_to,
 )
 import loop_oracles as oracle
-from loop_oracles import loop_build_sieve, squarefree_coprime_count, squarefree_coprime_count_range
+from loop_oracles import (
+    loop_build_sieve,
+    mu_of,
+    omega_of,
+    squarefree_coprime_count,
+    squarefree_coprime_count_range,
+)
 
 
 def trial_mu(n: int) -> int:
@@ -51,23 +58,39 @@ def trial_factor(n: int) -> list[int]:
 
 
 def test_first_ten_mobius_values(tables_small):
-    assert tables_small.mu[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    assert mu_of(tables_small)[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
 def test_mu_matches_trial_division_oracle(tables_small):
+    mu = mu_of(tables_small)
     for n in range(1, 10**4 + 1):
-        assert int(tables_small.mu[n]) == trial_mu(n), n
+        assert int(mu[n]) == trial_mu(n), n
 
 
 def test_smallest_case():
     t = build_sieve(2)
     assert t.primes().tolist() == [2]
     assert [t.is_prime(n) for n in (-1, 0, 1, 2, 3)] == [False, False, False, True, False]
-    assert t.omega[1] == 0 and t.omega[2] == 1
+    assert t.key.tolist() == [NOT_SQUAREFREE, 0, 1]
+
+
+@pytest.mark.parametrize("limit", [1009, sieve.CHUNK - 1, sieve.CHUNK + 1, 2 * sieve.CHUNK + 1])
+def test_key_encodes_squarefree_and_omega(limit):
+    # every n up to 1009, and the n around each chunk edge of the build
+    tables = build_sieve(limit)
+    key = tables.key
+    assert key.dtype == np.uint8 and len(key) == limit + 1 and key[0] == NOT_SQUAREFREE
+    edges = {b for _, b in sieve.chunks(2, limit + 1)}
+    ns = set(range(1, min(limit, 1009) + 1))
+    ns |= {n for e in edges for n in range(e - 40, e + 40) if 1 <= n <= limit}
+    for n in sorted(ns):
+        primes = trial_factor(n)
+        assert (key[n] < NOT_SQUAREFREE) == (math.prod(primes) == n), n
+        assert key[n] & (NOT_SQUAREFREE - 1) == len(primes), n
 
 
 def test_is_prime_matches_trial_division():
-    tables = build_sieve(1009)  # prime: omega[-1] == 1 and mu[-1] == -1
+    tables = build_sieve(1009)  # prime: key[-1] == 1
     assert not tables.is_prime(-1) and not tables.is_prime(1010)
     assert [n for n in range(1010) if tables.is_prime(n)] == [
         n for n in range(2, 1010) if trial_factor(n) == [n]
@@ -84,23 +107,28 @@ def test_smallest_prime_factors_of_a_segment(a, b):
 
 
 def test_omega_30(tables_small):
-    assert tables_small.omega[30] == 3
+    assert tables_small.key[30] == 3
+    assert omega_of(tables_small)[30] == 3 and mu_of(tables_small)[30] == -1
 
 
 def test_prime_rows(tables_small):
+    mu, omega = mu_of(tables_small), omega_of(tables_small)
     for p in (2, 3, 5, 7, 97, 9973):
         assert tables_small.is_prime(p)
-        assert tables_small.mu[p] == -1
-        assert tables_small.omega[p] == 1
+        assert tables_small.key[p] == 1
+        assert mu[p] == -1
+        assert omega[p] == 1
 
 
 def test_omega_matches_trial_division(tables_small):
+    omega = omega_of(tables_small)
     for n in range(2, 3000):
-        assert tables_small.omega[n] == len(distinct_primes(n, tables_small))
+        assert omega[n] == len(distinct_primes(n, tables_small))
 
 
 def test_multiplicative_across_coprime_splits(tables_small):
     rng = np.random.default_rng(1)
+    mu, omega = mu_of(tables_small), omega_of(tables_small)
     pairs = 0
     while pairs < 300:
         a = int(rng.integers(2, 100))
@@ -108,9 +136,8 @@ def test_multiplicative_across_coprime_splits(tables_small):
         if math.gcd(a, b) != 1:
             continue
         pairs += 1
-        t = tables_small
-        assert t.mu[a * b] == t.mu[a] * t.mu[b]
-        assert t.omega[a * b] == t.omega[a] + t.omega[b]
+        assert mu[a * b] == mu[a] * mu[b]
+        assert omega[a * b] == omega[a] + omega[b]
 
 
 def test_distinct_primes_examples(tables_small):
@@ -170,10 +197,11 @@ def test_squarefree_rank_counts_every_prefix(limit):
     # packing chunk
     tables = build_sieve(limit)
     y = np.arange(limit + 1)
-    assert np.array_equal(tables.squarefree_rank(y), np.cumsum(tables.mu != 0))
+    squarefree = tables.key < NOT_SQUAREFREE
+    assert np.array_equal(tables.squarefree_rank(y), np.cumsum(squarefree))
     # word edges one at a time: bit 63 takes the mask whose shift wraps
     edges = sorted({e for w in range(0, limit + 1, 64) for e in (w, w + 63) if e <= limit} | {limit})
-    want = [np.count_nonzero(tables.mu[1 : e + 1]) for e in edges]
+    want = [np.count_nonzero(squarefree[1 : e + 1]) for e in edges]
     assert [int(tables.squarefree_rank(e)) for e in edges] == want
 
 
@@ -182,15 +210,15 @@ def test_squarefree_omega_rank_counts_every_prefix(limit):
     # tables shorter than, equal to and one past a 256-integer block, one
     # past a superblock (2**16) and one past a pass of the index build
     tables = build_sieve(limit)
-    squarefree = np.flatnonzero(tables.mu)
+    squarefree = np.flatnonzero(mu_of(tables))
     onehot = np.zeros((limit + 1, 10), dtype=np.int64)
-    onehot[squarefree, tables.omega[squarefree]] = 1
+    onehot[squarefree, omega_of(tables)[squarefree]] = 1
     got = tables.squarefree_omega_rank(np.arange(limit + 1))
     assert got.dtype == np.int64 and np.array_equal(got, np.cumsum(onehot, axis=0))
 
 
 def test_coprime_counts_equal_enumeration_oracle(tables_small):
-    ms = np.flatnonzero(tables_small.mu[:301])
+    ms = np.flatnonzero(mu_of(tables_small)[:301])
     for x in (1, 64, 1000, 4999):
         want = [squarefree_coprime_count(x, int(m), tables_small) for m in ms]
         assert coprime_squarefree_counts(x, ms, tables_small).tolist() == want
@@ -227,12 +255,9 @@ def test_omega_class_counts_examples(tables_small):
 def test_class_counts_reproduce_direct_power_sums(tables_small):
     # weighting the classes by z**j equals the direct per-n sum, exactly, for integer z
     x = 10**4
+    mu, omega = mu_of(tables_small), omega_of(tables_small)
     for z in (2, 3):
-        direct = sum(
-            z ** int(tables_small.omega[n])
-            for n in range(1, x + 1)
-            if tables_small.mu[n] != 0
-        )
+        direct = sum(z ** int(omega[n]) for n in range(1, x + 1) if mu[n] != 0)
         classed = sum(c * z**j for j, c in omega_class_counts(x, tables_small).items())
         assert direct == classed
 
@@ -246,13 +271,12 @@ def test_squarefree_density_classical_bound(tables_small):
 def test_build_is_deterministic(tables_small):
     again = build_sieve(10**4)
     assert np.array_equal(again.primes(), tables_small.primes())
-    assert np.array_equal(again.mu, tables_small.mu)
-    assert np.array_equal(again.omega, tables_small.omega)
+    assert np.array_equal(again.key, tables_small.key)
 
 
 def test_tables_are_immutable(tables_small):
     with pytest.raises(ValueError):
-        tables_small.mu[4] = 1
+        tables_small.key[4] = 1
 
 
 def test_factor_squarefree_beyond_limit(tables_small):
@@ -291,11 +315,9 @@ def test_primes_equal_primes_up_to(limit):
 
 def assert_tables_equal(got, want):
     assert got.limit == want.limit
-    for name in ("mu", "omega"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a, b), name
-        assert not a.flags.writeable, name
+    assert got.key.dtype == want.key.dtype == np.uint8
+    assert np.array_equal(got.key, want.key)
+    assert not got.key.flags.writeable
 
 
 # Every edge of the recurrence's chunks, one either side: the doubling
@@ -332,7 +354,7 @@ def test_memory_guard_rejects_before_allocating():
     with mock.patch.object(sieve, "_available_bytes", return_value=2 * 2**30):
         tracemalloc.start()
         try:
-            with pytest.raises(RangeError, match=r"needs about 4104 MB; 2048 MB available"):
+            with pytest.raises(RangeError, match=r"needs about 2056 MB; 2048 MB available"):
                 build_sieve(2**31)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -341,8 +363,8 @@ def test_memory_guard_rejects_before_allocating():
         assert build_sieve(1000).limit == 1000
 
 
-def test_build_peak_stays_below_three_bytes_per_integer():
-    # mu and omega hold 2 bytes per integer; spf lives one chunk at a time
+def test_build_peak_stays_below_two_bytes_per_integer():
+    # the key holds 1 byte per integer; spf lives one chunk at a time
     limit = 2**23
     tracemalloc.start()
     try:
@@ -351,7 +373,7 @@ def test_build_peak_stays_below_three_bytes_per_integer():
     finally:
         tracemalloc.stop()
     need = sieve._BYTES_PER_INT * (limit + 1) + sieve._BYTES_PER_CHUNK_INT * sieve.CHUNK
-    assert peak < 3 * limit
+    assert peak < 2 * limit
     assert peak < need
     assert tables.limit == limit
 
@@ -370,7 +392,7 @@ def test_index_memory_guard_rejects_before_allocating():
             tracemalloc.stop()
     assert peak < need // 8
     with mock.patch.object(sieve, "_available_bytes", return_value=need):
-        assert tables.squarefree_rank(np.array([limit]))[0] == np.count_nonzero(tables.mu)
+        assert tables.squarefree_rank(np.array([limit]))[0] == np.count_nonzero(tables.key < NOT_SQUAREFREE)
 
 
 def test_index_build_peak_stays_below_its_estimate():

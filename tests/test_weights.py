@@ -6,7 +6,7 @@ import pytest
 from divisorlab.errors import DomainError, RangeError
 from divisorlab.weights import PrimeWeight, e_table, g_table
 from divisorlab.sieve import CHUNK, build_sieve
-from loop_oracles import e_of_m, g_eval, h_eval, loop_e_table, loop_g_table
+from loop_oracles import e_of_m, g_eval, h_eval, loop_e_table, loop_g_table, mu_of, omega_of
 
 
 def test_h_eval_examples(tables_small):
@@ -97,9 +97,8 @@ def test_override_value_lookup():
 def test_e_bound_sweep_vectorized(tables_small):
     upper = 10**4
     table = e_table(upper, tables_small)
-    mask = np.array(tables_small.mu[: upper + 1] != 0)
-    mask[0] = False
-    tau = 2.0 ** tables_small.omega[: upper + 1].astype(np.float64)
+    mask = mu_of(tables_small)[: upper + 1] != 0
+    tau = 2.0 ** omega_of(tables_small)[: upper + 1].astype(np.float64)
     idx = np.flatnonzero(mask)
     assert np.all(table[idx] < 2.0 * tau[idx] ** (2.0 / 3.0))
 
