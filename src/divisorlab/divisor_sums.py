@@ -341,36 +341,47 @@ def h_series_cumulative(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> 
 
 
 def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
-    """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0.
-
-    e(j) counts the primes of j with the base weight c, and adjust(j)
-    multiplies the overrides that divide j in ascending order.  Built in
-    place, so at most three float arrays of length x are alive at once.
-    """
+    """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0:
+    the weight terms of _weight_terms over j, with the multiples of p zeroed."""
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not tables.is_prime(p):
         raise DomainError(f"p={p} is not a prime in the table")
-    ops = [q for q in w.override_primes() if q <= x]
-    # omega <= 9, and at most 1,600 divisors of one j <= 2**31 can be
+    terms = _weight_terms(x, w.base_c, w.overrides, tables)
+    np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
+    if p <= x:
+        terms[p::p] = 0.0
+    return terms
+
+
+def _weight_terms(x: int, base: float, overrides: dict[int, float], tables: SieveTables) -> np.ndarray:
+    """terms[n] = (c**e(n) * adjust(n)) * g(n) for squarefree n <= x, else 0.
+
+    c is base, e(n) counts the primes of n that overrides does not name,
+    adjust(n) multiplies the overrides at the primes of n in ascending
+    order, and g(n) = prod p/(p+1) over them; terms[0] = 0.  Built in
+    place, so at most three float arrays of length x are alive at once.
+    The per-integer sums build their terms here: h_series with the
+    weight and weighted euler.selberg_exact with base z and no overrides;
+    both check 1 <= x <= tables.limit first.
+    """
+    ops = [q for q in sorted(overrides) if q <= x]
+    # omega <= 9, and at most 1,600 divisors of one n <= 2**31 can be
     # override keys, so the exponent fits in int16.
     exponent = (tables.key[: x + 1] & (NOT_SQUAREFREE - 1)).astype(np.int16)
     for q in ops:
         exponent[q::q] -= 1
-    terms = np.power(float(w.base_c), exponent)
+    terms = np.power(float(base), exponent)
     del exponent
     if ops:
         adjust = np.ones(x + 1)
         for q in ops:
-            adjust[q::q] *= w.overrides[q]
+            adjust[q::q] *= overrides[q]
         terms *= adjust
         del adjust
     terms *= g_table(x, tables)
-    np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
     terms[tables.key[: x + 1] >= NOT_SQUAREFREE] = 0.0
     terms[0] = 0.0
-    if p <= x:
-        terms[p::p] = 0.0
     return terms
 
 
@@ -386,8 +397,11 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
     2**size >= len(t) (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 4.2).  Each prefix is rounded from both ends
     of its error interval; where the two roundings differ (a near or exact
-    tie) it is recomputed by math.fsum.  The work goes in blocks whose
-    partial sums carry over, so it holds two arrays of the length of t.
+    tie) it is recomputed by math.fsum over a few floats that hold the
+    exact sum of the blocks before it, plus its own block up to it.  Those
+    open prefixes go in ascending order, so the carry passes each block
+    once.  The work goes in blocks whose partial sums carry over, so it
+    holds two arrays of the length of t.
     """
     out = np.zeros(len(t))
     first = int(np.argmax(t > 0)) if len(t) else 0
@@ -417,9 +431,27 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
         high += bound
         high += s
         ties.extend((lo + np.flatnonzero(below != high)).tolist())
-    for j in ties:
-        out[first + j] = fsum(v[: j + 1])
+    done, parts = 0, []  # the exact sum of v[:done] is that of parts
+    for j in ties:  # ascending
+        lo = j - j % _PREFIX_BLOCK
+        for start in range(done, lo, _PREFIX_BLOCK):
+            parts = _exact_parts(parts + v[start : start + _PREFIX_BLOCK].tolist())
+        done = lo
+        out[first + j] = fsum(parts + v[lo : j + 1].tolist())
     return out
+
+
+def _exact_parts(values: list) -> list:
+    """A few floats whose exact sum is that of values (finite, with a finite sum).
+
+    Each part is math.fsum of what the parts before it leave over, so each
+    is at most half an ulp of the one before, and the remainder reaches 0.
+    """
+    parts = []
+    while part := fsum(values):
+        parts.append(part)
+        values.append(-part)
+    return parts
 
 
 def fsum_nonnegative(t: np.ndarray) -> float:

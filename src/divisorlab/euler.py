@@ -3,7 +3,9 @@
 The two product constants are evaluated as compensated sums of
 log-factors over sieved primes, exponentiated once, and carry an analytic
 bound on the omitted tail so different truncations can be compared
-honestly.
+honestly.  The exact Selberg sums that the predictors are checked against
+count by omega class (unweighted) or sum the per-integer weight terms of
+divisor_sums (weighted).
 """
 
 import math
@@ -12,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .divisor_sums import fsum_nonnegative
+from .divisor_sums import _weight_terms, fsum_nonnegative
 from .errors import DomainError, RangeError
-from .sieve import NOT_SQUAREFREE, SieveTables, omega_class_counts, primes_up_to
-from .weights import g_table
+from .sieve import SieveTables, omega_class_counts, primes_up_to
 
 ZETA2 = math.pi**2 / 6
 
@@ -162,7 +163,9 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
 
     Unweighted sums evaluate per omega class; integer z stays in exact
     integer arithmetic the whole way.  The weighted variant (g(n) = prod
-    p/(p+1) over p | n) is the correctly rounded sum of its float terms.
+    p/(p+1) over p | n) is the correctly rounded sum of its float terms,
+    which divisor_sums._weight_terms builds as it builds the h_series
+    terms: base z, no overrides.
     """
     if z <= 0:
         raise DomainError(f"z={z} must be positive")
@@ -174,7 +177,4 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
             zi = int(z)
             return float(sum(cnt * zi**j for j, cnt in counts.items()))
         return math.fsum(cnt * z**j for j, cnt in counts.items())
-    key = tables.key[1 : x + 1]
-    omega = (key & (NOT_SQUAREFREE - 1)).astype(np.float64)
-    vals = np.where(key < NOT_SQUAREFREE, np.power(z, omega) * g_table(x, tables)[1:], 0.0)
-    return fsum_nonnegative(vals)
+    return fsum_nonnegative(_weight_terms(x, z, {}, tables))

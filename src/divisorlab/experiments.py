@@ -176,6 +176,8 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
     from one g_table.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
+    if xs[0] < 1:
+        raise RangeError(f"grid point {xs[0]} below 1")
     if m_max < 1:
         raise DomainError(f"m_max={m_max} must be >= 1")
     if m_max > tables.limit:
@@ -214,23 +216,6 @@ def _log_shift(t: float) -> float:
     return math.log(math.e + t)
 
 
-class _SeriesInterpolant:
-    """Monotone piecewise-linear interpolation of the excluded-prime series."""
-
-    def __init__(self, cumulative: np.ndarray):
-        self._h = cumulative
-        self._top = len(cumulative) - 1
-
-    def __call__(self, t: float) -> float:
-        if t < 1.0:
-            raise DomainError(f"interpolant evaluated below 1 (t={t})")
-        j = min(int(t), self._top)
-        if j >= self._top:
-            return float(self._h[self._top])
-        frac = t - j
-        return float(self._h[j] + frac * (self._h[j + 1] - self._h[j]))
-
-
 # Relative distance above sqrt(N) at which the gamma-lemma grid starts.
 _ROOT_OFFSET = 0.02
 
@@ -264,7 +249,9 @@ def gamma_lemma_check(
             raise ConfigurationError("h_table choice requires weight and p")
         if N > tables.limit:
             raise RangeError(f"N={N} beyond table limit")
-        f = _SeriesInterpolant(dsums.h_series_cumulative(N, weight, p, tables))
+        H = dsums.h_series_cumulative(N, weight, p, tables)
+        nodes = np.arange(N + 1, dtype=np.float64)
+        f = lambda t: float(np.interp(t, nodes, H))  # t >= 1: the grid's least N / t is 1
     else:
         raise ConfigurationError(f"unknown f_choice {f_choice!r}")
 
@@ -307,12 +294,17 @@ def _erdos_kac_statistic(x: int, tables: SieveTables) -> np.ndarray:
     """(omega(n) - loglog n)/sqrt(loglog n) for 3 <= n <= x, in order of n."""
     stat = np.empty(x - 2)
     for lo in range(0, len(stat), _BLOCK):
-        part = stat[lo : lo + _BLOCK]
-        part[:] = tables.key[lo + 3 : lo + 3 + len(part)] & (NOT_SQUAREFREE - 1)
-        loglog = np.log(np.log(np.arange(lo + 3, lo + 3 + len(part), dtype=np.float64)))
-        part -= loglog
-        part /= np.sqrt(loglog)
+        _erdos_kac_block(lo + 3, stat[lo : lo + _BLOCK], tables)
     return stat
+
+
+def _erdos_kac_block(n0: int, out: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """out, filled with the statistic above for n = n0, n0 + 1, ..."""
+    out[:] = tables.key[n0 : n0 + len(out)] & (NOT_SQUAREFREE - 1)
+    loglog = np.log(np.log(np.arange(n0, n0 + len(out), dtype=np.float64)))
+    out -= loglog
+    out /= np.sqrt(loglog)
+    return out
 
 
 def erdos_kac_histogram(
@@ -330,16 +322,20 @@ def erdos_kac_histogram(
     mass jumps as the edges cross band boundaries instead of settling
     toward the normal mass.  erdos_kac_distance checks the normal law at
     its proven rate.  n = 1, 2 have no loglog and are skipped
-    (counted in the notes).
+    (counted in the notes).  The window is counted block by block, so no
+    temporary has length x.  Infinite edges are allowed; a NaN edge raises
+    DomainError.
     """
-    if window_a > window_b:
-        raise DomainError(f"window [{window_a}, {window_b}] has a > b")
+    if not window_a <= window_b:  # NaN fails too
+        raise DomainError(f"window [{window_a}, {window_b}] needs a <= b")
     if x < 10**4:
         raise RangeError(f"x={x} must be >= 1e4")
     if x > tables.limit:
         raise RangeError(f"x={x} beyond table limit")
-    stat = _erdos_kac_statistic(x, tables)
-    inside = int(np.count_nonzero((stat >= window_a) & (stat <= window_b)))
+    buf, inside = np.empty(_BLOCK), 0
+    for n0 in range(3, x + 1, _BLOCK):
+        part = _erdos_kac_block(n0, buf[: x + 1 - n0], tables)
+        inside += int(np.count_nonzero((part >= window_a) & (part <= window_b)))
     fraction = inside / (x - 2)
     phi = gaussian_window(window_a, window_b)
     diff = abs(fraction - phi)

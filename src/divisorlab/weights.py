@@ -6,7 +6,7 @@ where its value is the product of its values at the distinct primes.
 """
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import inf, isqrt
 
 import numpy as np
 
@@ -32,13 +32,14 @@ class PrimeWeight:
     def __post_init__(self):
         if self.k_context < 2:
             raise DomainError(f"k_context={self.k_context} must be >= 2")
-        if self.base_c < 0:
-            raise DomainError(f"base_c={self.base_c} must be >= 0")
+        # Written as 0 <= v < inf, so that NaN fails too.
+        if not 0 <= self.base_c < inf:
+            raise DomainError(f"base_c={self.base_c} must be finite and >= 0")
         for p, v in self.overrides.items():
             if p < 2:
                 raise DomainError(f"override key {p} is not a prime")
-            if v < 0:
-                raise DomainError(f"override value {v} at p={p} must be >= 0")
+            if not 0 <= v < inf:
+                raise DomainError(f"override value {v} at p={p} must be finite and >= 0")
         if self.strict_mode:
             cap = 1.0 / (self.k_context - 1)
             bad = [v for v in (self.base_c, *self.overrides.values()) if v >= cap]
@@ -59,52 +60,29 @@ class PrimeWeight:
         return PrimeWeight(self.base_c, ov, self.k_context, self.strict_mode)
 
 
-def _prime_product_table(upper: int, tables: SieveTables, factor) -> np.ndarray:
-    """out[m] = product of factor(p) over the distinct primes p of m, m = 0..upper.
+def g_table(upper: int, tables: SieveTables) -> np.ndarray:
+    """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
 
-    out[0] = out[1] = 1; factor takes a float64 array of primes.  The primes
-    up to sqrt(upper) multiply into their multiples in ascending order.  An
-    m <= upper has at most one prime P above sqrt(upper), its largest (m =
-    s*P with s <= upper / P < P), so P multiplies last, at step s for every
-    P <= upper / s at once.  So the factors meet in ascending prime order
-    and out[m] has the bits of the per-prime product; a non-squarefree m
-    gets the value of its radical.
+    out[0] = out[1] = 1.  The primes up to sqrt(upper) multiply into their
+    multiples in ascending order.  An m <= upper has at most one prime P
+    above sqrt(upper), its largest (m = s*P with s <= upper / P < P), so P
+    multiplies last, at step s for every P <= upper / s at once.  So the
+    factors meet in ascending prime order and every caller gets the bits
+    of the per-prime product; a non-squarefree m gets g(rad m).
+
+    Raises:
+        RangeError: if upper exceeds the table limit.
     """
     if upper > tables.limit:
         raise RangeError(f"upper={upper} beyond table limit")
     out = np.ones(upper + 1)
     primes, root = tables.primes(), isqrt(upper)
     cut, end = np.searchsorted(primes, [root, upper], side="right")
-    small, big = primes[:cut], primes[cut:end]
-    for p, f in zip(small.tolist(), factor(small.astype(np.float64)).tolist()):
+    factor = primes[:end] / (primes[:end] + 1.0)
+    for p, f in zip(primes[:cut].tolist(), factor[:cut].tolist()):
         out[p::p] *= f
-    f_big = factor(big.astype(np.float64))
+    big, f_big = primes[cut:end], factor[cut:]
     for s in range(1, root + 1):
         n = np.searchsorted(big, upper // s, side="right")
         out[s * big[:n]] *= f_big[:n]
     return out
-
-
-def g_table(upper: int, tables: SieveTables) -> np.ndarray:
-    """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
-
-    The factors are multiplied in ascending prime order, so every caller
-    gets the same bits; a non-squarefree m gets g(rad m).
-
-    Raises:
-        RangeError: if upper exceeds the table limit.
-    """
-    return _prime_product_table(upper, tables, lambda p: p / (p + 1.0))
-
-
-def e_table(upper: int, tables: SieveTables) -> np.ndarray:
-    """Table of e(m) = sum of 1/sqrt(d) over the divisors d of squarefree m, m = 0..upper.
-
-    Uses the multiplicative product form prod (1 + 1/sqrt(p)), factors in
-    ascending prime order; agrees with the divisor-sum enumeration because
-    the summand is multiplicative.  A non-squarefree m gets e(rad m).
-
-    Raises:
-        RangeError: if upper exceeds the table limit.
-    """
-    return _prime_product_table(upper, tables, lambda p: 1.0 + 1.0 / np.sqrt(p))

@@ -3,8 +3,10 @@
 These are the earlier production routes and the per-value references:
 - the sieve fills omega with one strided pass per prime up to limit/2 and
   strikes the multiples of each p*p for the squarefree flag, and the g
-  and e tables multiply in one factor per prime up to upper; mu_of and
+  table multiplies in one factor per prime up to upper; mu_of and
   omega_of read mu and omega back off a table's key;
+- the e table (criterion 04's sums of 1/sqrt(d) over the divisors d) is
+  built the same way, here only;
 - h, g and e at one squarefree n from its primes (h_eval, g_eval, e_of_m,
   the last by enumerating the divisors), and the squarefree count coprime
   to one m by a boolean mask (squarefree_coprime_count);
@@ -20,8 +22,9 @@ These are the earlier production routes and the per-value references:
   counts spread each bin of it over the submasks of its flags
   (spread_histogram);
 - the census walks all k**omega(n) assignments of primes to slots;
-- the series terms are built from whole-length temporaries, and the
-  Kolmogorov distance evaluates math.erf at every sample point.
+- the series terms and the weighted Selberg terms are built from
+  whole-length temporaries, the latter with the per-prime g table, and
+  the Kolmogorov distance evaluates math.erf at every sample point.
 """
 
 import math
@@ -361,6 +364,13 @@ def series_terms(x, w, p, tables) -> np.ndarray:
     j = np.arange(x + 1, dtype=np.float64)
     j[0] = 1.0
     return np.where(mask, hv * gv / j, 0.0)
+
+
+def selberg_terms(x, z, tables) -> np.ndarray:
+    """z**omega(n) * g(n) at index n - 1 for squarefree n <= x, else 0."""
+    omega = omega_of(tables)[1 : x + 1].astype(np.float64)
+    terms = np.power(z, omega) * loop_g_table(x)[1:]
+    return np.where(tables.key[1 : x + 1] < NOT_SQUAREFREE, terms, 0.0)
 
 
 def kolmogorov_distance_erf(sorted_stat: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import loop_oracles as oracle
 from divisorlab.census import census, census_sample, census_sample_synthetic
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.euler import ZETA2, f0, f1, gamma_fn, selberg_exact
-from divisorlab.weights import PrimeWeight, e_table
+from divisorlab.weights import PrimeWeight
 from divisorlab.sieve import NOT_SQUAREFREE, build_sieve
 
 
@@ -113,7 +113,7 @@ def test_criterion_04_coprime_count_error_layer(tables_medium):
     rep = ex.prop32_scan(10**3, [10**4, 10**5, 10**6], tables_medium)
     max_constant = rep.extra["max_constant"]
     upper = 10**5
-    etab = e_table(upper, tables_medium)
+    etab = oracle.loop_e_table(upper)
     idx = np.flatnonzero(tables_medium.key[: upper + 1] < NOT_SQUAREFREE)
     tau = 2.0 ** tables_medium.key[idx].astype(np.float64)
     e_ok = bool(np.all(etab[idx] < 2.0 * tau ** (2.0 / 3.0)))

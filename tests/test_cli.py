@@ -44,6 +44,14 @@ def test_ratio_rejects_bad_k(capsys):
     ["selberg", "--x", "1", "--z", "2", "--weighted"],
     ["prop32", "--m-max", "-5", "--x", "1000"],
     ["prop32", "--m-max", "0", "--x", "1000"],
+    ["prop32", "--x", "0"],
+    ["prop32", "--x", "-5"],
+    ["gamma-lemma", "--n", "1000", "--f", "h_table", "--c", "nan"],
+    ["ratio", "--x", "100", "--c", "nan"],
+    ["ratio", "--x", "100", "--c", "inf", "--no-strict"],
+    ["ratio", "--x", "100", "--override", "2=inf", "--no-strict"],
+    ["ratio", "--x", "100", "--override", "2=nan"],
+    ["erdos-kac", "--x", "10000", "--a", "nan", "--b", "1"],
 ])
 def test_bad_prime_or_grid_is_an_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -60,6 +68,21 @@ def test_repeated_override_prime_is_an_error_line(tmp_path, capsys):
         code, out, err = run(capsys, *argv, *extra)
         assert (code, out) == (1, ""), extra
         assert err.startswith("error: ") and "more than once" in err, extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-lemma", "--n", "100000", "--f", "h_table", "--prime", "3", "--c", "0.2", "--points", "20"],
+    ["selberg", "--z", "2.5", "--weighted", "--x", "10000", "--x", "100000", "--x", "200000"],
+])
+def test_per_integer_commands_print_the_same_bytes_twice(tmp_path, argv):
+    # criterion 11 runs only class-count commands
+    for fmt in ("csv", "json"):
+        blobs = []
+        for run in (1, 2):
+            out = tmp_path / f"run{run}.{fmt}"
+            assert parse_and_dispatch(argv + ["--format", fmt, "--output", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] != b""
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -506,6 +506,21 @@ def test_prefix_fsum_carries_the_residual_across_blocks(block):
     assert np.all(P[12:] == 1.0 + 2 * u)
 
 
+@pytest.mark.parametrize("block", [3, 64, 1 << 15])
+def test_prefix_fsum_resolves_open_prefixes_in_late_blocks(block):
+    # An infinite error bound leaves every prefix open, so each one past
+    # the first block is resolved through the carry of the blocks before it.
+    rng = np.random.default_rng(11)
+    t = np.ldexp(1.0 + rng.random(3000), rng.integers(-90, 4, 3000))
+    t[rng.random(3000) < 0.2] = 0.0
+    t[:5] = 0.0  # a leading run of zeros is skipped
+    grid = ds._extraction_grid
+    with mock.patch.object(ds, "_PREFIX_BLOCK", block), \
+            mock.patch.object(ds, "_extraction_grid", lambda n, total: (*grid(n, total)[:2], math.inf)):
+        P = ds._prefix_fsum(t)
+    assert P.tolist() == [math.fsum(t[: j + 1]) for j in range(len(t))]
+
+
 def test_h_series_requires_prime(tables_small):
     with pytest.raises(DomainError):
         ds.h_series(100, W3, 6, tables_small)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -17,7 +18,7 @@ from divisorlab.euler import (
     predict_s_small,
     selberg_exact,
 )
-from divisorlab.sieve import primes_up_to
+from divisorlab.sieve import CHUNK, build_sieve, primes_up_to
 from divisorlab.weights import g_table
 
 
@@ -175,6 +176,27 @@ def test_selberg_exact_matches_direct_sum(tables_small):
     # the weighted sum is the correctly rounded sum of its float terms
     terms = (2.0 ** omega[1:2001].astype(float)) * g_table(2000, tables_small)[1:]
     assert selberg_exact(2000, 2.0, True, tables_small) == math.fsum(terms[mu[1:2001] != 0])
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 30, 1000, 99991, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_weighted_selberg_equals_per_prime_loop_oracle(tables_medium, x):
+    # x at the chunk edges of the g table
+    for z in (0.5, 1.0, 1.7, 2.5, 4.0):
+        terms = oracle.selberg_terms(x, z, tables_medium)
+        assert selberg_exact(x, z, True, tables_medium) == math.fsum(terms)
+
+
+def test_weighted_selberg_peak_stays_below_twenty_bytes_per_integer():
+    # the terms, one g table and the int16 exponent: about 18 bytes per integer
+    x = 2**20
+    tables = build_sieve(x)
+    tracemalloc.start()
+    try:
+        selberg_exact(x, 2.5, True, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * x
 
 
 def test_selberg_exact_validation(tables_small):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import divisorlab.experiments as ex
 import loop_oracles as oracle
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
 from divisorlab.euler import gaussian_window
-from divisorlab.sieve import NOT_SQUAREFREE, factor_squarefree
+from divisorlab.sieve import NOT_SQUAREFREE, build_sieve, factor_squarefree
 from divisorlab.weights import PrimeWeight
 
 
@@ -124,6 +125,12 @@ def test_prop32_scan_rejects_m_max_below_one(tables_small):
             ex.prop32_scan(m_max, [10**3], tables_small)
 
 
+def test_prop32_scan_rejects_grid_points_below_one(tables_small):
+    for grid in ([0], [-5], [0, 1000]):
+        with pytest.raises(RangeError):
+            ex.prop32_scan(30, grid, tables_small)
+
+
 def test_prop32_scan_monotone_in_m_max(tables_small):
     small = ex.prop32_scan(50, [10**3], tables_small)
     bigger = ex.prop32_scan(200, [10**3], tables_small)
@@ -177,6 +184,39 @@ def test_erdos_kac_bookkeeping(tables_small):
         ex.erdos_kac_histogram(10**4, 1.0, -1.0, tables_small)
     with pytest.raises(RangeError):
         ex.erdos_kac_histogram(100, -1.0, 1.0, tables_small)
+
+
+def test_erdos_kac_window_rejects_nan_edges_and_takes_infinite_ones(tables_small):
+    for a, b in ((math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DomainError):
+            ex.erdos_kac_histogram(10**4, a, b, tables_small)
+    assert ex.erdos_kac_histogram(10**4, -math.inf, math.inf, tables_small).observed == [1.0]
+    below = ex.erdos_kac_histogram(10**4, -math.inf, 0.0, tables_small).observed[0]
+    above = ex.erdos_kac_histogram(10**4, 0.0, math.inf, tables_small).observed[0]
+    assert 0.0 < below < 1.0 and 0.0 < above < 1.0
+
+
+def test_erdos_kac_window_counts_block_by_block(tables_medium):
+    # x at the edges of the blocks; the statistic is the whole-array formula
+    for x in (10**4, ex._BLOCK + 2, ex._BLOCK + 3, 2 * ex._BLOCK + 2, tables_medium.limit):
+        om = oracle.omega_of(tables_medium)[3 : x + 1].astype(np.float64)
+        loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
+        stat = (om - loglog) / np.sqrt(loglog)
+        for a, b in ((-1.0, 1.0), (-0.5, 2.0), (0.0, 0.0)):
+            inside = np.count_nonzero((stat >= a) & (stat <= b))
+            assert ex.erdos_kac_histogram(x, a, b, tables_medium).observed == [inside / (x - 2)]
+
+
+def test_erdos_kac_window_peak_stays_below_one_byte_per_integer():
+    x = 2**22
+    tables = build_sieve(x)
+    tracemalloc.start()
+    try:
+        ex.erdos_kac_histogram(x, -1.0, 1.0, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x
 
 
 def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
