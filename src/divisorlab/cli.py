@@ -9,6 +9,7 @@ verdict is "fail".  Identical invocations produce byte-identical output.
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -378,11 +379,19 @@ COMMANDS = {
 }
 
 
+# Every float literal with a leading minus (-1, -1., -.5, -1e-3, -inf, -nan).
+# argparse reads an argument that matches its negative-number pattern as a
+# value, since no option here looks like a number; its own pattern misses
+# exponents, a trailing point and inf, so "--a -inf" lacked its value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="divisorlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
     for name, cmd in COMMANDS.items():
         sub = subs.add_parser(name, description=cmd.description)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         for dest in COMMON + cmd.flags:
             FLAGS[dest].add_to(sub, dest, required=dest in cmd.required)
     return parser

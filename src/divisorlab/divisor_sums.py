@@ -28,12 +28,23 @@ so each table keeps the last few of them (SieveTables.memo, keyed by
 scan that asks again at the same x and k, over any override primes,
 counts once.  The full counts cost a few lookups and are not kept.
 Callers get their own dicts.
+
+The excluded-prime series H(x) = sum g(j)h(j)/j is summed from float
+terms built per request.  The memo also holds, under "series", a weak
+reference to the last H that h_series_cumulative built, with the exact
+bits of its weight and its p: while the caller keeps that H, h_series
+and h_series_cumulative with the same weight and p, at any x it reaches,
+read it instead of summing again.  The reference keeps no array alive,
+and H is read-only: a caller that writes into it gets ValueError instead
+of changing what another caller reads.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, frexp, fsum, isqrt, ldexp
+import struct
+import weakref
 
 import numpy as np
 
@@ -222,8 +233,9 @@ def _small_coprime_ranks(x, k, tables) -> tuple[np.ndarray, np.ndarray]:
     return d, pairs
 
 
-# Small-count entries a table keeps (in SieveTables.memo): enough for what
-# a few ratios, a prime split, a scan and a trend ask for at a handful of x.
+# Entries a table keeps in SieveTables.memo, the series entry among them:
+# enough for what a few ratios, a prime split, a scan and a trend ask for
+# at a handful of x.
 _MEMO_ENTRIES = 32
 
 
@@ -327,26 +339,61 @@ def h_series(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> float:
     """Partial sum over squarefree j <= x, p not dividing j, of g(j)h(j)/j.
 
     Correctly rounded: the exact sum of the float terms, rounded once.
+    Where the table holds an H from h_series_cumulative for this weight
+    and p that reaches x, this is H[x], the same number; otherwise the
+    terms are built and summed.
     """
+    H = _held_series(x, w, p, tables)
+    if H is not None:
+        return float(H[x])
     return fsum_nonnegative(_series_terms(x, w, p, tables))
 
 
 def h_series_cumulative(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
-    """Array H[0..x] of partial sums of the series above (H[0] = 0).
+    """Read-only array H[0..x] of partial sums of the series above (H[0] = 0).
 
     Every H[j] is the correctly rounded sum of the terms up to j, so
-    H[x] == h_series(x) and H is non-decreasing.
+    H[x] == h_series(x) and H is non-decreasing.  The table holds a weak
+    reference to the H it built last, and later series calls with the same
+    weight and p read it while the caller keeps it: here, where it reaches
+    x, a read-only view of its first x + 1 entries.
     """
-    return _prefix_fsum(_series_terms(x, w, p, tables))
+    H = _held_series(x, w, p, tables)
+    if H is not None:
+        return H[: x + 1]
+    H = _prefix_fsum(_series_terms(x, w, p, tables))
+    H.setflags(write=False)
+    tables.memo["series"] = (_series_key(w, p), weakref.ref(H))
+    return H
 
 
-def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
-    """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0:
-    the weight terms of _weight_terms over j, with the multiples of p zeroed."""
+def _held_series(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray | None:
+    """The H that h_series_cumulative last built on this table, if it is
+    still alive, was built for w and p and reaches x; else None.
+
+    The terms do not depend on how far they run (g_table multiplies in
+    ascending prime order at every upper), so H[: x + 1] is exactly what
+    a build at x would give.  Checks x and p first, as the builds do.
+    """
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not tables.is_prime(p):
         raise DomainError(f"p={p} is not a prime in the table")
+    key, ref = tables.memo.get("series", (None, None))
+    H = ref() if key == _series_key(w, p) else None
+    return H if H is not None and len(H) > x else None
+
+
+def _series_key(w: PrimeWeight, p: int) -> tuple:
+    """The weight's exact bits (0.0 and -0.0 differ) and p."""
+    bits = lambda v: struct.pack("<d", v)
+    return bits(w.base_c), tuple((q, bits(v)) for q, v in sorted(w.overrides.items())), p
+
+
+def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.ndarray:
+    """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0:
+    the weight terms of _weight_terms over j, with the multiples of p zeroed.
+    The callers check x and p first (_held_series)."""
     terms = _weight_terms(x, w.base_c, w.overrides, tables)
     np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
     if p <= x:
@@ -359,19 +406,22 @@ def _weight_terms(x: int, base: float, overrides: dict[int, float], tables: Siev
 
     c is base, e(n) counts the primes of n that overrides does not name,
     adjust(n) multiplies the overrides at the primes of n in ascending
-    order, and g(n) = prod p/(p+1) over them; terms[0] = 0.  Built in
-    place, so at most three float arrays of length x are alive at once.
+    order, and g(n) = prod p/(p+1) over them; terms[0] = 0.  c**e(n) is
+    taken from the 16 powers np.power(c, 0..15), which have the bits
+    np.power gives element by element over a whole exponent array.  Built
+    in place, so at most three float arrays of length x are alive at once.
+    The non-squarefree n are zeroed after the products, so a product that
+    overflows there leaves no NaN.
     The per-integer sums build their terms here: h_series with the
     weight and weighted euler.selberg_exact with base z and no overrides;
     both check 1 <= x <= tables.limit first.
     """
     ops = [q for q in sorted(overrides) if q <= x]
-    # omega <= 9, and at most 1,600 divisors of one n <= 2**31 can be
-    # override keys, so the exponent fits in int16.
-    exponent = (tables.key[: x + 1] & (NOT_SQUAREFREE - 1)).astype(np.int16)
+    # omega <= 9, and an override prime of n is a prime of n, so e(n) stays in 0..9.
+    exponent = tables.key[: x + 1] & (NOT_SQUAREFREE - 1)
     for q in ops:
         exponent[q::q] -= 1
-    terms = np.power(float(base), exponent)
+    terms = np.power(float(base), np.arange(NOT_SQUAREFREE, dtype=np.int16)).take(exponent)
     del exponent
     if ops:
         adjust = np.ones(x + 1)

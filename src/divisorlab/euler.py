@@ -167,8 +167,8 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
     which divisor_sums._weight_terms builds as it builds the h_series
     terms: base z, no overrides.
     """
-    if z <= 0:
-        raise DomainError(f"z={z} must be positive")
+    if not 0 < z < math.inf:  # NaN fails too
+        raise DomainError(f"z={z} must be positive and finite")
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not weighted:

@@ -232,8 +232,10 @@ def gamma_lemma_check(
 
     f_choice "log_shift" uses f(t) = log(e + t); "h_table" uses the
     monotone piecewise-linear interpolation of the excluded-prime series
-    at integer arguments (requires weight and p).  Samples a geometric
-    grid from sqrt(N)*(1 + _ROOT_OFFSET) to N; pass iff the samples strictly
+    at integer arguments (requires weight and p), read from the read-only
+    H of divisor_sums.h_series_cumulative, or from the H the caller
+    already holds for that weight and p.  Samples a geometric grid from
+    sqrt(N)*(1 + _ROOT_OFFSET) to N; pass iff the samples strictly
     decrease.  The symmetry defect max |gamma(x) - gamma(N/x)| / gamma(x)
     and the value at sqrt(N) are reported in extra.
     """
@@ -243,28 +245,31 @@ def gamma_lemma_check(
     if sample_points < 3 or start >= N:
         raise RangeError(f"N={N} too small for a {sample_points}-point grid")
     if f_choice == "log_shift":
-        f = _log_shift
+        f = lambda t: np.array([_log_shift(v) for v in t.tolist()])
     elif f_choice == "h_table":
         if weight is None or p is None:
             raise ConfigurationError("h_table choice requires weight and p")
         if N > tables.limit:
             raise RangeError(f"N={N} beyond table limit")
         H = dsums.h_series_cumulative(N, weight, p, tables)
-        nodes = np.arange(N + 1, dtype=np.float64)
-        f = lambda t: float(np.interp(t, nodes, H))  # t >= 1: the grid's least N / t is 1
+        # One call: np.interp copies a read-only H on every call.
+        f = lambda t: np.interp(t, np.arange(N + 1, dtype=np.float64), H)  # t >= 1
     else:
         raise ConfigurationError(f"unknown f_choice {f_choice!r}")
 
+    # gamma(t) = f(t) f(N/t) at the grid, at its mirror N/t and at sqrt(N):
+    # f of every argument at once, then the products.
     grid = np.geomspace(start, float(N), sample_points)
-    gamma_of = lambda t: f(t) * f(N / t)
-    observed = [gamma_of(t) for t in grid]
-    decreasing = all(b < a for a, b in zip(observed, observed[1:]))
-    sym_defect = max(
-        abs(gamma_of(N / t) - obs) / obs for t, obs in zip(grid, observed)
-    )
+    mirror = N / grid
     root = math.sqrt(N)
-    gamma_at_root = gamma_of(root)
-    left_neighbor = gamma_of(N / grid[0])
+    values = f(np.concatenate([grid, mirror, N / mirror, [root, N / root]]))
+    at_grid, at_mirror, at_back = values[:-2].reshape(3, sample_points)
+    observed = (at_grid * at_mirror).tolist()
+    mirrored = (at_mirror * at_back).tolist()  # gamma(N/t)
+    decreasing = all(b < a for a, b in zip(observed, observed[1:]))
+    sym_defect = max(abs(m - obs) / obs for m, obs in zip(mirrored, observed))
+    gamma_at_root = float(values[-2] * values[-1])
+    left_neighbor = mirrored[0]
     right_neighbor = observed[0]
     verdict = VERDICT_PASS if decreasing else VERDICT_FAIL
     return TrendReport(

@@ -53,7 +53,9 @@ class SieveTables:
             omega_flag_histogram keep ten omega rows on that bound.
         memo: values derived from the tables that an aggregate keeps for
             later requests (divisor_sums keeps the per-d small counts of
-            a bounded number of (x, k) here); it dies with the table.
+            a bounded number of (x, k) here, and a weak reference to the
+            last excluded-prime series H it handed out); it dies with the
+            table.
 
     The first squarefree_rank or squarefree_omega_rank call also builds a
     prefix index over the key and keeps it: a bitmap of the

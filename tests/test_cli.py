@@ -60,6 +60,24 @@ def test_bad_prime_or_grid_is_an_error_line(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["-inf", "-1e-3", "-1.", "-1.5", "-.5", "-1E-3", "-Infinity", "-2"])
+def test_negative_float_after_a_value_flag_is_its_value(capsys, value):
+    # "--a=-inf" always worked; "--a -inf" must read the same
+    argv = ["erdos-kac", "--x", "10000", "--b", "1"]
+    for fmt in ("csv", "json"):
+        joined = run(capsys, *argv, f"--a={value}", "--format", fmt)
+        assert joined[0] == 0, joined
+        assert run(capsys, *argv, "--a", value, "--format", fmt) == joined
+    code, out, _ = run(capsys, *argv, "--a", value, "--format", "json")
+    assert json.loads(out)["inputs"]["a"] == float(value)
+
+
+def test_negative_nan_after_a_value_flag_is_an_error_line(capsys):
+    code, out, err = run(capsys, "erdos-kac", "--x", "10000", "--a", "-nan", "--b", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_repeated_override_prime_is_an_error_line(tmp_path, capsys):
     argv = ["ratio", "--x", "100", "--k", "3", "--c", "0.3"]
     cfg = tmp_path / "run.conf"

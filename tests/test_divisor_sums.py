@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -413,9 +414,11 @@ def test_h_series_cumulative_is_h_series_exactly(tables_small, tables_medium):
         (tables_small, 2000, 2, (1, 2, 3, 17, 1999, 2000)),
         (tables_medium, 10**6, 5, (4, 262_144, 10**6 - 1, 10**6)),
     ):
+        # h_series first: once H is held, h_series reads H
+        sums = [ds.h_series(y, w, p, tables) for y in points]
         H = ds.h_series_cumulative(x, w, p, tables)
-        for y in points:
-            assert H[y] == ds.h_series(y, w, p, tables)
+        for y, h in zip(points, sums):
+            assert H[y] == h
 
 
 SERIES_CASES = (
@@ -433,6 +436,143 @@ def test_series_terms_match_loop_oracle(tables_large, x):
     for w, p in SERIES_CASES:
         got = ds._series_terms(x, w, p, tables_large)
         assert got.tobytes() == oracle.series_terms(x, w, p, tables_large).tobytes()
+
+
+SERIES_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def series_weights(draw):
+    base = draw(st.floats(0.0, 3.0))
+    values = st.floats(0.0, 3.0)
+    overrides = draw(st.dictionaries(st.sampled_from(SERIES_PRIMES), values, max_size=3))
+    return PrimeWeight(base, overrides, strict_mode=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=series_weights(), p=st.sampled_from(SERIES_PRIMES + (97,)), data=st.data())
+def test_held_series_reads_equal_the_sums_bitwise(tables_small, w, p, data):
+    x = data.draw(st.integers(1, tables_small.limit))
+    ys = data.draw(st.lists(st.integers(1, x), min_size=1, max_size=4))
+    # the sums: a fresh table holds no H, and each H built here dies at once
+    fresh = build_sieve(tables_small.limit)
+    want = [(ds.h_series(y, w, p, fresh), ds.h_series_cumulative(y, w, p, fresh).tobytes()) for y in ys]
+    H = ds.h_series_cumulative(x, w, p, tables_small)
+    for y, (h, cumulative) in zip(ys, want):
+        got = ds.h_series_cumulative(y, w, p, tables_small)
+        assert got.base is H  # read, not summed
+        assert got.tobytes() == cumulative
+        assert ds.h_series(y, w, p, tables_small) == h
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=series_weights(), p=st.sampled_from(SERIES_PRIMES + (97,)), x=st.integers(1, 10**4))
+def test_series_terms_equal_per_integer_powers(tables_small, w, p, x):
+    # the 16 powers of the table against np.power over the whole array
+    got = ds._series_terms(x, w, p, tables_small)
+    assert got.tobytes() == oracle.series_terms(x, w, p, tables_small).tobytes()
+
+
+def test_overflowing_overrides_leave_no_nan(tables_small):
+    # 1e200 * 1e200 overflows at n = 6 (squarefree: the sum is inf) and at
+    # non-squarefree n such as 12, which must be zeroed after the products
+    w = PrimeWeight(0.3, {2: 1e200, 3: 1e200}, strict_mode=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = ds._series_terms(1000, w, 5, tables_small)
+        assert not np.isnan(terms).any()
+        assert terms[12] == 0.0 and terms[6] == math.inf
+        assert ds.h_series(1000, w, 5, tables_small) == math.inf
+
+
+def test_held_series_is_read_only(tables_small):
+    w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    H = ds.h_series_cumulative(2000, w, 2, tables_small)
+    view = ds.h_series_cumulative(1000, w, 2, tables_small)
+    assert view.base is H
+    for arr in (H, view):
+        with pytest.raises(ValueError):
+            arr[5] = 1.0
+
+
+def test_held_series_dies_with_its_caller(tables_small):
+    w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    with mock.patch.object(ds, "_series_terms", wraps=ds._series_terms) as spy:
+        H = ds.h_series_cumulative(2000, w, 2, tables_small)
+        ref = tables_small.memo["series"][1]
+        assert ref() is H
+        ds.h_series(1500, w, 2, tables_small)
+        assert spy.call_count == 1
+        del H
+        gc.collect()
+        assert ref() is None
+        ds.h_series(1500, w, 2, tables_small)
+        ds.h_series_cumulative(1500, w, 2, tables_small)
+        assert spy.call_count == 3
+
+
+def test_held_series_is_kept_per_weight_bits_and_prime(tables_small):
+    w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    with mock.patch.object(ds, "_series_terms", wraps=ds._series_terms) as spy:
+        H = ds.h_series_cumulative(2000, w, 2, tables_small)
+        ds.h_series(2000, PrimeWeight(0.3, {3: 0.2}), 2, tables_small)  # an equal weight
+        assert spy.call_count == 1
+        for other_w, other_p, y in (
+            (w, 3, 100),  # another p
+            (PrimeWeight(0.3), 2, 100),  # no override
+            (PrimeWeight(0.3, {3: 0.2, 5: 0.1}), 2, 100),  # another override
+            (PrimeWeight(0.3, {3: -0.0}), 2, 100),
+            (w, 2, 2001),  # beyond H
+        ):
+            ds.h_series(y, other_w, other_p, tables_small)
+        assert spy.call_count == 6
+        # 0.0 and -0.0 are different weights
+        H = ds.h_series_cumulative(2000, PrimeWeight(0.3, {3: 0.0}), 2, tables_small)
+        ds.h_series(100, PrimeWeight(0.3, {3: -0.0}), 2, tables_small)
+        assert spy.call_count == 8
+    del H
+
+
+def test_held_series_checks_x_and_p_first(tables_small):
+    w = PrimeWeight(0.3, k_context=3)
+    H = ds.h_series_cumulative(2000, w, 2, tables_small)
+    for x in (0, -1, tables_small.limit + 1):
+        with pytest.raises(RangeError):
+            ds.h_series(x, w, 2, tables_small)
+        with pytest.raises(RangeError):
+            ds.h_series_cumulative(x, w, 2, tables_small)
+    with pytest.raises(DomainError):
+        ds.h_series(100, w, 4, tables_small)
+    del H
+
+
+def test_series_study_builds_the_terms_once(tables_medium):
+    # the calls of one round of a series study: H at x1, the sums at x1 and
+    # x2, and the gamma check at N < x1, each with its own equal weight
+    weight = lambda: PrimeWeight(0.4, {3: 0.7})
+    x1, x2, n, p = 900_000, 450_000, 400_000, 5
+    with mock.patch.object(ds, "_series_terms", wraps=ds._series_terms) as spy:
+        H = ds.h_series_cumulative(x1, weight(), p, tables_medium)
+        h1 = ds.h_series(x1, weight(), p, tables_medium)
+        h2 = ds.h_series(x2, weight(), p, tables_medium)
+        ex.gamma_lemma_check(n, "h_table", 50, tables_medium, weight=weight(), p=p)
+        assert spy.call_count == 1
+    assert (h1, h2) == (H[x1], H[x2])
+    del H
+
+
+def test_gamma_lemma_reads_a_held_series_to_the_same_bits(tables_medium):
+    w = PrimeWeight(0.2, {2: 0.45}, strict_mode=False)
+    runs = ((10**4, 25), (450_000, 50), (10**6, 77))
+    with mock.patch.object(ds, "_series_terms", wraps=ds._series_terms) as spy:
+        cold = [repr(ex.gamma_lemma_check(n, "h_table", m, tables_medium, weight=w, p=3))
+                for n, m in runs]
+        assert spy.call_count == 3  # each check built its own H, dropped on return
+        H = ds.h_series_cumulative(10**6, w, 3, tables_medium)
+        warm = [repr(ex.gamma_lemma_check(n, "h_table", m, tables_medium, weight=w, p=3))
+                for n, m in runs]
+        assert spy.call_count == 4
+    assert warm == cold
+    del H
 
 
 def _exact_prefix_sums(t):

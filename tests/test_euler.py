@@ -155,6 +155,14 @@ def test_selberg_exact_examples(tables_small):
     assert selberg_exact(10, 1.0, True, tables_small) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_selberg_exact_rejects_non_positive_and_non_finite_z(tables_small, z, weighted):
+    # NaN fails "z <= 0" as well as "z > 0", so it is tested on its own
+    with pytest.raises(DomainError):
+        selberg_exact(1000, z, weighted, tables_small)
+
+
 def test_selberg_exact_matches_direct_sum(tables_small):
     x = 10**4
     mu, omega = oracle.mu_of(tables_small), oracle.omega_of(tables_small)
