@@ -89,7 +89,7 @@ class Flag:
 # the JSON "inputs" echo.
 FLAGS = {
     "config": Flag("--config", help="key = value file; flags take precedence"),
-    "limit": Flag("--limit", int, help="sieve extent (default: largest x needed; "
+    "limit": Flag("--limit", int, help="sieve extent (default: largest x or named prime needed; "
                   "census --omega: 1000000; census --n N: isqrt(N)+1, at most 1000000; "
                   "sieve-stats: required)"),
     "format": Flag("--format", default="csv", choices=("csv", "json")),
@@ -189,6 +189,10 @@ def _max_x(args) -> int:
     return max(args.x)
 
 
+def _ratio_extent(args) -> int:
+    return max([*args.x, *(p for p, _ in map(_parse_override, args.override))])
+
+
 def _sieve_stats_extent(args) -> int:
     if args.limit is None:
         raise ConfigurationError("sieve-stats requires --limit")
@@ -207,7 +211,7 @@ def _census_extent(args) -> int:
 
 
 def _gamma_lemma_extent(args) -> int | None:
-    return args.bign if args.f == "h_table" else None  # log_shift needs no table
+    return max(args.bign, args.prime) if args.f == "h_table" else None  # log_shift needs no table
 
 
 # -- runners: fill the emitter's rows, comments and verdict
@@ -338,16 +342,16 @@ COMMANDS = {
     "ratio": Command(
         "small/full divisor-sum ratio (trend if --x repeated)",
         ("x", "k", "c", "override"), ("x",),
-        ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _max_x, _run_ratio),
+        ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _ratio_extent, _run_ratio),
     "monotone": Command(
         "ratio as a function of the weight at one prime",
         ("x", "k", "c", "prime", "v"), ("x", "prime"),
-        ("v", "ratio", "predicted_ratio"), _max_x, _run_monotone),
+        ("v", "ratio", "predicted_ratio"), lambda a: max(*a.x, a.prime), _run_monotone),
     "adbc": Command(
         "prime-split decomposition of both aggregates",
         ("x", "k", "c", "prime"), ("x", "prime"),
         ("A", "B", "C", "D", "ad_minus_bc", "identity_residual_small", "identity_residual_full"),
-        _max_x, _run_adbc),
+        lambda a: max(*a.x, a.prime), _run_adbc),
     "euler": Command(
         "truncated Euler-product constants",
         ("which", "z", "trunc"), ("which", "z"),

@@ -4,12 +4,13 @@ The two product constants are evaluated as compensated sums of
 log-factors over sieved primes, exponentiated once, and carry an analytic
 bound on the omitted tail so different truncations can be compared
 honestly.  The exact Selberg sums that the predictors are checked against
-count by omega class (unweighted) or sum the per-integer weight terms of
-divisor_sums (weighted).
+weight the omega-class counts in exact rationals (unweighted) or sum the
+per-integer weight terms of divisor_sums (weighted).
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -161,11 +162,11 @@ def _check_predict_args(x: float, c: float) -> None:
 def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> float:
     """Exact sum over squarefree n <= x of z**omega(n), optionally times g(n).
 
-    Unweighted sums evaluate per omega class; integer z stays in exact
-    integer arithmetic the whole way.  The weighted variant (g(n) = prod
-    p/(p+1) over p | n) is the correctly rounded sum of its float terms,
-    which divisor_sums._weight_terms builds as it builds the h_series
-    terms: base z, no overrides.
+    Unweighted sums weight the omega-class counts by z**j in exact
+    rationals and round once, for every z.  The weighted variant (g(n) =
+    prod p/(p+1) over p | n) is the correctly rounded sum of its float
+    terms, which divisor_sums._weight_terms builds as it builds the
+    h_series terms: base z, no overrides.
     """
     if not 0 < z < math.inf:  # NaN fails too
         raise DomainError(f"z={z} must be positive and finite")
@@ -173,8 +174,5 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not weighted:
         counts = omega_class_counts(x, tables)
-        if float(z).is_integer():
-            zi = int(z)
-            return float(sum(cnt * zi**j for j, cnt in counts.items()))
-        return math.fsum(cnt * z**j for j, cnt in counts.items())
+        return float(sum(cnt * Fraction(z) ** j for j, cnt in counts.items()))
     return fsum_nonnegative(_weight_terms(x, z, {}, tables))

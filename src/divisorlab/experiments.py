@@ -184,21 +184,17 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
         raise RangeError(f"m_max={m_max} beyond table limit")
     six_over_pi2 = 6.0 / math.pi**2
     ms = np.flatnonzero(tables.key[: m_max + 1] < NOT_SQUAREFREE)
-    gs = g_table(m_max, tables)[ms].tolist()
+    gs = g_table(m_max, tables)[ms]
+    # tau(m)**(2/3) by omega(m) (m is squarefree), as Python float powers
+    tau_pow = np.array([(2.0**j) ** (2.0 / 3.0) for j in range(NOT_SQUAREFREE)])[tables.key[ms]]
     observed = []
     argmax = []
     for x in xs:
-        worst = 0.0
-        worst_m = 1
-        counts = coprime_squarefree_counts(x, ms, tables).tolist()
-        for m, g, count in zip(ms.tolist(), gs, counts):
-            tau = 2.0 ** int(tables.key[m])  # omega(m): m is squarefree
-            resid = abs(count - six_over_pi2 * g * x)
-            constant = resid / (tau ** (2.0 / 3.0) * math.sqrt(x))
-            if constant > worst:
-                worst, worst_m = constant, m
-        observed.append(worst)
-        argmax.append(worst_m)
+        counts = coprime_squarefree_counts(x, ms, tables)
+        constant = np.abs(counts - six_over_pi2 * gs * x) / (tau_pow * math.sqrt(x))
+        i = int(np.argmax(constant))  # the first largest, as a strict > scan keeps
+        observed.append(float(constant[i]))
+        argmax.append(int(ms[i]))
     overall = max(observed)
     verdict = VERDICT_PASS if overall <= 6.0 else VERDICT_FAIL
     return TrendReport(
@@ -214,6 +210,15 @@ def prop32_scan(m_max: int, x_grid, tables: SieveTables) -> TrendReport:
 
 def _log_shift(t: float) -> float:
     return math.log(math.e + t)
+
+
+def _interp_at_integers(H: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """np.interp(t, np.arange(len(H)), H) at every t >= 0, bit for bit: its
+    own expression at unit node spacing, and its clamp to the last node.
+    Without np.interp's node array and its copy of a read-only H."""
+    n = len(H) - 1
+    j = np.minimum(t, n - 1).astype(np.int64)
+    return np.where(t >= n, H[n], (H[j + 1] - H[j]) * (t - j) + H[j])
 
 
 # Relative distance above sqrt(N) at which the gamma-lemma grid starts.
@@ -252,8 +257,7 @@ def gamma_lemma_check(
         if N > tables.limit:
             raise RangeError(f"N={N} beyond table limit")
         H = dsums.h_series_cumulative(N, weight, p, tables)
-        # One call: np.interp copies a read-only H on every call.
-        f = lambda t: np.interp(t, np.arange(N + 1, dtype=np.float64), H)  # t >= 1
+        f = lambda t: _interp_at_integers(H, t)  # t >= 1
     else:
         raise ConfigurationError(f"unknown f_choice {f_choice!r}")
 

@@ -10,11 +10,13 @@ table; it is written once and frozen.
 
 Counts of squarefree integers up to y, in all and by omega, are read
 from a prefix index over the table (in the manner of Jacobson's rank
-index, "Space-efficient static trees and graphs", FOCS 1989).  The
-count of those coprime to a squarefree d follows from them by the
-Liouville-signed sum of coprime_squarefree_counts, and the histogram of
-squarefree n <= x by omega and override flags by the same expansion
-over the override primes, one lookup per distinct floor value x // b.
+index, "Space-efficient static trees and graphs", FOCS 1989) below y's
+block, plus the block's own part up to y: by omega, one bincount of its
+key bytes.  The count of those coprime to a squarefree d follows from
+them by the Liouville-signed sum of coprime_squarefree_counts, and the
+histogram of squarefree n <= x by omega and override flags by the same
+expansion over the override primes, one lookup per distinct floor value
+x // b.
 """
 
 import mmap
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from math import isqrt, prod
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, RangeError
 
@@ -65,7 +66,8 @@ class SieveTables:
     223092869), a uint32 per 2**16 integers and a uint16 within.  That is
     (32 + 2 * 8) / 256 = 0.1875 bytes per integer and a little more for
     the uint32s (1.88 MB at 1e7).  A request whose index would not fit
-    in the available memory raises RangeError before it allocates.
+    in the available memory raises RangeError before it allocates.  A
+    query adds y's block up to y; squarefree_omega_rank bincounts its keys.
     """
 
     limit: int
@@ -122,38 +124,21 @@ class SieveTables:
 
         y is a 1-D array of integers in [0, limit]; row i of the result
         holds N_0(y_i) .. N_9(y_i).  The count of squarefree n <= y with
-        omega(n) <= j is the count below y's block plus that of the
-        block's entries up to y, at most 256 bytes of the key.
+        omega(n) <= j is the count below y's block plus bins 0..j of one
+        bincount of the block's keys up to y: a squarefree key is omega,
+        and a non-squarefree key falls beyond the ten omega bins.
         """
         _, high, low = self._prefix_index()
         y = np.asarray(y, dtype=np.int64)
         cols = len(low)
-        at_most = np.zeros((_OMEGA_ROWS, len(y)), dtype=np.int64)
-        at_most[0] = y >= 1  # omega(n) = 0 only at n = 1
-        at_most[1 : cols + 1] = high[:, y >> 16]
-        at_most[1 : cols + 1] += low[:, y >> 8]
-        for lo in range(0, len(y), _QUERY_ROWS):  # bounds the block rows
-            part = slice(lo, lo + _QUERY_ROWS)
-            rows = self._block_keys(y[part])
-            for j in range(1, cols + 1):
-                at_most[j, part] += _rows_at_most(rows, j)
-        at_most[cols + 1 :] = at_most[cols]
-        return np.diff(at_most, axis=0, prepend=0).T
-
-    def _block_keys(self, y: np.ndarray) -> np.ndarray:
-        """Row i holds the keys of y_i's block up to y_i, and 255 in every
-        other of its 256 bytes (uint8); a non-squarefree key is above 9 too."""
-        start = y & -_BLOCK
-        # the window of a block that the table ends inside ends at limit;
-        # a table of fewer than 256 entries is read whole
-        base = np.maximum(np.minimum(start, len(self.key) - _BLOCK), 0)
-        width = min(_BLOCK, len(self.key))
-        rows = np.full((len(y), _BLOCK), 255, dtype=np.uint8)
-        rows[:, :width] = sliding_window_view(self.key, width)[base]
-        at = np.arange(_BLOCK, dtype=np.uint8)
-        outside = (at < (start - base).astype(np.uint8)[:, None]) | (at > (y - base).astype(np.uint8)[:, None])
-        rows |= np.uint8(0) - outside.view(np.uint8)
-        return rows
+        at_most = np.zeros((len(y), _OMEGA_ROWS), dtype=np.int64)
+        for i, v in enumerate(y.tolist()):
+            at_most[i] = np.bincount(self.key[v & -_BLOCK : v + 1], minlength=_OMEGA_ROWS)[:_OMEGA_ROWS]
+        np.cumsum(at_most, axis=1, out=at_most)
+        at_most[:, 1 : cols + 1] += (high[:, y >> 16] + low[:, y >> 8]).T
+        at_most[:, cols + 1 :] = at_most[:, cols, None]
+        at_most[:, 0] = y >= 1  # omega(n) = 0 only at n = 1
+        return np.diff(at_most, axis=1, prepend=0)
 
     def _prefix_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The table's prefix index, built on the first call and kept."""
@@ -189,13 +174,12 @@ def chunks(lo: int, hi: int):
         a = b
 
 
-# The prefix index: integers per block and per superblock, the rows of
+# The prefix index: integers per block and per superblock, and the rows of
 # N_j(y) (omega(n) <= 9 for n <= 2**31: the product of the first ten primes
-# exceeds 2**31), and y values whose block rows one pass reads at a time.
+# exceeds 2**31).
 _BLOCK = 256
 _SUPER = 2**16
 _OMEGA_ROWS = 10
-_QUERY_ROWS = 2**12
 # Integers per pass of the index build, whole superblocks.
 _INDEX_CHUNK = 4 * _SUPER
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870)
@@ -501,8 +485,8 @@ def omega_class_counts(x: int, tables: SieveTables) -> dict[int, int]:
     """
     if not 0 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 0..{tables.limit}")
-    counts = omega_flag_histogram(x, (), tables)[:, 0]
-    return {int(j): int(c) for j, c in enumerate(counts) if c > 0}
+    counts = tables.squarefree_omega_rank(np.array([x]))[0]
+    return {j: c for j, c in enumerate(counts.tolist()) if c > 0}
 
 
 def primes_up_to(n: int) -> np.ndarray:

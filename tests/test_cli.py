@@ -406,6 +406,21 @@ def test_gamma_lemma_h_table_limit_below_n_exits_one(capsys):
     assert "below required extent 10000" in err
 
 
+@pytest.mark.parametrize("argv, prime", [
+    (["ratio", "--x", "100", "--override", "101=0.1"], 101),
+    (["monotone", "--x", "5", "--prime", "7"], 7),
+    (["adbc", "--x", "10", "--prime", "11", "--k", "2"], 11),
+    (["gamma-lemma", "--n", "1000", "--f", "h_table", "--prime", "1009"], 1009),
+])
+def test_named_primes_size_the_table(capsys, argv, prime):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert run(capsys, *argv, "--limit", str(prime)) == (0, out, "")
+    code, out, err = run(capsys, *argv, "--limit", str(prime - 1))
+    assert (code, out) == (1, "")
+    assert f"below required extent {prime}" in err
+
+
 def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
     limits = []
 

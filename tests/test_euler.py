@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import loop_oracles as oracle
 
@@ -184,6 +186,15 @@ def test_selberg_exact_matches_direct_sum(tables_small):
     # the weighted sum is the correctly rounded sum of its float terms
     terms = (2.0 ** omega[1:2001].astype(float)) * g_table(2000, tables_small)[1:]
     assert selberg_exact(2000, 2.0, True, tables_small) == math.fsum(terms[mu[1:2001] != 0])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(z=st.floats(0.0, 4.0, exclude_min=True), x=st.integers(1, 10**4))
+@example(z=1.7, x=10**4)  # a float sum of the rounded class terms misses by one ulp
+def test_selberg_exact_is_the_rounded_exact_class_sum(tables_small, z, x):
+    classes = oracle.omega_class_counts_masked(x, tables_small)
+    want = float(sum(Fraction(c) * Fraction(z) ** j for j, c in classes.items()))
+    assert selberg_exact(x, z, False, tables_small) == want
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 30, 1000, 99991, CHUNK - 1, CHUNK, CHUNK + 1])

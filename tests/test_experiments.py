@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
 import divisorlab.experiments as ex
@@ -151,6 +152,33 @@ def test_gamma_lemma_h_table_runs(tables_small):
     rep = ex.gamma_lemma_check(10**4, "h_table", 25, tables_small, weight=w, p=2)
     assert rep.extra["symmetry_max_rel"] <= 1e-12
     assert rep.verdict in ("pass", "fail")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    N=st.integers(100, 10**4),
+    p=st.sampled_from([2, 3, 7]),
+    t=st.lists(st.floats(0.0, 1.1e4, allow_nan=False), max_size=40),
+)
+def test_interp_at_integers_is_np_interp(tables_small, N, p, t):
+    H = ds.h_series_cumulative(N, PrimeWeight(0.3, k_context=3), p, tables_small)
+    t = np.array(t + [0.0, 1.0, N - 1.0, N - 0.5, float(N), N + 0.5, math.sqrt(N)])
+    want = np.interp(t, np.arange(N + 1, dtype=np.float64), H.copy())
+    assert ex._interp_at_integers(H, t).tobytes() == want.tobytes()
+
+
+def test_gamma_lemma_on_a_held_series_allocates_no_length_n_array(tables_medium):
+    # two float arrays of length N would take 7.2 MB
+    N, w = 450_000, PrimeWeight(0.2, k_context=2, strict_mode=False)
+    H = ds.h_series_cumulative(N, w, 3, tables_medium)
+    tracemalloc.start()
+    try:
+        rep = ex.gamma_lemma_check(N, "h_table", 50, tables_medium, weight=w, p=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.observed) == 50 and H[N] > 0
+    assert peak < 2**20
 
 
 def test_gamma_lemma_validation(tables_small):

@@ -250,6 +250,9 @@ def test_omega_class_counts_examples(tables_small):
     assert omega_class_counts(10, tables_small) == {0: 1, 1: 4, 2: 2}
     assert omega_class_counts(1, tables_small) == {0: 1}
     assert sum(omega_class_counts(30, tables_small).values()) == 19
+    # both ends of the table's range
+    assert omega_class_counts(0, tables_small) == {}
+    assert omega_class_counts(10**4, tables_small) == oracle.omega_class_counts_masked(10**4, tables_small)
 
 
 def test_class_counts_reproduce_direct_power_sums(tables_small):
