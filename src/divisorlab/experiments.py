@@ -294,26 +294,93 @@ def gamma_lemma_check(
     )
 
 
-# Elements per block where a length-x computation runs in blocks, so
-# that only its result, not its temporaries, has length x.
-_BLOCK = 1 << 16
+def _statistic(band, n: np.ndarray) -> np.ndarray:
+    """(band - loglog n)/sqrt(loglog n) at arrays band and n >= 3 (float64).
+
+    The Erdos-Kac statistic of n with omega(n) = band.  Every route
+    evaluates it by this one array expression, so the thresholds of
+    _first_at_most and the values of an enumerated interval agree bit for
+    bit with the statistic of the whole sample.
+    """
+    loglog = np.log(np.log(n.astype(np.float64)))
+    return (band - loglog) / np.sqrt(loglog)
 
 
-def _erdos_kac_statistic(x: int, tables: SieveTables) -> np.ndarray:
-    """(omega(n) - loglog n)/sqrt(loglog n) for 3 <= n <= x, in order of n."""
-    stat = np.empty(x - 2)
-    for lo in range(0, len(stat), _BLOCK):
-        _erdos_kac_block(lo + 3, stat[lo : lo + _BLOCK], tables)
-    return stat
+def _root(band: np.ndarray, t: np.ndarray, x: int) -> np.ndarray:
+    """n near the root of s_band(n) = t, clipped to [3, x + 1] (int64).
+
+    The root L = ((sqrt(t**2 + 4 band) - t)/2)**2 of (band - L)/sqrt(L) = t
+    gives n = exp(exp(L)); an infinite t gives 3 or x + 1.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        n = np.exp(np.exp(((np.sqrt(t * t + 4 * band) - t) / 2) ** 2))
+    return np.fmin(np.fmax(n, 3), x + 1).astype(np.int64)  # fmax takes 3 for a NaN
 
 
-def _erdos_kac_block(n0: int, out: np.ndarray, tables: SieveTables) -> np.ndarray:
-    """out, filled with the statistic above for n = n0, n0 + 1, ..."""
-    out[:] = tables.key[n0 : n0 + len(out)] & (NOT_SQUAREFREE - 1)
-    loglog = np.log(np.log(np.arange(n0, n0 + len(out), dtype=np.float64)))
-    out -= loglog
-    out /= np.sqrt(loglog)
-    return out
+def _first_at_most(band, t, x: int) -> np.ndarray:
+    """The first n in [3, x] whose statistic in band is <= t, else x + 1 (int64).
+
+    band and t broadcast together; t may be infinite.  The statistic
+    s_j(n) strictly decreases in n: with L = loglog n > 0, ds_j/dL =
+    -(L + j)/(2 L**1.5) < 0, and consecutive n <= 2**31 differ in L by
+    more than 2e-11, far above the few-ulp error of the computed L, so the
+    computed values decrease too.  A bracket of 4 on either side of _root
+    is checked and bisected; where it fails, the bisection runs from
+    [2, x + 1].
+    """
+    band, t = np.broadcast_arrays(np.asarray(band, dtype=np.int64), np.asarray(t, dtype=np.float64))
+    shape, band, t = band.shape, band.ravel(), t.ravel()
+    guess = _root(band, t, x)
+    # s(lo) > t or lo = 2, and s(hi) <= t or hi = x + 1
+    lo, hi = np.maximum(guess - 4, 2), np.minimum(guess + 4, x + 1)
+    i = np.flatnonzero(lo > 2)
+    lo[i[_statistic(band[i], lo[i]) <= t[i]]] = 2
+    i = np.flatnonzero(hi <= x)
+    hi[i[_statistic(band[i], hi[i]) > t[i]]] = x + 1
+    while len(i := np.flatnonzero(hi - lo > 1)):
+        mid = (lo[i] + hi[i]) // 2
+        below = _statistic(band[i], mid) <= t[i]
+        hi[i[below]] = mid[below]
+        lo[i[~below]] = mid[~below]
+    return hi.reshape(shape)
+
+
+def _erdos_kac_sample(x: int, tables: SieveTables):
+    """(count, members, lo, hi) of the statistic over 3 <= n <= x.
+
+    Band j holds the n with key & 15 == j.  Its n with statistic <= t are
+    those from n_j(t) = _first_at_most(j, t, x) on, so with C_j the band
+    counts of SieveTables._band_rank,
+
+        count(t) = sum over j of C_j(x) - C_j(n_j(t) - 1),
+
+    and the members of (a, b] in band j are its n in [n_j(b), n_j(a)),
+    read off the key.  Only the bands that hold an n in [3, x] are read.
+    Every value lies in (lo, hi], as s_j(x) <= s_j(n) <= s_j(3).
+    """
+    bands = np.arange(NOT_SQUAREFREE)
+    below, top = tables._band_rank(np.array([[2], [x]]), bands)
+    bands, top = bands[top > below], top[top > below]
+
+    def count(t):
+        n = _first_at_most(bands, t[:, None], x)
+        return (top - tables._band_rank(n - 1, bands)).sum(axis=1)
+
+    def members(a, b):
+        first, stop = _first_at_most(bands, np.stack([b, a])[:, :, None], x)
+        out = []
+        for row in zip(first.tolist(), stop.tolist()):
+            parts = [np.empty(0)]
+            for j, lo, hi in zip(bands.tolist(), *row):
+                if lo < hi:
+                    n = lo + np.flatnonzero((tables.key[lo:hi] & (NOT_SQUAREFREE - 1)) == j)
+                    parts.append(_statistic(j, n))
+            out.append(np.concatenate(parts))
+        return out
+
+    lo = np.nextafter(_statistic(bands, np.full(len(bands), x)).min(), -math.inf)
+    hi = _statistic(bands, np.full(len(bands), 3)).max()
+    return count, members, float(lo), float(hi)
 
 
 def erdos_kac_histogram(
@@ -331,9 +398,10 @@ def erdos_kac_histogram(
     mass jumps as the edges cross band boundaries instead of settling
     toward the normal mass.  erdos_kac_distance checks the normal law at
     its proven rate.  n = 1, 2 have no loglog and are skipped
-    (counted in the notes).  The window is counted block by block, so no
-    temporary has length x.  Infinite edges are allowed; a NaN edge raises
-    DomainError.
+    (counted in the notes).  The window holds F(b) - F(a-) of the n, two
+    counts of erdos_kac_distance's distribution F (F(a-) is F at the
+    float below a), so no temporary has length x.  Infinite edges are
+    allowed; a NaN edge raises DomainError.
     """
     if not window_a <= window_b:  # NaN fails too
         raise DomainError(f"window [{window_a}, {window_b}] needs a <= b")
@@ -341,11 +409,9 @@ def erdos_kac_histogram(
         raise RangeError(f"x={x} must be >= 1e4")
     if x > tables.limit:
         raise RangeError(f"x={x} beyond table limit")
-    buf, inside = np.empty(_BLOCK), 0
-    for n0 in range(3, x + 1, _BLOCK):
-        part = _erdos_kac_block(n0, buf[: x + 1 - n0], tables)
-        inside += int(np.count_nonzero((part >= window_a) & (part <= window_b)))
-    fraction = inside / (x - 2)
+    count = _erdos_kac_sample(x, tables)[0]
+    below_a, upto_b = count(np.array([np.nextafter(window_a, -math.inf), window_b])).tolist()
+    fraction = (upto_b - below_a) / (x - 2)
     phi = gaussian_window(window_a, window_b)
     diff = abs(fraction - phi)
     return TrendReport(
@@ -369,51 +435,55 @@ def erdos_kac_histogram(
 # 0.81 there, so 0.6 separates the two with room on both sides.
 _EK_SCALED_CAP = 0.6
 
+# The t-intervals of _kolmogorov_distance: nodes over the sample's range
+# at the start, the parts a kept interval splits into, and the most values
+# of an interval that is enumerated rather than split.
+_EK_NODES = 64
+_EK_SPLIT = 16
+_EK_LEAF = 2048
 
-# Nodes of the interpolated Phi in _kolmogorov_distance.
-_PHI_NODES = 2**14 + 1
+
+def _phi(t: np.ndarray) -> np.ndarray:
+    """The standard normal distribution function at each t, by math.erf."""
+    return 0.5 * (1.0 + np.array([math.erf(u) for u in (t / math.sqrt(2.0)).tolist()]))
 
 
-def _kolmogorov_distance(sorted_stat: np.ndarray) -> float:
-    """sup_t |F(t) - Phi(t)| for the empirical distribution F of the sample.
+def _kolmogorov_distance(count, members, lo: float, hi: float, m: int) -> float:
+    """sup_t |F(t)/m - Phi(t)| for a sample of m values, each in (lo, hi].
 
-    The i-th order statistic gives the one-sided differences i/m - Phi and
-    Phi - (i-1)/m.  Phi is first interpolated linearly on _PHI_NODES
-    nodes over the sample range: in u = t/sqrt(2), |d^2 Phi/du^2| < 1/2,
-    so nodes h apart err by at most h**2/16, plus rounding that 2**-40
-    covers.  Only indices whose interpolated difference lies within twice
-    that bound of the largest one can hold the supremum; there Phi is
-    evaluated by math.erf in the float expressions of the direct formula,
-    so the result has its bits.  The differences are computed block by
-    block, twice for the few blocks that hold a candidate, so no
-    temporary has the length of the sample.
+    count(t) gives F at an array of t, the number of values <= t;
+    members(a, b) lists the values in (a_i, b_i] for arrays a and b.  The
+    sup is the largest i/m - Phi(v_i) or Phi(v_i) - (i - 1)/m over the
+    sorted values v_i.  Over the values in (a, b] those are at most
+    max(F(b)/m - Phi(a), Phi(b) - F(a)/m), and |F(t)/m - Phi(t)| at any t
+    is at most the sup; rounding moves each by far less than 2**-40.  So
+    from _EK_NODES nodes over [lo, hi], each level drops the intervals
+    that hold no value or whose bound is below the best value found less
+    2**-40, enumerates those that hold at most _EK_LEAF values (or end at
+    the float after their start), and splits the rest into _EK_SPLIT.  An
+    enumerated interval's values are sorted and ranked from F(a), and the
+    terms are evaluated there in the float expressions of the direct
+    formula, so the result has its bits.
     """
-    m = len(sorted_stat)
-    root2 = math.sqrt(2.0)
-    nodes = np.linspace(sorted_stat[0] / root2, sorted_stat[-1] / root2, _PHI_NODES)
-    h = float(np.max(np.diff(nodes)))
-    tol = h * h / 16.0 + 2.0**-40
-    node_phi = 0.5 * (1.0 + np.array([math.erf(u) for u in nodes]))
-
-    def gap(lo):  # i/m - Phi on one block; Phi - (i-1)/m is 1/m - gap
-        block = sorted_stat[lo : lo + _BLOCK] / root2
-        g = np.arange(lo + 1, lo + len(block) + 1, dtype=np.float64)
-        g /= m
-        g -= np.interp(block, nodes, node_phi)
-        return g
-
-    starts = range(0, m, _BLOCK)
-    extremes = [(float(np.max(g)), float(np.min(g))) for g in map(gap, starts)]
-    floor = max(max(e[0] for e in extremes), 1.0 / m - min(e[1] for e in extremes)) - 2.0 * tol
-    cand = []
-    for lo, (top, bottom) in zip(starts, extremes):
-        if top >= floor or bottom <= 1.0 / m - floor:
-            g = gap(lo)
-            cand.append(lo + np.flatnonzero((g >= floor) | (g <= 1.0 / m - floor)))
-    cand = np.concatenate(cand)
-    i = cand + 1
-    phi = 0.5 * (1.0 + np.array([math.erf(u) for u in sorted_stat[cand] / root2]))
-    return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))
+    t = np.linspace(lo, hi, _EK_NODES)[None]
+    F, P = count(t[0])[None], _phi(t[0])[None]
+    found = best = 0.0  # the largest node value; the largest term
+    while t.size:
+        found = max(found, float(np.max(np.abs(F / m - P))))
+        a, b, Fa, Fb, pa, pb = (v[:, cut].ravel() for v in (t, F, P) for cut in (np.s_[:-1], np.s_[1:]))
+        keep = (Fb > Fa) & (np.maximum(Fb / m - pa, pb - Fa / m) >= max(found, best) - 2.0**-40)
+        leaf = keep & ((Fb - Fa <= _EK_LEAF) | (np.nextafter(a, b) == b))
+        for start, values in zip(Fa[leaf].tolist(), members(a[leaf], b[leaf])):
+            values.sort()
+            i = np.arange(start + 1, start + len(values) + 1)
+            phi = _phi(values)
+            best = max(best, float(np.max(i / m - phi)), float(np.max(phi - (i - 1) / m)))
+        split = keep & ~leaf
+        t = np.linspace(a[split], b[split], _EK_SPLIT + 1, axis=1)
+        inner = t[:, 1:-1].ravel()
+        F = np.column_stack([Fa[split], count(inner).reshape(-1, _EK_SPLIT - 1), Fb[split]])
+        P = np.column_stack([pa[split], _phi(inner).reshape(-1, _EK_SPLIT - 1), pb[split]])
+    return best
 
 
 def erdos_kac_distance(x_grid, tables: SieveTables) -> TrendReport:
@@ -425,15 +495,15 @@ def erdos_kac_distance(x_grid, tables: SieveTables) -> TrendReport:
     1/sqrt(loglog x), so observed holds D(x) sqrt(loglog x) per grid
     point.  Pass requires observed non-increasing over the last three
     grid points and the final value at most 0.6 (a documented
-    engineering cap); the raw distances are in extra.
+    engineering cap); the raw distances are in extra.  F_x is counted
+    per omega band from the table's band index (_erdos_kac_sample), and
+    D(x) refined over t-intervals (_kolmogorov_distance), so no array
+    has length x.
     """
     xs = _check_grid(x_grid, tables, min_points=3)
     if xs[0] < 10**4:
         raise RangeError(f"x={xs[0]} must be >= 1e4")
-    stat = _erdos_kac_statistic(xs[-1], tables)
-    distances = [_kolmogorov_distance(np.sort(stat[: x - 2])) for x in xs[:-1]]
-    stat.sort()  # the last grid point takes the whole statistic
-    distances.append(_kolmogorov_distance(stat))
+    distances = [_kolmogorov_distance(*_erdos_kac_sample(x, tables), x - 2) for x in xs]
     observed = [d * math.sqrt(math.log(math.log(x))) for d, x in zip(distances, xs)]
     drift_ok = _drift_non_increasing(observed)
     cap_ok = observed[-1] <= _EK_SCALED_CAP

@@ -16,7 +16,8 @@ key bytes.  The count of those coprime to a squarefree d follows from
 them by the Liouville-signed sum of coprime_squarefree_counts, and the
 histogram of squarefree n <= x by omega and override flags by the same
 expansion over the override primes, one lookup per distinct floor value
-x // b.
+x // b.  A band index over the same blocks counts all n by key & 15, for
+the Erdos-Kac distribution.
 """
 
 import mmap
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from math import isqrt, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError, RangeError
 
@@ -65,9 +67,15 @@ class SieveTables:
     j from 1 to the largest omega in the table (8 from 9699690 to
     223092869), a uint32 per 2**16 integers and a uint16 within.  That is
     (32 + 2 * 8) / 256 = 0.1875 bytes per integer and a little more for
-    the uint32s (1.88 MB at 1e7).  A request whose index would not fit
-    in the available memory raises RangeError before it allocates.  A
-    query adds y's block up to y; squarefree_omega_rank bincounts its keys.
+    the uint32s (1.88 MB at 1e7).  A query adds y's block up to y;
+    squarefree_omega_rank bincounts its keys.
+
+    The first _band_rank call (the Erdos-Kac routes) builds a band index
+    the same way and keeps it: per block, the count of all n below it
+    with key[n] & 15 == j for each of the 16 values j, so 16 * 2 / 256 =
+    0.125 bytes per integer and a little more (1.26 MB at 1e7).  A
+    request whose index would not fit in the available memory raises
+    RangeError before it allocates.
     """
 
     limit: int
@@ -140,19 +148,55 @@ class SieveTables:
         at_most[:, 0] = y >= 1  # omega(n) = 0 only at n = 1
         return np.diff(at_most, axis=1, prepend=0)
 
+    def _band_rank(self, y: np.ndarray, band: np.ndarray) -> np.ndarray:
+        """C_j(y), the number of n <= y with key[n] & 15 == j (int64).
+
+        y (integers in [0, limit]) and band (integers j in [0, 15])
+        broadcast together; the table holds at least one block (limit >=
+        255).  C_j(y) is the band index below y's block plus the count in
+        the block up to y, from a 256-key row that starts at the block (at
+        the table's end, at the last 256 keys), _ROW_PASS rows at a time.
+        """
+        high, low = self._band_index()
+        y, band = np.broadcast_arrays(np.asarray(y, dtype=np.int64), np.asarray(band, dtype=np.int64))
+        shape, y, band = y.shape, y.ravel(), band.ravel()
+        rank = high[band, y >> 16].astype(np.int64)
+        rank += low[band, y >> 8]
+        start = np.minimum(y & -_BLOCK, len(self.key) - _BLOCK)
+        rows = sliding_window_view(self.key, _BLOCK)
+        # the columns of a row, and those of the block's first n and of y
+        col = np.arange(_BLOCK, dtype=np.uint8)
+        first = ((y & -_BLOCK) - start).astype(np.uint8)
+        last = (y - start).astype(np.uint8)
+        band8 = band.astype(np.uint8)
+        for i in range(0, len(y), _ROW_PASS):
+            at = slice(i, i + _ROW_PASS)
+            hit = (rows[start[at]] & (_BANDS - 1)) == band8[at, None]
+            hit &= col >= first[at, None]
+            hit &= col <= last[at, None]
+            rank[at] += _row_counts(hit)
+        return rank.reshape(shape)
+
     def _prefix_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The table's prefix index, built on the first call and kept."""
-        index = self.__dict__.get("_index")
+        return self._kept_index("prefix index", _index_bytes(self.limit), _build_prefix_index)
+
+    def _band_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's band index, built on the first call and kept."""
+        return self._kept_index("band index", _band_index_bytes(self.limit), _build_band_index)
+
+    def _kept_index(self, name: str, need: int, build):
+        """build(key), kept under name; RangeError first if need bytes do not fit."""
+        index = self.__dict__.get(name)
         if index is None:
-            need = _index_bytes(self.limit)
             have = _available_bytes()
             if have is not None and need > have:
                 raise RangeError(
-                    f"the prefix index of a {self.limit} table needs about "
+                    f"the {name} of a {self.limit} table needs about "
                     f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
                 )
-            index = _build_prefix_index(self.key)
-            self.__dict__["_index"] = index  # frozen: bypass __setattr__
+            index = build(self.key)
+            self.__dict__[name] = index  # frozen: bypass __setattr__
         return index
 
     def _check_range(self, n: int) -> None:
@@ -182,6 +226,10 @@ _SUPER = 2**16
 _OMEGA_ROWS = 10
 # Integers per pass of the index build, whole superblocks.
 _INDEX_CHUNK = 4 * _SUPER
+# Rows of the band index: every value of key & 15.
+_BANDS = NOT_SQUAREFREE
+# Block rows that one pass of _band_rank gathers (64 KB per temporary).
+_ROW_PASS = 256
 _PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870)
 
 
@@ -199,25 +247,18 @@ def _index_bytes(limit: int) -> int:
     return kept + 4 * _INDEX_CHUNK
 
 
-def _rows_at_most(rows: np.ndarray, j: int) -> np.ndarray:
-    """The number of entries <= j in each 256-byte row of rows (int64).
+def _row_counts(hits: np.ndarray) -> np.ndarray:
+    """The number of set entries in each 256-entry row of hits (int64).
 
-    A row's comparisons pack into four uint64 words, whose popcounts are
-    the four bytes of one uint32.  They add up to at most 192: 64 of any
-    256 consecutive integers are multiples of 4, so at most 192 entries
-    of a row are squarefree keys <= j.
+    A row packs into four uint64 words, whose popcounts add up per row;
+    a row of all n can hold 256 hits, so the four are summed in int64.
     """
-    bits = np.packbits(rows <= j, bitorder="little").view(np.uint64)
-    return _lane_sums(np.bitwise_count(bits).view(np.uint32))
+    return _word_counts(np.packbits(hits, bitorder="little").view(np.uint64))
 
 
-def _lane_sums(words: np.ndarray) -> np.ndarray:
-    """The sum of the four bytes of each uint32 word (int64).
-
-    The multiply adds the bytes up into the top byte, exactly when their
-    sum is below 256, as for the counts of one 256-integer block.
-    """
-    return ((words * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
+def _word_counts(words: np.ndarray) -> np.ndarray:
+    """The set bits of each run of four uint64 words, one block's bitmap (int64)."""
+    return np.bitwise_count(words).reshape(-1, _BLOCK // 64).sum(axis=1, dtype=np.int64)
 
 
 def _mapped_zeros(shape, dtype) -> np.ndarray:
@@ -233,44 +274,88 @@ def _mapped_zeros(shape, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype, count=size).reshape(shape)
 
 
+def _count_rows(rows: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (high, low) for rows of block counts over a table of limit."""
+    return (
+        _mapped_zeros((rows, limit // _SUPER + 1), np.uint32),
+        _mapped_zeros((rows, limit // _BLOCK + 1), np.uint16),
+    )
+
+
+def _store_counts(counts: np.ndarray, below: np.ndarray, a: int, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Store the counts below each block of the pass from integer a on.
+
+    counts[r, i] is row r's count in the pass's block i and below[r] its
+    count below the pass; high[r, s] takes the count below the first block
+    of superblock s (2**16 integers), low[r, b] the count below block b
+    less that.  Returns below for the next pass.
+    """
+    per_super = _SUPER // _BLOCK
+    at = np.cumsum(counts, axis=1)
+    at -= counts
+    at += below
+    opens = at[:, ::per_super]
+    high[:, a // _SUPER : a // _SUPER + opens.shape[1]] = opens
+    b = a // _BLOCK
+    low[:, b : b + counts.shape[1]] = at - np.repeat(opens, per_super, axis=1)[:, : counts.shape[1]]
+    return at[:, -1:] + counts[:, -1:]
+
+
 def _build_prefix_index(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(words, high, low) over the table, in passes of _INDEX_CHUNK integers.
 
     Bit n % 64 of words[n // 64] is set iff n is squarefree, four words to a
-    block of 256 integers.  With L_j(b) the count of squarefree n below
-    block b with omega(n) <= j, high[j - 1, s] is L_j at the first block of
-    superblock s (2**16 integers) and low[j - 1, b] is L_j(b) less that,
-    for j = 1 .. cols; row cols counts every squarefree n.
+    block of 256 integers.  Row j - 1 of (high, low) counts the squarefree n
+    with omega(n) <= j, for j = 1 .. cols; row cols counts every squarefree n.
     """
-    blocks = (len(key) - 1) // _BLOCK + 1
     cols = _omega_columns(len(key) - 1)
-    per_super = _SUPER // _BLOCK
-    words = _mapped_zeros(blocks * _BLOCK // 64, "<u8")
+    high, low = _count_rows(cols, len(key) - 1)
+    words = _mapped_zeros(low.shape[1] * _BLOCK // 64, "<u8")
     raw = words.view(np.uint8)  # little-endian words: byte j holds bits 8j..8j+7
-    high = _mapped_zeros((cols, (blocks - 1) // per_super + 1), np.uint32)
-    low = _mapped_zeros((cols, blocks), np.uint16)
-    below = np.zeros((cols, 1), dtype=np.int64)  # L at the pass's first block
+    below = np.zeros((cols, 1), dtype=np.int64)
     for a in range(0, len(key), _INDEX_CHUNK):
         part = key[a : a + _INDEX_CHUNK]
         packed = np.packbits(part < NOT_SQUAREFREE, bitorder="little")
         raw[a // 8 : a // 8 + len(packed)] = packed
-        # a non-squarefree key is above every j of _rows_at_most
+        # a non-squarefree key is above every j counted
         rows = np.pad(part, (0, -len(part) % _BLOCK), constant_values=NOT_SQUAREFREE).reshape(-1, _BLOCK)
         b = a // _BLOCK
         counts = np.empty((cols, len(rows)), dtype=np.int64)
-        counts[-1] = _lane_sums(np.bitwise_count(words[4 * b : 4 * (b + len(rows))]).view(np.uint32))
+        counts[-1] = _word_counts(words[4 * b : 4 * (b + len(rows))])
         for j in range(1, cols):
-            counts[j - 1] = _rows_at_most(rows, j)
-        at = np.cumsum(counts, axis=1)
-        at -= counts
-        at += below
-        below = at[:, -1:] + counts[:, -1:]
-        opens = at[:, ::per_super]
-        high[:, a // _SUPER : a // _SUPER + opens.shape[1]] = opens
-        low[:, b : b + len(rows)] = at - np.repeat(opens, per_super, axis=1)[:, : len(rows)]
+            counts[j - 1] = _row_counts(rows <= j)
+        below = _store_counts(counts, below, a, high, low)
     for arr in (words, high, low):
         arr.setflags(write=False)
     return words, high, low
+
+
+def _band_index_bytes(limit: int) -> int:
+    """What _build_band_index holds at its peak for a table of limit."""
+    kept = _BANDS * (2 * (limit // _BLOCK + 1) + 4 * (limit // _SUPER + 1))
+    # a pass holds the bands, their padded rows, one comparison and its packed bits
+    return kept + 4 * _INDEX_CHUNK
+
+
+def _build_band_index(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) over the table: row j counts the n with key[n] & 15 == j.
+
+    Every n is counted, so one block can hold 256 of a row.  A pass
+    compares only up to its largest band.
+    """
+    high, low = _count_rows(_BANDS, len(key) - 1)
+    below = np.zeros((_BANDS, 1), dtype=np.int64)
+    for a in range(0, len(key), _INDEX_CHUNK):
+        part = key[a : a + _INDEX_CHUNK] & (_BANDS - 1)
+        # the padding is in no band
+        padded = np.pad(part, (0, -len(part) % _BLOCK), constant_values=_BANDS)
+        counts = np.zeros((_BANDS, len(padded) // _BLOCK), dtype=np.int64)
+        for j in range(int(part.max()) + 1):
+            counts[j] = _row_counts(padded == j)
+        below = _store_counts(counts, below, a, high, low)
+    for arr in (high, low):
+        arr.setflags(write=False)
+    return high, low
 
 
 def _available_bytes() -> int | None:

@@ -24,7 +24,10 @@ These are the earlier production routes and the per-value references:
 - the census walks all k**omega(n) assignments of primes to slots;
 - the series terms and the weighted Selberg terms are built from
   whole-length temporaries, the latter with the per-prime g table, and
-  the Kolmogorov distance evaluates math.erf at every sample point.
+  the Kolmogorov distance evaluates math.erf at every sample point;
+- the Erdos-Kac statistic of every n <= x, block by block, and the
+  distance of its sorted sample through Phi interpolated on nodes
+  (erdos_kac_statistic, kolmogorov_distance).
 """
 
 import math
@@ -378,4 +381,68 @@ def kolmogorov_distance_erf(sorted_stat: np.ndarray) -> float:
     scaled = sorted_stat / math.sqrt(2.0)
     phi = 0.5 * (1.0 + np.fromiter(map(math.erf, scaled), np.float64, count=m))
     i = np.arange(1, m + 1)
+    return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))
+
+
+# Elements per block of erdos_kac_statistic and kolmogorov_distance.
+BLOCK = 1 << 16
+# Nodes of the interpolated Phi in kolmogorov_distance.
+PHI_NODES = 2**14 + 1
+
+
+def erdos_kac_statistic(x: int, tables: SieveTables) -> np.ndarray:
+    """(omega(n) - loglog n)/sqrt(loglog n) for 3 <= n <= x, in order of n."""
+    stat = np.empty(x - 2)
+    for lo in range(0, len(stat), BLOCK):
+        _erdos_kac_block(lo + 3, stat[lo : lo + BLOCK], tables)
+    return stat
+
+
+def _erdos_kac_block(n0: int, out: np.ndarray, tables: SieveTables) -> np.ndarray:
+    """out, filled with the statistic above for n = n0, n0 + 1, ..."""
+    out[:] = tables.key[n0 : n0 + len(out)] & (NOT_SQUAREFREE - 1)
+    loglog = np.log(np.log(np.arange(n0, n0 + len(out), dtype=np.float64)))
+    out -= loglog
+    out /= np.sqrt(loglog)
+    return out
+
+
+def kolmogorov_distance(sorted_stat: np.ndarray) -> float:
+    """sup_t |F(t) - Phi(t)| for the empirical distribution F of the sample.
+
+    The i-th order statistic gives the one-sided differences i/m - Phi and
+    Phi - (i-1)/m.  Phi is first interpolated linearly on PHI_NODES
+    nodes over the sample range: in u = t/sqrt(2), |d^2 Phi/du^2| < 1/2,
+    so nodes h apart err by at most h**2/16, plus rounding that 2**-40
+    covers.  Only indices whose interpolated difference lies within twice
+    that bound of the largest one can hold the supremum; there Phi is
+    evaluated by math.erf in the float expressions of the direct formula,
+    so the result has its bits.  The differences are computed block by
+    block, twice for the few blocks that hold a candidate.
+    """
+    m = len(sorted_stat)
+    root2 = math.sqrt(2.0)
+    nodes = np.linspace(sorted_stat[0] / root2, sorted_stat[-1] / root2, PHI_NODES)
+    h = float(np.max(np.diff(nodes)))
+    tol = h * h / 16.0 + 2.0**-40
+    node_phi = 0.5 * (1.0 + np.array([math.erf(u) for u in nodes]))
+
+    def gap(lo):  # i/m - Phi on one block; Phi - (i-1)/m is 1/m - gap
+        block = sorted_stat[lo : lo + BLOCK] / root2
+        g = np.arange(lo + 1, lo + len(block) + 1, dtype=np.float64)
+        g /= m
+        g -= np.interp(block, nodes, node_phi)
+        return g
+
+    starts = range(0, m, BLOCK)
+    extremes = [(float(np.max(g)), float(np.min(g))) for g in map(gap, starts)]
+    floor = max(max(e[0] for e in extremes), 1.0 / m - min(e[1] for e in extremes)) - 2.0 * tol
+    cand = []
+    for lo, (top, bottom) in zip(starts, extremes):
+        if top >= floor or bottom <= 1.0 / m - floor:
+            g = gap(lo)
+            cand.append(lo + np.flatnonzero((g >= floor) | (g <= 1.0 / m - floor)))
+    cand = np.concatenate(cand)
+    i = cand + 1
+    phi = 0.5 * (1.0 + np.array([math.erf(u) for u in sorted_stat[cand] / root2]))
     return float(max(np.max(i / m - phi), np.max(phi - (i - 1) / m)))

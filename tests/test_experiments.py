@@ -225,8 +225,8 @@ def test_erdos_kac_window_rejects_nan_edges_and_takes_infinite_ones(tables_small
 
 
 def test_erdos_kac_window_counts_block_by_block(tables_medium):
-    # x at the edges of the blocks; the statistic is the whole-array formula
-    for x in (10**4, ex._BLOCK + 2, ex._BLOCK + 3, 2 * ex._BLOCK + 2, tables_medium.limit):
+    # x at the edges of the oracle's blocks; the statistic is the whole-array formula
+    for x in (10**4, oracle.BLOCK + 2, oracle.BLOCK + 3, 2 * oracle.BLOCK + 2, tables_medium.limit):
         om = oracle.omega_of(tables_medium)[3 : x + 1].astype(np.float64)
         loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
         stat = (om - loglog) / np.sqrt(loglog)
@@ -251,7 +251,7 @@ def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
     grid = [10**4, 2 * 10**4, 5 * 10**4]
     rep = ex.erdos_kac_distance(grid, tables_medium)
     for x, got in zip(grid, rep.extra["distance"]):
-        sample = sorted(ex._erdos_kac_statistic(x, tables_medium).tolist())
+        sample = sorted(oracle.erdos_kac_statistic(x, tables_medium).tolist())
         m = len(sample)
         want = 0.0
         for i, s in enumerate(sample, start=1):
@@ -266,11 +266,83 @@ def test_erdos_kac_distance_matches_loop_oracle(tables_medium):
 
 def test_erdos_kac_statistic_matches_whole_array_formula(tables_medium):
     # the blocked statistic keeps the bits of the one-shot expression
-    for x in (3, 10**4, ex._BLOCK + 2, ex._BLOCK + 3, tables_medium.limit):
+    for x in (3, 10**4, oracle.BLOCK + 2, oracle.BLOCK + 3, tables_medium.limit):
         om = oracle.omega_of(tables_medium)[3 : x + 1].astype(np.float64)
         loglog = np.log(np.log(np.arange(3, x + 1, dtype=np.float64)))
         want = (om - loglog) / np.sqrt(loglog)
-        assert ex._erdos_kac_statistic(x, tables_medium).tobytes() == want.tobytes()
+        assert oracle.erdos_kac_statistic(x, tables_medium).tobytes() == want.tobytes()
+
+
+def test_statistic_decreases_within_each_band(tables_medium):
+    # the premise of the band counts: in each omega band the whole-array
+    # statistic strictly decreases in n, so its n with s <= t are a suffix
+    stat = oracle.erdos_kac_statistic(tables_medium.limit, tables_medium)
+    band = oracle.omega_of(tables_medium)[3:]
+    for j in np.unique(band):
+        assert np.all(np.diff(stat[band == j]) < 0)
+
+
+def test_statistic_at_scattered_n_has_the_whole_array_bits(tables_medium):
+    x = tables_medium.limit
+    whole = oracle.erdos_kac_statistic(x, tables_medium)
+    band = oracle.omega_of(tables_medium)
+    rng = np.random.default_rng(11)
+    n = np.concatenate([[3, 4, x - 1, x], rng.integers(3, x + 1, 5000)])
+    assert ex._statistic(band[n], n).tobytes() == whole[n - 3].tobytes()
+    for v in n[:50].tolist():  # one n at a time
+        assert ex._statistic(band[[v]], np.array([v])).tobytes() == whole[v - 3 : v - 2].tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    x=st.integers(10**4, 10**5),
+    band=st.integers(0, NOT_SQUAREFREE - 1),
+    t=st.one_of(st.floats(-3.0, 12.0), st.sampled_from([-math.inf, math.inf, 0.0])),
+    at=st.integers(3, 10**4),
+    guess=st.sampled_from([None, 3, 2**31]),
+)
+def test_first_at_most_is_the_first_n_at_or_below_t(x, band, t, at, guess):
+    # t drawn, and t a value of the statistic; guess replaces the root so
+    # that the bracket fails and the bisection starts from [2, x + 1]
+    n = np.arange(3, x + 1)
+    stat = ex._statistic(band, n)
+    for threshold in (t, float(stat[at - 3])):
+        below = np.flatnonzero(stat <= threshold)
+        want = int(n[below[0]]) if len(below) else x + 1
+        root = ex._root if guess is None else (lambda band, t, x: np.clip(np.full(t.shape, guess), 3, x + 1))
+        with mock.patch.object(ex, "_root", root):
+            assert ex._first_at_most(band, np.array([threshold]), x).tolist() == [want]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    grid=st.lists(st.integers(10**4, 10**6), min_size=3, max_size=3, unique=True).map(sorted),
+    window=st.tuples(st.floats(-2.0, 3.0), st.floats(0.0, 1.0)),
+)
+def test_erdos_kac_routes_equal_the_sorted_sample(tables_medium, grid, window):
+    # distances bit for bit against the sorted sample; the window of the
+    # histogram against a count over that sample
+    rep = ex.erdos_kac_distance(grid, tables_medium)
+    for x, got in zip(grid, rep.extra["distance"]):
+        assert got == oracle.kolmogorov_distance(np.sort(oracle.erdos_kac_statistic(x, tables_medium)))
+    stat = oracle.erdos_kac_statistic(grid[-1], tables_medium)
+    a, b = window[0], window[0] + window[1]
+    inside = np.count_nonzero((stat >= a) & (stat <= b))
+    assert ex.erdos_kac_histogram(grid[-1], a, b, tables_medium).observed == [inside / (grid[-1] - 2)]
+
+
+def test_erdos_kac_distance_on_a_built_index_allocates_under_one_megabyte():
+    x = 2**22
+    tables = build_sieve(x)
+    grid = [10**4, 10**5, 10**6, x]
+    ex.erdos_kac_distance(grid, tables)  # builds the band index
+    tracemalloc.start()
+    try:
+        ex.erdos_kac_distance(grid, tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _kolmogorov_samples(tables):
@@ -282,16 +354,33 @@ def _kolmogorov_samples(tables):
     yield np.sort(rng.standard_normal(300) + 2.5)  # sup in the lower tail
     yield np.array([0.25])
     yield np.full(100, -0.5)
-    yield np.sort(ex._erdos_kac_statistic(10**4, tables))
+    yield np.sort(oracle.erdos_kac_statistic(10**4, tables))
 
 
-@pytest.mark.parametrize("nodes, block", [(ex._PHI_NODES, ex._BLOCK), (8, ex._BLOCK), (ex._PHI_NODES, 64), (8, 64)])
+@pytest.mark.parametrize("nodes, block", [(oracle.PHI_NODES, oracle.BLOCK), (8, oracle.BLOCK), (oracle.PHI_NODES, 64), (8, 64)])
 def test_kolmogorov_kernel_matches_full_erf(tables_small, nodes, block):
     # 8 nodes make the interpolation bound loose, so many indices are refined;
     # 64-element blocks make the samples span many blocks
-    with mock.patch.object(ex, "_PHI_NODES", nodes), mock.patch.object(ex, "_BLOCK", block):
+    with mock.patch.object(oracle, "PHI_NODES", nodes), mock.patch.object(oracle, "BLOCK", block):
         for sample in _kolmogorov_samples(tables_small):
-            assert ex._kolmogorov_distance(sample) == oracle.kolmogorov_distance_erf(sample)
+            assert oracle.kolmogorov_distance(sample) == oracle.kolmogorov_distance_erf(sample)
+
+
+@pytest.mark.parametrize("nodes, split, leaf", [(ex._EK_NODES, ex._EK_SPLIT, ex._EK_LEAF), (2, 2, 1), (5, 3, 7)])
+def test_distance_refinement_matches_full_erf(tables_small, nodes, split, leaf):
+    # small constants refine deep: one value per leaf, or ties that no
+    # split can part, down to intervals between adjacent floats
+    def count(t):
+        return np.searchsorted(sample, t, side="right")
+
+    def members(a, b):
+        return [sample[(sample > lo) & (sample <= hi)] for lo, hi in zip(a.tolist(), b.tolist())]
+
+    with mock.patch.multiple(ex, _EK_NODES=nodes, _EK_SPLIT=split, _EK_LEAF=leaf):
+        for sample in _kolmogorov_samples(tables_small):
+            lo = np.nextafter(sample[0], -math.inf)
+            got = ex._kolmogorov_distance(count, members, lo, sample[-1], len(sample))
+            assert got == oracle.kolmogorov_distance_erf(sample)
 
 
 def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):

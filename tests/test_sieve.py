@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -217,6 +218,24 @@ def test_squarefree_omega_rank_counts_every_prefix(limit):
     assert got.dtype == np.int64 and np.array_equal(got, np.cumsum(onehot, axis=0))
 
 
+@pytest.mark.parametrize("limit", [255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65])
+def test_band_rank_counts_every_band(limit):
+    # a table of one block, one past it, one past a superblock (2**16) and
+    # one past a pass of the index build; random keys fill all sixteen
+    # bands, and a constant key puts 256 n of one band in every block
+    real = build_sieve(limit)
+    rng = np.random.default_rng(limit)
+    edges = np.arange(0, limit + 1, 256)
+    y = np.unique(np.concatenate([
+        np.arange(min(limit, 600) + 1), edges, np.maximum(edges - 1, 0), rng.integers(0, limit + 1, 2000), [limit],
+    ]))
+    for key in (real.key, rng.integers(0, 32, limit + 1).astype(np.uint8), np.full(limit + 1, 3, np.uint8)):
+        tables = dataclasses.replace(real, key=key)
+        want = np.stack([np.cumsum((key & 15) == j)[y] for j in range(16)], axis=1)
+        got = tables._band_rank(y[:, None], np.arange(16))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_coprime_counts_equal_enumeration_oracle(tables_small):
     ms = np.flatnonzero(mu_of(tables_small)[:301])
     for x in (1, 64, 1000, 4999):
@@ -398,8 +417,25 @@ def test_index_memory_guard_rejects_before_allocating():
         assert tables.squarefree_rank(np.array([limit]))[0] == np.count_nonzero(tables.key < NOT_SQUAREFREE)
 
 
+def test_band_index_memory_guard_rejects_before_allocating():
+    limit = 2**20
+    tables = build_sieve(limit)
+    need = sieve._band_index_bytes(limit)
+    with mock.patch.object(sieve, "_available_bytes", return_value=need - 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match=r"band index of a 1048576 table needs about 1 MB; 1 MB available"):
+                tables._band_rank(np.array([limit]), np.array([2]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < need // 8
+    with mock.patch.object(sieve, "_available_bytes", return_value=need):
+        assert tables._band_rank(np.array([limit]), np.array([2]))[0] == np.count_nonzero(omega_of(tables) == 2)
+
+
 def test_index_build_peak_stays_below_its_estimate():
-    # at most 0.1875 bytes per integer kept, in mappings of their own that
+    # at most 0.1875 bytes per integer kept (the prefix index), in mappings of their own that
     # tracemalloc does not see, plus the temporaries of one pass of the build
     limit = 2**23
     tables = build_sieve(limit)
@@ -411,6 +447,15 @@ def test_index_build_peak_stays_below_its_estimate():
         tracemalloc.stop()
     assert peak < sieve._index_bytes(limit)
     assert sum(part.nbytes for part in tables._prefix_index()) < 0.1875 * limit
+    # the band index: 16 rows of 2 bytes per block, 0.125 bytes per integer
+    tracemalloc.start()
+    try:
+        tables._band_rank(np.array([limit]), np.array([2]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sieve._band_index_bytes(limit)
+    assert sum(part.nbytes for part in tables._band_index()) < 0.13 * limit
 
 
 def test_memory_guard_needs_a_known_figure():
