@@ -15,7 +15,7 @@ at p, counts_for_split builds them over the override set plus p), and
 ratio and abcd are the wrappers that count first.  Each count has one
 route: the full counts spread sieve.omega_flag_histogram -- the one
 count of squarefree n by omega and override flags, read from the table's
-prefix index at the floor values x // b, also behind
+squarefree rows at the floor values x // b, also behind
 sieve.omega_class_counts and euler.selberg_exact -- over divisor classes,
 and the small ones take, for all squarefree d <= x**(1/k) at once, the
 squarefree cofactors coprime to d from sieve.coprime_squarefree_counts
@@ -30,19 +30,21 @@ counts once.  The full counts cost a few lookups and are not kept.
 Callers get their own dicts.
 
 The excluded-prime series H(x) = sum g(j)h(j)/j is summed from float
-terms built per request.  The memo also holds, under "series", a weak
-reference to the last H that h_series_cumulative built, with the exact
-bits of its weight and its p: while the caller keeps that H, h_series
-and h_series_cumulative with the same weight and p, at any x it reaches,
-read it instead of summing again.  The reference keeps no array alive,
-and H is read-only: a caller that writes into it gets ValueError instead
-of changing what another caller reads.
+terms built per request.  The memo also holds, under "series" and
+outside the bound on the small counts, a weak reference to the last H
+that h_series_cumulative built, with the exact bits of its weight and
+its p: while the caller keeps that H, h_series and h_series_cumulative
+with the same weight and p, at any x it reaches, read it instead of
+summing again.  The reference keeps no array alive, and H is read-only:
+a caller that writes into it gets ValueError instead of changing what
+another caller reads.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, frexp, fsum, isqrt, ldexp
+import operator
 import struct
 import weakref
 
@@ -120,6 +122,7 @@ class AbcdDecomposition:
 
 def integer_kth_root(n: int, k: int) -> int:
     """Largest r with r**k <= n, by exact integer arithmetic in O(log n) steps."""
+    n = operator.index(n)
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
     if k < 1:
@@ -166,6 +169,7 @@ def full_class_counts(
     this is exactly the statement that a squarefree n with omega(n) = i
     has C(i, j) divisors with j prime factors).
     """
+    x = operator.index(x)  # a NumPy integer becomes an int; a float raises TypeError
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     ops = tuple(sorted(override_primes))
@@ -199,6 +203,7 @@ def small_class_counts(
     The per-d counts are kept per (x, k) and binned by the class of d on
     each request.
     """
+    x = operator.index(x)  # a NumPy integer becomes an int; a float raises TypeError
     if not 1 <= x <= tables.limit:
         raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if k < 2:
@@ -233,9 +238,9 @@ def _small_coprime_ranks(x, k, tables) -> tuple[np.ndarray, np.ndarray]:
     return d, pairs
 
 
-# Entries a table keeps in SieveTables.memo, the series entry among them:
-# enough for what a few ratios, a prime split, a scan and a trend ask for
-# at a handful of x.
+# Small-count entries a table keeps in SieveTables.memo (the series entry
+# is not one of them): enough for what a few ratios, a prime split, a scan
+# and a trend ask for at a handful of x.
 _MEMO_ENTRIES = 32
 
 
@@ -243,16 +248,17 @@ def _remembered(tables: SieveTables, key: tuple, count):
     """The value at key in the table's memo, or else count(), then kept.
 
     At most _MEMO_ENTRIES values are kept, the least recently used going
-    first.  Callers read the kept value itself, so count() returns
-    read-only arrays.
+    first; the series entry is not counted among them and stays.  Callers
+    read the kept value itself, so count() returns read-only arrays.
     """
     memo = tables.memo
     if key in memo:
         memo.move_to_end(key)
         return memo[key]
     value = memo[key] = count()
-    if len(memo) > _MEMO_ENTRIES:
-        memo.popitem(last=False)
+    kept = [k for k in memo if k != "series"]
+    if len(kept) > _MEMO_ENTRIES:
+        del memo[kept[0]]
     return value
 
 

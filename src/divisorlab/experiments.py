@@ -16,7 +16,7 @@ import numpy as np
 from . import divisor_sums as dsums
 from .errors import ConfigurationError, DomainError, RangeError
 from .euler import f0, f1, gamma_fn, gaussian_window, selberg_exact
-from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts
+from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts, primes_up_to
 from .weights import PrimeWeight, g_table
 
 VERDICT_PASS = "pass"
@@ -345,6 +345,11 @@ def _first_at_most(band, t, x: int) -> np.ndarray:
     return hi.reshape(shape)
 
 
+# The least n with omega(n) = j, for j = 0 .. 15: 1 and the products of
+# the first j primes.
+_PRIMORIALS = np.concatenate([[1], np.cumprod(primes_up_to(47))])
+
+
 def _erdos_kac_sample(x: int, tables: SieveTables):
     """(count, members, lo, hi) of the statistic over 3 <= n <= x.
 
@@ -356,11 +361,15 @@ def _erdos_kac_sample(x: int, tables: SieveTables):
 
     and the members of (a, b] in band j are its n in [n_j(b), n_j(a)),
     read off the key.  Only the bands that hold an n in [3, x] are read.
-    Every value lies in (lo, hi], as s_j(x) <= s_j(n) <= s_j(3).
+    Every value lies in (lo, hi], as s_j(x) <= s_j(n) <= s_j(f_j) for the
+    first n >= 3 of band j, f_j: on the sieve's key, max(3, the least n
+    with omega(n) = j), and 3 on a key that puts an n below that in band j.
     """
     bands = np.arange(NOT_SQUAREFREE)
-    below, top = tables._band_rank(np.array([[2], [x]]), bands)
-    bands, top = bands[top > below], top[top > below]
+    first = np.minimum(np.maximum(_PRIMORIALS, 3), x + 1)
+    below, before, top = tables._band_rank(np.stack([np.full_like(first, 2), first - 1, np.full_like(first, x)]), bands)
+    first = np.where(before > below, 3, first)
+    bands, top, first = (v[top > below] for v in (bands, top, first))
 
     def count(t):
         n = _first_at_most(bands, t[:, None], x)
@@ -379,7 +388,7 @@ def _erdos_kac_sample(x: int, tables: SieveTables):
         return out
 
     lo = np.nextafter(_statistic(bands, np.full(len(bands), x)).min(), -math.inf)
-    hi = _statistic(bands, np.full(len(bands), 3)).max()
+    hi = _statistic(bands, first).max()
     return count, members, float(lo), float(hi)
 
 
@@ -496,7 +505,7 @@ def erdos_kac_distance(x_grid, tables: SieveTables) -> TrendReport:
     point.  Pass requires observed non-increasing over the last three
     grid points and the final value at most 0.6 (a documented
     engineering cap); the raw distances are in extra.  F_x is counted
-    per omega band from the table's band index (_erdos_kac_sample), and
+    per omega band from the table's band rows (_erdos_kac_sample), and
     D(x) refined over t-intervals (_kolmogorov_distance), so no array
     has length x.
     """

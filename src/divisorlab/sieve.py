@@ -8,16 +8,19 @@ chunk, and the key follows by the recurrence n -> n / spf(n) (Gries and
 Misra, CACM 21, 1978).  Every aggregate in the package reads this
 table; it is written once and frozen.
 
-Counts of squarefree integers up to y, in all and by omega, are read
-from a prefix index over the table (in the manner of Jacobson's rank
-index, "Space-efficient static trees and graphs", FOCS 1989) below y's
-block, plus the block's own part up to y: by omega, one bincount of its
-key bytes.  The count of those coprime to a squarefree d follows from
-them by the Liouville-signed sum of coprime_squarefree_counts, and the
-histogram of squarefree n <= x by omega and override flags by the same
-expansion over the override primes, one lookup per distinct floor value
-x // b.  A band index over the same blocks counts all n by key & 15, for
-the Erdos-Kac distribution.
+Counts up to y are read from a count index over the table (in the
+manner of Jacobson's rank index, "Space-efficient static trees and
+graphs", FOCS 1989): per block of 256 integers, rows j of the count of n
+below the block with v(n) <= j, plus the block's own keys up to y.  The
+squarefree rows take v = key, so they count squarefree n with omega(n)
+<= j (a non-squarefree key is above every j), and the band rows take v =
+key & 15, which counts all n by omega for the Erdos-Kac distribution.
+One builder makes both sets and one in-block count serves both ranks.
+The count of squarefree n coprime to a squarefree d follows from the
+squarefree rank by the Liouville-signed sum of coprime_squarefree_counts,
+and the histogram of squarefree n <= x by omega and override flags by
+the same expansion over the override primes, one lookup per distinct
+floor value x // b.
 """
 
 import mmap
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from math import isqrt, prod
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, DomainError, RangeError
 
@@ -53,29 +56,26 @@ class SieveTables:
             NOT_SQUAREFREE, else 0, and n is prime iff key[n] == 1.
             omega(n) <= 9 for n <= 2**31, since the product of the first
             ten primes exceeds 2**31; squarefree_omega_rank and
-            omega_flag_histogram keep ten omega rows on that bound.
+            omega_flag_histogram keep ten omega columns on that bound.
         memo: values derived from the tables that an aggregate keeps for
             later requests (divisor_sums keeps the per-d small counts of
-            a bounded number of (x, k) here, and a weak reference to the
-            last excluded-prime series H it handed out); it dies with the
-            table.
+            a bounded number of (x, k) here, and, outside that bound, a
+            weak reference to the last excluded-prime series H it handed
+            out); it dies with the table.
 
-    The first squarefree_rank or squarefree_omega_rank call also builds a
-    prefix index over the key and keeps it: a bitmap of the
-    squarefree n <= limit in uint64 words and, per block of 256 integers,
-    the count of squarefree n below the block with omega(n) <= j for each
-    j from 1 to the largest omega in the table (8 from 9699690 to
-    223092869), a uint32 per 2**16 integers and a uint16 within.  That is
-    (32 + 2 * 8) / 256 = 0.1875 bytes per integer and a little more for
-    the uint32s (1.88 MB at 1e7).  A query adds y's block up to y;
-    squarefree_omega_rank bincounts its keys.
-
-    The first _band_rank call (the Erdos-Kac routes) builds a band index
-    the same way and keeps it: per block, the count of all n below it
-    with key[n] & 15 == j for each of the 16 values j, so 16 * 2 / 256 =
-    0.125 bytes per integer and a little more (1.26 MB at 1e7).  A
-    request whose index would not fit in the available memory raises
-    RangeError before it allocates.
+    The first squarefree_rank or squarefree_omega_rank call builds the
+    squarefree rows of the count index and keeps them, and the first
+    _band_rank call (the Erdos-Kac routes) the band rows, so a run that
+    reads only one set pays for that one.  Each set holds, per block of
+    256 integers, the count below it of the n with v(n) <= j, for each j
+    from the least v of an n >= 2 to the largest key & 15 in the table
+    (1 to 8 from 9699690 to 223092869), a uint32 per 2**16 integers and a
+    uint16 within: 2 * 8 / 256 = 0.0625 bytes per integer and a little
+    more for the uint32s (0.63 MB at 1e7).  The squarefree rows add a
+    bitmap of the squarefree n in uint64 words, for 0.1875 bytes per
+    integer in all (1.88 MB at 1e7).  A query adds y's block up to y;
+    squarefree_rank popcounts its words.  A request whose rows would not
+    fit in the available memory raises RangeError before it allocates.
     """
 
     limit: int
@@ -109,7 +109,7 @@ class SieveTables:
         y holds integers in [0, limit].  Q(y) is the count of squarefree n
         below y's block plus the set bits of the block's words up to y.
         """
-        words, high, low = self._prefix_index()
+        _, high, low, words = self._index(band=False)
         y = np.asarray(y, dtype=np.int64)
         flat = y.reshape(-1)  # array arithmetic: the wrap below is silent
         w = flat >> 6
@@ -131,71 +131,76 @@ class SieveTables:
         """N_j(y), the number of squarefree n <= y with omega(n) = j (int64).
 
         y is a 1-D array of integers in [0, limit]; row i of the result
-        holds N_0(y_i) .. N_9(y_i).  The count of squarefree n <= y with
-        omega(n) <= j is the count below y's block plus bins 0..j of one
-        bincount of the block's keys up to y: a squarefree key is omega,
-        and a non-squarefree key falls beyond the ten omega bins.
+        holds N_0(y_i) .. N_9(y_i), the differences of the counts of n <= y
+        with key[n] <= j: a squarefree key is omega, and a non-squarefree
+        key is above every j.
         """
-        _, high, low = self._prefix_index()
-        y = np.asarray(y, dtype=np.int64)
-        cols = len(low)
-        at_most = np.zeros((len(y), _OMEGA_ROWS), dtype=np.int64)
-        for i, v in enumerate(y.tolist()):
-            at_most[i] = np.bincount(self.key[v & -_BLOCK : v + 1], minlength=_OMEGA_ROWS)[:_OMEGA_ROWS]
-        np.cumsum(at_most, axis=1, out=at_most)
-        at_most[:, 1 : cols + 1] += (high[:, y >> 16] + low[:, y >> 8]).T
-        at_most[:, cols + 1 :] = at_most[:, cols, None]
-        at_most[:, 0] = y >= 1  # omega(n) = 0 only at n = 1
-        return np.diff(at_most, axis=1, prepend=0)
+        at = self._at_most(y, band=False)[:, :_OMEGA_ROWS]
+        at[:, 1:] -= at[:, :-1]
+        return at
 
     def _band_rank(self, y: np.ndarray, band: np.ndarray) -> np.ndarray:
         """C_j(y), the number of n <= y with key[n] & 15 == j (int64).
 
         y (integers in [0, limit]) and band (integers j in [0, 15])
-        broadcast together; the table holds at least one block (limit >=
-        255).  C_j(y) is the band index below y's block plus the count in
-        the block up to y, from a 256-key row that starts at the block (at
-        the table's end, at the last 256 keys), _ROW_PASS rows at a time.
+        broadcast together.  C_j(y) = A_j(y) - A_{j-1}(y), where A_j(y)
+        counts the n <= y with key[n] & 15 <= j, read once per distinct y.
         """
-        high, low = self._band_index()
         y, band = np.broadcast_arrays(np.asarray(y, dtype=np.int64), np.asarray(band, dtype=np.int64))
-        shape, y, band = y.shape, y.ravel(), band.ravel()
-        rank = high[band, y >> 16].astype(np.int64)
-        rank += low[band, y >> 8]
-        start = np.minimum(y & -_BLOCK, len(self.key) - _BLOCK)
-        rows = sliding_window_view(self.key, _BLOCK)
+        distinct, at = np.unique(y, return_inverse=True)
+        at = at.reshape(y.shape)
+        counts = self._at_most(distinct, band=True)
+        return counts[at, band] - counts[at, band - 1] * (band > 0)
+
+    def _at_most(self, y: np.ndarray, band: bool) -> np.ndarray:
+        """A_j(y_i), the number of n <= y_i with v(n) <= j, in row i, column j (int64).
+
+        v = key & 15 for the band rows and v = key for the squarefree
+        rows; y is a 1-D array of integers in [0, limit], and j runs over
+        0 .. 15.  A_j(y) is the index's count below y's block plus the
+        block's keys up to y, counted by _block_counts _ROW_PASS blocks at
+        a time from the 256 keys that start at the block (at the table's
+        end, the last 256 keys).  Below the index's first row only n = 0
+        and 1 count (its head), and from its last row on A_j is constant.
+        """
+        head, high, low, _ = self._index(band)
+        hi = len(head) + len(high) - 1
+        y = np.asarray(y, dtype=np.int64)
+        key = self.key if len(self.key) >= _BLOCK else np.pad(self.key, (0, _BLOCK - len(self.key)))
+        rows = as_strided(key, (len(key) - _BLOCK + 1, _BLOCK), key.strides * 2, writeable=False)
+        start = np.minimum(y & -_BLOCK, len(key) - _BLOCK)
         # the columns of a row, and those of the block's first n and of y
         col = np.arange(_BLOCK, dtype=np.uint8)
-        first = ((y & -_BLOCK) - start).astype(np.uint8)
-        last = (y - start).astype(np.uint8)
-        band8 = band.astype(np.uint8)
+        first = ((y & -_BLOCK) - start).astype(np.uint8)[:, None]
+        last = (y - start).astype(np.uint8)[:, None]
+        at = np.empty((len(y), _VALUES), dtype=np.int64)
         for i in range(0, len(y), _ROW_PASS):
-            at = slice(i, i + _ROW_PASS)
-            hit = (rows[start[at]] & (_BANDS - 1)) == band8[at, None]
-            hit &= col >= first[at, None]
-            hit &= col <= last[at, None]
-            rank[at] += _row_counts(hit)
-        return rank.reshape(shape)
+            part = slice(i, i + _ROW_PASS)
+            v = _values(rows[start[part]], band)
+            v |= ((col < first[part]) | (col > last[part])).view(np.uint8) << 4  # above every j
+            at[part, : hi + 1] = _block_counts(v, 0, hi).T
+        at[:, : len(head)] += (y >= _BLOCK)[:, None] * np.array(head, dtype=np.int64)
+        at[:, len(head) : hi + 1] += (high[:, y >> 16] + low[:, y >> 8]).T
+        at[:, hi + 1 :] = at[:, hi, None]
+        return at
 
-    def _prefix_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The table's prefix index, built on the first call and kept."""
-        return self._kept_index("prefix index", _index_bytes(self.limit), _build_prefix_index)
+    def _index(self, band: bool) -> tuple:
+        """The table's band or squarefree rows, built on the first call and kept.
 
-    def _band_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The table's band index, built on the first call and kept."""
-        return self._kept_index("band index", _band_index_bytes(self.limit), _build_band_index)
-
-    def _kept_index(self, name: str, need: int, build):
-        """build(key), kept under name; RangeError first if need bytes do not fit."""
+        RangeError first if they would not fit in the available memory.
+        """
+        name = "band rows" if band else "squarefree rows"
         index = self.__dict__.get(name)
         if index is None:
+            lo, hi = _value_range(self.key)
+            need = _index_bytes(self.limit, hi - lo + 1, band)
             have = _available_bytes()
             if have is not None and need > have:
                 raise RangeError(
-                    f"the {name} of a {self.limit} table needs about "
+                    f"the {name} of a {self.limit} table need about "
                     f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
                 )
-            index = build(self.key)
+            index = _build_index(self.key, lo, hi, band)
             self.__dict__[name] = index  # frozen: bypass __setattr__
         return index
 
@@ -218,53 +223,64 @@ def chunks(lo: int, hi: int):
         a = b
 
 
-# The prefix index: integers per block and per superblock, and the rows of
-# N_j(y) (omega(n) <= 9 for n <= 2**31: the product of the first ten primes
-# exceeds 2**31).
+# The count index: integers per block and per superblock; the values j of
+# A_j(y) that a rank returns, and the omega rows of N_j(y) (omega(n) <= 9
+# for n <= 2**31: the product of the first ten primes exceeds 2**31).
 _BLOCK = 256
 _SUPER = 2**16
+_VALUES = 16
 _OMEGA_ROWS = 10
-# Integers per pass of the index build, whole superblocks.
-_INDEX_CHUNK = 4 * _SUPER
-# Rows of the band index: every value of key & 15.
-_BANDS = NOT_SQUAREFREE
-# Block rows that one pass of _band_rank gathers (64 KB per temporary).
-_ROW_PASS = 256
-_PRIMORIALS = (2, 6, 30, 210, 2310, 30030, 510510, 9699690, 223092870)
+# Integers per pass of the index build, and blocks per pass of a rank's
+# in-block count: 64 KB of keys, and as much per row compared.
+_INDEX_CHUNK = _SUPER
+_ROW_PASS = _SUPER // _BLOCK
 
 
-def _omega_columns(limit: int) -> int:
-    """The largest omega(n) of n <= limit: the primorials up to limit."""
-    return sum(q <= limit for q in _PRIMORIALS)
+def _values(key: np.ndarray, band: bool) -> np.ndarray:
+    """v(n) of the band rows (key & 15) or of the squarefree rows (key itself)."""
+    return key & (_VALUES - 1) if band else key
 
 
-def _index_bytes(limit: int) -> int:
-    """What _build_prefix_index holds at its peak for a table of limit."""
-    blocks = limit // _BLOCK + 1
-    cols = _omega_columns(limit)
-    kept = blocks * (_BLOCK // 8 + 2 * cols) + (limit // _SUPER + 1) * 4 * cols
-    # a pass holds the squarefree mask, its packed bits, the keys and one comparison
-    return kept + 4 * _INDEX_CHUNK
+def _value_range(key: np.ndarray) -> tuple[int, int]:
+    """(lo, hi): the least key & 15 of an n >= 2 and the largest of any n.
 
-
-def _row_counts(hits: np.ndarray) -> np.ndarray:
-    """The number of set entries in each 256-entry row of hits (int64).
-
-    A row packs into four uint64 words, whose popcounts add up per row;
-    a row of all n can hold 256 hits, so the four are summed in int64.
+    Rows j = lo .. hi hold both row sets: below lo only n = 0 and 1 count,
+    and from hi on every n of the band rows and every squarefree n (a
+    squarefree key is below 16, so it is its own key & 15).
     """
-    return _word_counts(np.packbits(hits, bitorder="little").view(np.uint64))
+    lo, hi = _VALUES - 1, 0
+    values = np.empty(_INDEX_CHUNK, dtype=np.uint8)
+    for a in range(0, len(key), _INDEX_CHUNK):
+        v = np.bitwise_and(key[a : a + _INDEX_CHUNK], _VALUES - 1, out=values[: len(key) - a])
+        lo = min(lo, int(v[max(2 - a, 0) :].min()))
+        hi = max(hi, int(v.max()))
+    return lo, hi
 
 
-def _word_counts(words: np.ndarray) -> np.ndarray:
-    """The set bits of each run of four uint64 words, one block's bitmap (int64)."""
-    return np.bitwise_count(words).reshape(-1, _BLOCK // 64).sum(axis=1, dtype=np.int64)
+def _index_bytes(limit: int, rows: int, band: bool) -> int:
+    """What _build_index holds at its peak for a table of limit."""
+    blocks = limit // _BLOCK + 1
+    kept = rows * (2 * blocks + 4 * (limit // _SUPER + 1)) + (0 if band else blocks * _BLOCK // 8)
+    # a pass holds its values, and per row a comparison, its packed bits and counts
+    return kept + (2 + 3 * rows // 2) * _INDEX_CHUNK
+
+
+def _block_counts(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """counts[j - lo, i], the entries <= j of row i of v, for j = lo .. hi (int64).
+
+    v holds rows of 256 uint8 values.  A row's comparison packs into four
+    uint64 words, whose popcounts add up per row; a row can hold 256
+    hits, so the four are summed in int64.
+    """
+    hits = v <= np.arange(lo, hi + 1, dtype=np.uint8)[:, None, None]
+    bits = np.bitwise_count(np.packbits(hits, bitorder="little").view(np.uint64)).reshape(len(hits), len(v), 4)
+    return bits[..., 0].astype(np.int64) + bits[..., 1] + bits[..., 2] + bits[..., 3]
 
 
 def _mapped_zeros(shape, dtype) -> np.ndarray:
     """A zeroed array in an anonymous mapping of its own, freed with it.
 
-    The prefix index outlives the temporaries of every later call.  Taken
+    The count index outlives the temporaries of every later call.  Taken
     from the malloc heap, it can sit on top of the heap and keep the
     length-x temporaries freed below it resident: after the series layer
     on a 1e7 table, a 1.9 MB index so kept 8 MB more resident.
@@ -272,14 +288,6 @@ def _mapped_zeros(shape, dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     size = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, size * dtype.itemsize), dtype=dtype, count=size).reshape(shape)
-
-
-def _count_rows(rows: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (high, low) for rows of block counts over a table of limit."""
-    return (
-        _mapped_zeros((rows, limit // _SUPER + 1), np.uint32),
-        _mapped_zeros((rows, limit // _BLOCK + 1), np.uint16),
-    )
 
 
 def _store_counts(counts: np.ndarray, below: np.ndarray, a: int, high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -301,61 +309,34 @@ def _store_counts(counts: np.ndarray, below: np.ndarray, a: int, high: np.ndarra
     return at[:, -1:] + counts[:, -1:]
 
 
-def _build_prefix_index(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(words, high, low) over the table, in passes of _INDEX_CHUNK integers.
+def _build_index(key: np.ndarray, lo: int, hi: int, band: bool) -> tuple:
+    """(head, high, low, words) over the table, in passes of _INDEX_CHUNK integers.
 
-    Bit n % 64 of words[n // 64] is set iff n is squarefree, four words to a
-    block of 256 integers.  Row j - 1 of (high, low) counts the squarefree n
-    with omega(n) <= j, for j = 1 .. cols; row cols counts every squarefree n.
+    Row j - lo of (high, low) counts the n with v(n) <= j below each
+    block, for j = lo .. hi; v is key & 15 for the band rows and key for
+    the squarefree rows.  Below lo only n = 0 and 1 count, so the count
+    below every block but the first is head[j], for j < lo.  The
+    squarefree rows also set bit n % 64 of words[n // 64] iff n is
+    squarefree, four words to a block; the band rows have no words.
     """
-    cols = _omega_columns(len(key) - 1)
-    high, low = _count_rows(cols, len(key) - 1)
-    words = _mapped_zeros(low.shape[1] * _BLOCK // 64, "<u8")
-    raw = words.view(np.uint8)  # little-endian words: byte j holds bits 8j..8j+7
-    below = np.zeros((cols, 1), dtype=np.int64)
+    # Python ints, not an array from the heap (see _mapped_zeros)
+    head = tuple(int(np.count_nonzero(_values(key[:2], band) <= j)) for j in range(lo))
+    high = _mapped_zeros((hi - lo + 1, (len(key) - 1) // _SUPER + 1), np.uint32)
+    low = _mapped_zeros((hi - lo + 1, (len(key) - 1) // _BLOCK + 1), np.uint16)
+    words = None if band else _mapped_zeros(low.shape[1] * _BLOCK // 64, "<u8")
+    below = np.zeros((hi - lo + 1, 1), dtype=np.int64)
     for a in range(0, len(key), _INDEX_CHUNK):
-        part = key[a : a + _INDEX_CHUNK]
-        packed = np.packbits(part < NOT_SQUAREFREE, bitorder="little")
-        raw[a // 8 : a // 8 + len(packed)] = packed
-        # a non-squarefree key is above every j counted
-        rows = np.pad(part, (0, -len(part) % _BLOCK), constant_values=NOT_SQUAREFREE).reshape(-1, _BLOCK)
-        b = a // _BLOCK
-        counts = np.empty((cols, len(rows)), dtype=np.int64)
-        counts[-1] = _word_counts(words[4 * b : 4 * (b + len(rows))])
-        for j in range(1, cols):
-            counts[j - 1] = _row_counts(rows <= j)
-        below = _store_counts(counts, below, a, high, low)
-    for arr in (words, high, low):
+        part = _values(key[a : a + _INDEX_CHUNK], band)
+        if len(part) % _BLOCK:  # the padding is above every j
+            part = np.pad(part, (0, -len(part) % _BLOCK), constant_values=NOT_SQUAREFREE)
+        v = part.reshape(-1, _BLOCK)
+        if not band:
+            packed = np.packbits(v < NOT_SQUAREFREE, bitorder="little")
+            words.view(np.uint8)[a // 8 : a // 8 + len(packed)] = packed  # little-endian words
+        below = _store_counts(_block_counts(v, lo, hi), below, a, high, low)
+    for arr in (high, low) if band else (high, low, words):
         arr.setflags(write=False)
-    return words, high, low
-
-
-def _band_index_bytes(limit: int) -> int:
-    """What _build_band_index holds at its peak for a table of limit."""
-    kept = _BANDS * (2 * (limit // _BLOCK + 1) + 4 * (limit // _SUPER + 1))
-    # a pass holds the bands, their padded rows, one comparison and its packed bits
-    return kept + 4 * _INDEX_CHUNK
-
-
-def _build_band_index(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) over the table: row j counts the n with key[n] & 15 == j.
-
-    Every n is counted, so one block can hold 256 of a row.  A pass
-    compares only up to its largest band.
-    """
-    high, low = _count_rows(_BANDS, len(key) - 1)
-    below = np.zeros((_BANDS, 1), dtype=np.int64)
-    for a in range(0, len(key), _INDEX_CHUNK):
-        part = key[a : a + _INDEX_CHUNK] & (_BANDS - 1)
-        # the padding is in no band
-        padded = np.pad(part, (0, -len(part) % _BLOCK), constant_values=_BANDS)
-        counts = np.zeros((_BANDS, len(padded) // _BLOCK), dtype=np.int64)
-        for j in range(int(part.max()) + 1):
-            counts[j] = _row_counts(padded == j)
-        below = _store_counts(counts, below, a, high, low)
-    for arr in (high, low):
-        arr.setflags(write=False)
-    return high, low
+    return head, high, low, words
 
 
 def _available_bytes() -> int | None:

@@ -59,6 +59,24 @@ def test_integer_kth_root_examples():
     assert ds.integer_kth_root(2**62, 62) == 2
 
 
+def test_numpy_integer_x_is_an_int():
+    # a NumPy integer x gives the report of the int x, with an int x; a float x is refused
+    tables = build_sieve(10**4)
+    w = PrimeWeight(0.3, {3: 0.2}, k_context=3)
+    assert ds.integer_kth_root(np.int64(27), 3) == 3
+    got, want = ds.ratio(np.int64(5000), 3, w, tables), ds.ratio(5000, 3, w, tables)
+    assert got == want and type(got.x) is int
+    for counts in (ds.full_class_counts, lambda x, ops, tables: ds.small_class_counts(x, 3, ops, tables)):
+        got = counts(np.int64(5000), (3,), tables)
+        assert got == counts(5000, (3,), tables) and type(got.x) is int
+    assert ds.abcd(np.int64(5000), 3, W3, 5, tables) == ds.abcd(5000, 3, W3, 5, tables)
+    report = ex.ratio_convergence(3, 0.3, np.array([1000, 2000, 4000, 8000]), tables)
+    assert report.observed == ex.ratio_convergence(3, 0.3, [1000, 2000, 4000, 8000], tables).observed
+    for call in (lambda: ds.ratio(5000.0, 3, w, tables), lambda: ds.integer_kth_root(27.0, 3)):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_integer_kth_root_definition():
     for n in list(range(1, 500)) + [10**12 - 1, 10**12, 2**62]:
         for k in (2, 3, 5):
@@ -530,6 +548,19 @@ def test_held_series_is_kept_per_weight_bits_and_prime(tables_small):
         ds.h_series(100, PrimeWeight(0.3, {3: -0.0}), 2, tables_small)
         assert spy.call_count == 8
     del H
+
+
+def test_held_series_outlives_the_small_count_memo():
+    # the small counts of more x than the memo keeps evict one another, not
+    # the series H the caller still holds
+    tables = build_sieve(10**4)
+    H = ds.h_series_cumulative(10**4, W3, 3, tables)
+    for x in range(1, ds._MEMO_ENTRIES + 2):
+        ds.small_class_counts(x, 2, (), tables)
+    with mock.patch.object(ds, "_series_terms", side_effect=AssertionError):
+        assert ds.h_series(8000, W3, 3, tables) == H[8000]
+        assert ds.h_series_cumulative(8000, W3, 3, tables).base is H
+    assert sum(key != "series" for key in tables.memo) == ds._MEMO_ENTRIES
 
 
 def test_held_series_checks_x_and_p_first(tables_small):

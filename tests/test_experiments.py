@@ -383,6 +383,22 @@ def test_distance_refinement_matches_full_erf(tables_small, nodes, split, leaf):
             assert got == oracle.kolmogorov_distance_erf(sample)
 
 
+def test_erdos_kac_range_starts_at_each_bands_first_member(tables_medium):
+    # omega + 1 puts the primes in band 2, below 6, and 2**j in band j + 1:
+    # the first level spans the key's own first members, whatever the key
+    x = 5 * 10**4
+    for key in (tables_medium.key, (tables_medium.key & NOT_SQUAREFREE) | ((tables_medium.key & 15) + 1)):
+        tables = dataclasses.replace(tables_medium, key=key)
+        stat = oracle.erdos_kac_statistic(x, tables)
+        _, _, lo, hi = ex._erdos_kac_sample(x, tables)
+        assert lo < stat.min() and stat.max() <= hi
+        assert ex.erdos_kac_distance([10**4, 2 * 10**4, x], tables).extra["distance"][-1] == (
+            oracle.kolmogorov_distance_erf(np.sort(stat))
+        )
+    # on the sieve's key the range ends at the sample's largest value
+    assert ex._erdos_kac_sample(x, tables_medium)[3] == oracle.erdos_kac_statistic(x, tables_medium).max()
+
+
 def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):
     grid = [10**4, 10**5, 10**6]
     n = np.arange(tables_medium.limit + 1)

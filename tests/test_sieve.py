@@ -218,22 +218,49 @@ def test_squarefree_omega_rank_counts_every_prefix(limit):
     assert got.dtype == np.int64 and np.array_equal(got, np.cumsum(onehot, axis=0))
 
 
-@pytest.mark.parametrize("limit", [255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65])
-def test_band_rank_counts_every_band(limit):
-    # a table of one block, one past it, one past a superblock (2**16) and
-    # one past a pass of the index build; random keys fill all sixteen
-    # bands, and a constant key puts 256 n of one band in every block
-    real = build_sieve(limit)
-    rng = np.random.default_rng(limit)
+# a table of one block, one past it, one past a superblock (2**16) and one
+# past a pass of the index build
+RANK_LIMITS = [255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65]
+
+
+def rank_queries(limit, rng):
+    """Every y up to 600, each block's first and last n, 2000 drawn y and the limit."""
     edges = np.arange(0, limit + 1, 256)
-    y = np.unique(np.concatenate([
+    return np.unique(np.concatenate([
         np.arange(min(limit, 600) + 1), edges, np.maximum(edges - 1, 0), rng.integers(0, limit + 1, 2000), [limit],
     ]))
+
+
+@pytest.mark.parametrize("limit", RANK_LIMITS)
+def test_band_rank_counts_every_band(limit):
+    # random keys fill all sixteen bands, and a constant key puts 256 n of
+    # one band in every block
+    real = build_sieve(limit)
+    rng = np.random.default_rng(limit)
+    y = rank_queries(limit, rng)
     for key in (real.key, rng.integers(0, 32, limit + 1).astype(np.uint8), np.full(limit + 1, 3, np.uint8)):
         tables = dataclasses.replace(real, key=key)
         want = np.stack([np.cumsum((key & 15) == j)[y] for j in range(16)], axis=1)
         got = tables._band_rank(y[:, None], np.arange(16))
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limit", RANK_LIMITS)
+def test_omega_rank_counts_every_omega(limit):
+    # the in-block count of the band ranks, over the squarefree rows: random
+    # keys put every omega 0..9 and non-squarefree keys anywhere, and a
+    # constant key puts 256 n of one omega in every block
+    real = build_sieve(limit)
+    rng = np.random.default_rng(limit)
+    y = rank_queries(limit, rng)
+    drawn = np.concatenate([np.arange(10), np.arange(16, 32)]).astype(np.uint8)
+    for key in (real.key, rng.choice(drawn, limit + 1), np.full(limit + 1, 3, np.uint8)):
+        tables = dataclasses.replace(real, key=key)
+        squarefree = np.flatnonzero(key < NOT_SQUAREFREE)
+        onehot = np.zeros((limit + 1, 10), dtype=np.int64)
+        onehot[squarefree, key[squarefree]] = 1
+        got = tables.squarefree_omega_rank(y)
+        assert got.dtype == np.int64 and np.array_equal(got, np.cumsum(onehot, axis=0)[y])
 
 
 def test_coprime_counts_equal_enumeration_oracle(tables_small):
@@ -400,14 +427,20 @@ def test_build_peak_stays_below_two_bytes_per_integer():
     assert tables.limit == limit
 
 
+def index_bytes(tables, band):
+    """The byte estimate of the table's band or squarefree rows."""
+    lo, hi = sieve._value_range(tables.key)
+    return sieve._index_bytes(tables.limit, hi - lo + 1, band)
+
+
 def test_index_memory_guard_rejects_before_allocating():
     limit = 2**20
     tables = build_sieve(limit)
-    need = sieve._index_bytes(limit)
+    need = index_bytes(tables, band=False)
     with mock.patch.object(sieve, "_available_bytes", return_value=need - 1):
         tracemalloc.start()
         try:
-            with pytest.raises(RangeError, match=r"prefix index of a 1048576 table needs about 1 MB; 1 MB available"):
+            with pytest.raises(RangeError, match=r"squarefree rows of a 1048576 table need about 1 MB; 1 MB available"):
                 tables.squarefree_rank(np.array([limit]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -420,11 +453,11 @@ def test_index_memory_guard_rejects_before_allocating():
 def test_band_index_memory_guard_rejects_before_allocating():
     limit = 2**20
     tables = build_sieve(limit)
-    need = sieve._band_index_bytes(limit)
+    need = index_bytes(tables, band=True)
     with mock.patch.object(sieve, "_available_bytes", return_value=need - 1):
         tracemalloc.start()
         try:
-            with pytest.raises(RangeError, match=r"band index of a 1048576 table needs about 1 MB; 1 MB available"):
+            with pytest.raises(RangeError, match=r"band rows of a 1048576 table need about 1 MB; 1 MB available"):
                 tables._band_rank(np.array([limit]), np.array([2]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -435,8 +468,8 @@ def test_band_index_memory_guard_rejects_before_allocating():
 
 
 def test_index_build_peak_stays_below_its_estimate():
-    # at most 0.1875 bytes per integer kept (the prefix index), in mappings of their own that
-    # tracemalloc does not see, plus the temporaries of one pass of the build
+    # at most 0.1875 bytes per integer kept (the squarefree rows and bitmap), in mappings of
+    # their own that tracemalloc does not see, plus the temporaries of one pass of the build
     limit = 2**23
     tables = build_sieve(limit)
     tracemalloc.start()
@@ -445,17 +478,17 @@ def test_index_build_peak_stays_below_its_estimate():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < sieve._index_bytes(limit)
-    assert sum(part.nbytes for part in tables._prefix_index()) < 0.1875 * limit
-    # the band index: 16 rows of 2 bytes per block, 0.125 bytes per integer
+    assert peak < index_bytes(tables, band=False)
+    assert sum(part.nbytes for part in tables._index(band=False)[1:]) < 0.1875 * limit
+    # the band rows: at most 16 rows of 2 bytes per block, 0.125 bytes per integer
     tracemalloc.start()
     try:
         tables._band_rank(np.array([limit]), np.array([2]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < sieve._band_index_bytes(limit)
-    assert sum(part.nbytes for part in tables._band_index()) < 0.13 * limit
+    assert peak < index_bytes(tables, band=True)
+    assert sum(part.nbytes for part in tables._index(band=True)[1:3]) < 0.13 * limit
 
 
 def test_memory_guard_needs_a_known_figure():
