@@ -13,14 +13,16 @@ The counts do not depend on the weight, so they are built once per
 abcd_from_counts weight a given pair of full and small counts (for a split
 at p, counts_for_split builds them over the override set plus p), and
 ratio and abcd are the wrappers that count first.  Each count has one
-route: the full counts spread sieve.omega_flag_histogram -- the one
-count of squarefree n by omega and override flags, read from the table's
-squarefree rows at the floor values x // b, also behind
-sieve.omega_class_counts and euler.selberg_exact -- over divisor classes,
-and the small ones take, for all squarefree d <= x**(1/k) at once, the
-squarefree cofactors coprime to d from sieve.coprime_squarefree_counts
-and bin them by the class of d.  The per-n and per-d enumerations they
-are checked against live in the tests.
+route, and both expand the same signed sum over the a built from given
+primes (sieve._slot_multiples).  The full counts take the products b of
+the override primes, read the squarefree omega rank N (the count behind
+sieve.omega_class_counts and euler.selberg_exact) at the floor values
+x // b, spread each flag set's signed sums over divisor classes by
+binomials and add them up over the flag supersets in one pass.  The small
+counts take, for all squarefree d <= x**(1/k) at once, the squarefree
+cofactors coprime to d from sieve.coprime_squarefree_counts and bin them
+by the class of d.  The per-n and per-d enumerations and the
+(omega, flags) histograms they are checked against live in the tests.
 
 The per-d counts of the small route do not depend on the override set,
 so each table keeps the last few of them (SieveTables.memo, keyed by
@@ -51,8 +53,7 @@ import weakref
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts, omega_flag_histogram
-from .sieve import superset_sums
+from .sieve import NOT_SQUAREFREE, SieveTables, _OMEGA_ROWS, _slot_multiples, coprime_squarefree_counts, superset_sums
 from .weights import PrimeWeight, g_table
 
 ClassKey = tuple[int, int]  # (distinct primes of d, override-divisibility bits)
@@ -162,12 +163,12 @@ def full_class_counts(
     override_primes: tuple[int, ...],
     tables: SieveTables,
 ) -> ClassCounts:
-    """Pair counts for the unrestricted divisor sum, by the joint histogram.
+    """Pair counts for the unrestricted divisor sum, from the omega rank.
 
-    Squarefree n are binned by (omega, flags) and each bin is spread over
-    divisor classes with binomial coefficients (for an empty override set
-    this is exactly the statement that a squarefree n with omega(n) = i
-    has C(i, j) divisors with j prime factors).
+    Each squarefree n is spread over divisor classes with binomial
+    coefficients (for an empty override set this is exactly the statement
+    that a squarefree n with omega(n) = i has C(i, j) divisors with j
+    prime factors); _full_omega_identity does this for all n <= x at once.
     """
     x = operator.index(x)  # a NumPy integer becomes an int; a float raises TypeError
     if not 1 <= x <= tables.limit:
@@ -178,16 +179,42 @@ def full_class_counts(
 
 
 def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
-    """The full class counts: a squarefree n with flags f and i primes outside
-    the override set has C(i, j) divisors of class (|s| + j, s) for each s <= f.
-    So row f of the histogram shifts down by |f| (its first |f| entries are
-    zero, so the shift may wrap), spreads by C and sums over the f >= s."""
-    hist = omega_flag_histogram(x, ops, tables).T  # mask-major: row f by omega
-    size = np.bitwise_count(np.arange(len(hist)))  # |f|
-    free = np.take_along_axis(hist, (np.arange(16) + size[:, None]) % 16, axis=1)
-    spread = superset_sums(free @ _BINOMIAL)  # spread[s, j]
-    masks, js = np.nonzero(spread)
-    return dict(zip(zip((js + size[masks]).tolist(), masks.tolist()), spread[masks, js].tolist()))
+    """The full class counts, from the products b of the override primes.
+
+    A squarefree n with omega(n) = i and override flags f has
+    C(i - |f|, J - |s|) divisors of class (J, s) for each s <= f.  The n
+    divisible by every prime of a set T of override primes are t*m, t the
+    product of T and m squarefree and coprime to t, and those m have the
+    series prod_{p | t} (1 + z p**-s)**-1 times that of all squarefree m.
+    So with b over the products of override primes (sieve._slot_multiples;
+    Omega(b) <= 9, as N holds omega 0..9),
+
+        G[T, i] = sum over supp(b) = T of (-1)**Omega(b) * N_{i - Omega(b)}(x // b)
+
+    is (-1)**|T| times the count of those n with omega(n) = i.  Since
+    sum_m (-1)**m C(n, m) C(N - m, j) = C(N - n, j - n), the count of class
+    (J, s) is (-1)**|s| times the sum over T >= s of
+    sum_i G[T, i] * C(i - |T|, J - |T|): each row of G spreads by
+    binomials, and one superset sum over the 2**r masks adds them up.  N is
+    SieveTables.squarefree_omega_rank, read once per distinct x // b.
+    """
+    rows = _OMEGA_ROWS  # N_0 .. N_9
+    _, quot, omega, used = _slot_multiples(np.array([x]), (np.array([p]) for p in ops))
+    keep = np.flatnonzero(omega < rows)
+    quot, omega, used = quot[keep], omega[keep], used[keep]
+    y, at = np.unique(quot, return_inverse=True)
+    counts = tables.squarefree_omega_rank(y)  # N at each distinct x // b
+    grid = np.zeros((1 << len(ops), rows), dtype=np.int64)  # G, then its spread
+    for e in range(int(omega.max()) + 1):
+        b = np.flatnonzero(omega == e)
+        np.add.at(grid, (used[b, None], np.arange(e, rows)), (-1) ** e * counts[at[b], : rows - e])
+    size = np.bitwise_count(np.arange(len(grid))).astype(np.int64)  # |T|
+    for t in range(min(len(ops), rows - 1) + 1):  # G[T, i] = 0 for i < |T| <= Omega(b)
+        T = np.flatnonzero(size == t)
+        grid[T, t:] = grid[T, t:] @ _BINOMIAL[: rows - t, : rows - t]
+    superset_sums(grid)
+    masks, js = np.nonzero(grid)
+    return dict(zip(zip(js.tolist(), masks.tolist()), (grid[masks, js] * (-1) ** size[masks]).tolist()))
 
 
 def small_class_counts(
@@ -614,7 +641,7 @@ def abcd_class_counts(
 
     All four are keyed over override_primes plus p; since their outer
     variables are never divisible by p, the p bit is always clear in their
-    own keys.  They split the production counts: the joint histogram for
+    own keys.  They split the production counts: the omega-rank spread for
     the full pieces, the coprime squarefree counts per d for the small ones.
     """
     full, small = counts_for_split(x, k, p, override_primes, tables)

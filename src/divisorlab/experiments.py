@@ -9,6 +9,7 @@ report notes so the choice is visible in the output.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ class TrendReport:
 
 
 def _check_grid(x_grid, tables: SieveTables, min_points: int):
-    xs = list(x_grid)
+    xs = [operator.index(x) for x in x_grid]  # NumPy integers become ints; a float raises TypeError
     if len(xs) < min_points:
         raise RangeError(f"grid of {len(xs)} points is too short (need >= {min_points})")
     if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -16,11 +16,14 @@ squarefree rows take v = key, so they count squarefree n with omega(n)
 <= j (a non-squarefree key is above every j), and the band rows take v =
 key & 15, which counts all n by omega for the Erdos-Kac distribution.
 One builder makes both sets and one in-block count serves both ranks.
-The count of squarefree n coprime to a squarefree d follows from the
-squarefree rank by the Liouville-signed sum of coprime_squarefree_counts,
-and the histogram of squarefree n <= x by omega and override flags by
-the same expansion over the override primes, one lookup per distinct
-floor value x // b.
+
+Both class-count kernels sum lambda(a) * R(y // a) over the a <= y built
+from the primes of a squarefree number, and one expander, _slot_multiples,
+lists those a with Omega(a) and the primes they use.  With R = Q, the
+squarefree rank, and the primes of d, the sum is coprime_squarefree_counts,
+the count of squarefree n <= y coprime to d; with R = N_j, the squarefree
+omega rank, and the override primes, it gives the full class counts of
+divisor_sums, one lookup per distinct floor value x // b.
 """
 
 import mmap
@@ -55,8 +58,9 @@ class SieveTables:
             squarefree and at n = 0.  So mu(n) = (-1)**key[n] if key[n] <
             NOT_SQUAREFREE, else 0, and n is prime iff key[n] == 1.
             omega(n) <= 9 for n <= 2**31, since the product of the first
-            ten primes exceeds 2**31; squarefree_omega_rank and
-            omega_flag_histogram keep ten omega columns on that bound.
+            ten primes exceeds 2**31; squarefree_omega_rank keeps ten
+            omega columns on that bound, and the full class counts read
+            no more.
         memo: values derived from the tables that an aggregate keeps for
             later requests (divisor_sums keeps the per-d small counts of
             a bounded number of (x, k) here, and, outside that bound, a
@@ -192,7 +196,9 @@ class SieveTables:
         name = "band rows" if band else "squarefree rows"
         index = self.__dict__.get(name)
         if index is None:
-            lo, hi = _value_range(self.key)
+            if "value range" not in self.__dict__:  # one read of the key serves both sets
+                self.__dict__["value range"] = _value_range(self.key)  # frozen: bypass __setattr__
+            lo, hi = self.__dict__["value range"]
             need = _index_bytes(self.limit, hi - lo + 1, band)
             have = _available_bytes()
             if have is not None and need > have:
@@ -448,91 +454,65 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
         Q(y; d) = sum over a <= y with rad(a) | d of lambda(a) * Q(y // a),
 
     with Q = SieveTables.squarefree_rank and lambda(a) = (-1)**Omega(a).
-    The terms (i, y_i // a, lambda(a)) are expanded one prime of d at a
-    time: each pass over a prime p of d_i divides the live terms by p
-    again and flips their sign, at most log2(y_i) passes per prime.
+    The a come from _slot_multiples, slot j of entry i holding the j-th
+    smallest prime of d_i.
     """
     y, d = np.broadcast_arrays(np.asarray(y, dtype=np.int64), np.asarray(d, dtype=np.int64))
     shape = y.shape
-    y, rem = np.maximum(y.ravel(), 0), d.ravel().copy()
+    y, d = y.ravel(), d.ravel()
     if len(y) == 0:
         return np.zeros(shape, dtype=np.int64)
-    if y.max() > tables.limit or not 1 <= rem.min() <= rem.max() <= tables.limit:
+    if y.max() > tables.limit or not 1 <= d.min() <= d.max() <= tables.limit:
         raise RangeError(f"y or d outside table range 1..{tables.limit}")
-    if (tables.key[rem] >= NOT_SQUAREFREE).any():
+    if (tables.key[d] >= NOT_SQUAREFREE).any():
         raise DomainError("every d must be squarefree")
-    spf = smallest_prime_factors(0, rem.max() + 1, primes_up_to(isqrt(rem.max())))
-    owner = np.arange(len(y))  # the entry each term belongs to
-    quot = y  # y_i // a
-    sign = np.ones(len(y), dtype=np.int64)  # lambda(a)
-    while True:
-        p = spf[rem].astype(np.int64)  # the next prime of d_i, 1 when none is left
-        if p.max() == 1:
-            break
-        rem //= p
-        p = p[owner]
-        live = np.flatnonzero((p > 1) & (quot >= p))
-        o, q, s, p = owner[live], quot[live], sign[live], p[live]
-        grown = [(owner, quot, sign)]
-        while len(o):
-            q = q // p
-            s = -s
-            grown.append((o, q, s))
-            more = q >= p
-            o, q, s, p = o[more], q[more], s[more], p[more]
-        owner, quot, sign = (np.concatenate(col) for col in zip(*grown))
+    spf = smallest_prime_factors(0, d.max() + 1, primes_up_to(isqrt(d.max())))
+
+    def slots(rem):  # the primes of each rem, ascending
+        while (p := spf[rem].astype(np.int64)).max() > 1:
+            rem = rem // p
+            yield p
+
+    owner, quot, omega, _ = _slot_multiples(y, slots(d))
     # The terms of entry i add up in size to at most y_i * (1 + ln y_i) <
     # 2**53 (y_i <= 2**31), so every float partial sum is an exact integer.
-    terms = (sign * tables.squarefree_rank(quot)).astype(np.float64)
+    terms = (tables.squarefree_rank(quot) * (1 - 2 * (omega & 1))).astype(np.float64)
     return np.bincount(owner, weights=terms, minlength=len(y)).astype(np.int64).reshape(shape)
 
 
-def omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
-    """Counts of squarefree n <= x by omega(n) and the override primes dividing n.
+def _slot_multiples(y: np.ndarray, slots) -> tuple[np.ndarray, ...]:
+    """Every a <= y_i built from the primes of entry i, as four int64 arrays
+    over the terms: the owner i, y_i // a, Omega(a) and the slots a uses
+    (bit j for slot j).
 
-    Returns an int64 array h of shape (16, 2**r), r = len(ops): h[i, f] counts
-    the squarefree n <= x with omega(n) = i that are divisible by ops[j]
-    exactly for the bits j set in f.  ops are distinct primes; rows 10-15
-    are zero (omega(n) <= 9 for n <= 2**31).
-
-    The squarefree n divisible by the primes of a set T and coprime to
-    the other primes of T's product t are n = t*m, m coprime to t, with the
-    generating function prod_{p | t} (1 + z p**-s)**-1 over all squarefree
-    m.  So with b over the products of override primes (Omega(b) <= 9, as
-    no row i >= 10 is kept),
-
-        G[i, supp(b)] += (-1)**Omega(b) * N_{i - Omega(b)}(x // b)
-
-    gives (-1)**|T| times the count of those n with omega(n) = i divisible
-    by all of T, and h[i, S] = (-1)**|S| * sum over T >= S of G[i, T], a
-    superset sum over the 2**r masks.  N is SieveTables.squarefree_omega_rank,
-    read once per distinct x // b (at most 2 * sqrt(x) of them).
+    y is a 1-D int64 array of bounds; slots yields, one slot at a time, an
+    int64 array of one prime per entry, none equal to a prime of the same
+    entry in another slot, or 1 where the entry has no prime in that slot.
+    Each slot's prime p divides the terms once more per pass until
+    y_i // a falls below p: at most log2(y_i) passes per slot, which carry
+    only the term's index, its quotient and p.
     """
-    r = len(ops)
-    # the b of each Omega(b), each b once: its primes in ascending index
-    level = (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    levels = [level]  # (b, index of b's last prime, supp(b) as bits)
-    for _ in range(1, _OMEGA_ROWS):
-        b, last, supp = level
-        grown = []
-        for q, p in enumerate(ops):
-            more = np.flatnonzero((last <= q) & (b <= x // p))
-            grown.append((b[more] * p, np.full(len(more), q), supp[more] | 1 << q))
-        if not sum(len(g[0]) for g in grown):
-            break
-        level = tuple(np.concatenate(col) for col in zip(*grown))
-        levels.append(level)
-    y, at = np.unique(np.concatenate([x // b for b, _, _ in levels]), return_inverse=True)
-    counts = tables.squarefree_omega_rank(y)
-    hist = np.zeros((1 << r, 16), dtype=np.int64)  # G, then h, mask-major
-    lo = 0
-    for e, (b, _, supp) in enumerate(levels):
-        terms = counts[at[lo : lo + len(b)], : _OMEGA_ROWS - e]
-        lo += len(b)
-        np.add.at(hist, (supp[:, None], np.arange(e, _OMEGA_ROWS)), -terms if e & 1 else terms)
-    superset_sums(hist)
-    hist *= 1 - 2 * (np.bitwise_count(np.arange(1 << r)) & 1).astype(np.int64)[:, None]
-    return hist.T
+    owner = np.flatnonzero(y >= 1)  # a = 1, where y_i >= 1
+    quot = y[owner]
+    omega = used = np.zeros(len(owner), dtype=np.int64)
+    for j, p in enumerate(slots):
+        p = p[owner]
+        at = np.flatnonzero((p > 1) & (quot >= p))  # the terms p divides into
+        q, p = quot[at], p[at]
+        hits, quots = [], [quot]  # per power e of p: the terms it divides, y_i // (a * p**e)
+        while len(at):
+            q = q // p
+            hits.append(at)
+            quots.append(q)
+            more = q >= p
+            at, q, p = at[more], q[more], p[more]
+        at = np.concatenate([*hits, at])  # at is empty here
+        owner = np.concatenate([owner, owner[at]])
+        quot = np.concatenate(quots)
+        power = np.repeat(np.arange(1, len(hits) + 1), [len(h) for h in hits])
+        omega = np.concatenate([omega, omega[at] + power])
+        used = np.concatenate([used, used[at] | 1 << j])
+    return owner, quot, omega, used
 
 
 def superset_sums(h: np.ndarray) -> np.ndarray:

@@ -18,9 +18,11 @@ These are the earlier production routes and the per-value references:
   give the counts back;
 - the omega classes are a bincount of omega gathered over a length-x
   squarefree mask, and the (omega, flags) histogram counts one key per
-  n <= x, block by block (blocked_omega_flag_histogram); the full class
-  counts spread each bin of it over the submasks of its flags
-  (spread_histogram);
+  n <= x, block by block (blocked_omega_flag_histogram), or reads the
+  squarefree rank at the floor values x // b and turns the signed sums
+  into the histogram by a superset sum and a sign pass
+  (omega_flag_histogram); the full class counts spread each bin of it
+  over the submasks of its flags (spread_histogram);
 - the census walks all k**omega(n) assignments of primes to slots;
 - the series terms and the weighted Selberg terms are built from
   whole-length temporaries, the latter with the per-prime g table, and
@@ -39,7 +41,7 @@ import numpy as np
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
 from divisorlab.errors import DomainError
 from divisorlab.weights import PrimeWeight, g_table
-from divisorlab.sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree, primes_up_to
+from divisorlab.sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree, primes_up_to, superset_sums
 
 
 def loop_build_sieve(limit: int) -> SieveTables:
@@ -263,7 +265,7 @@ HIST_BLOCK = 2**18
 
 
 def blocked_omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
-    """sieve.omega_flag_histogram by one pass over n <= x.
+    """omega_flag_histogram by one pass over n <= x.
 
     The key omega(n) | flags(n) << 4 is built block by block in the
     narrowest unsigned type that holds it; the unused omega value 15 marks
@@ -298,6 +300,59 @@ def blocked_omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTabl
     counts = counts.reshape(1 << r, 16).T  # row omega, column flags
     counts[15] = 0
     return counts
+
+
+# omega(n) <= 9 for n <= 2**31: the product of the first ten primes exceeds 2**31.
+OMEGA_ROWS = 10
+
+
+def omega_flag_histogram(x: int, ops: tuple[int, ...], tables: SieveTables) -> np.ndarray:
+    """Counts of squarefree n <= x by omega(n) and the override primes dividing n,
+    from the squarefree rank at the floor values x // b.
+
+    Returns an int64 array h of shape (16, 2**r), r = len(ops): h[i, f] counts
+    the squarefree n <= x with omega(n) = i that are divisible by ops[j]
+    exactly for the bits j set in f.  ops are distinct primes; rows 10-15
+    are zero (omega(n) <= 9 for n <= 2**31).
+
+    The squarefree n divisible by the primes of a set T and coprime to
+    the other primes of T's product t are n = t*m, m coprime to t, with the
+    generating function prod_{p | t} (1 + z p**-s)**-1 over all squarefree
+    m.  So with b over the products of override primes (Omega(b) <= 9, as
+    no row i >= 10 is kept),
+
+        G[i, supp(b)] += (-1)**Omega(b) * N_{i - Omega(b)}(x // b)
+
+    gives (-1)**|T| times the count of those n with omega(n) = i divisible
+    by all of T, and h[i, S] = (-1)**|S| * sum over T >= S of G[i, T], a
+    superset sum over the 2**r masks.  N is SieveTables.squarefree_omega_rank,
+    read once per distinct x // b (at most 2 * sqrt(x) of them).
+    """
+    r = len(ops)
+    # the b of each Omega(b), each b once: its primes in ascending index
+    level = (np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    levels = [level]  # (b, index of b's last prime, supp(b) as bits)
+    for _ in range(1, OMEGA_ROWS):
+        b, last, supp = level
+        grown = []
+        for q, p in enumerate(ops):
+            more = np.flatnonzero((last <= q) & (b <= x // p))
+            grown.append((b[more] * p, np.full(len(more), q), supp[more] | 1 << q))
+        if not sum(len(g[0]) for g in grown):
+            break
+        level = tuple(np.concatenate(col) for col in zip(*grown))
+        levels.append(level)
+    y, at = np.unique(np.concatenate([x // b for b, _, _ in levels]), return_inverse=True)
+    counts = tables.squarefree_omega_rank(y)
+    hist = np.zeros((1 << r, 16), dtype=np.int64)  # G, then h, mask-major
+    lo = 0
+    for e, (b, _, supp) in enumerate(levels):
+        terms = counts[at[lo : lo + len(b)], : OMEGA_ROWS - e]
+        lo += len(b)
+        np.add.at(hist, (supp[:, None], np.arange(e, OMEGA_ROWS)), -terms if e & 1 else terms)
+    superset_sums(hist)
+    hist *= 1 - 2 * (np.bitwise_count(np.arange(1 << r)) & 1).astype(np.int64)[:, None]
+    return hist.T
 
 
 def spread_histogram(hist: np.ndarray) -> Counter:

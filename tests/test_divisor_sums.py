@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import divisorlab.divisor_sums as ds
 import divisorlab.experiments as ex
-import divisorlab.sieve as sieve
 import loop_oracles as oracle
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.errors import DomainError, RangeError
@@ -174,12 +173,15 @@ differential = settings(max_examples=50, deadline=None, derandomize=True)
 @example(x=2**19 + 1, ops=(2, 3, 5, 7, 11))
 def test_histogram_route_equals_n_major(x, ops):
     want = oracle.full_n_major(x, ops, DIFF_TABLES)
-    assert ds.full_class_counts(x, ops, DIFF_TABLES) == want
-    # bit for bit against the blocked kernel, with a block size below x
-    # that puts block edges inside the range
-    hist = sieve.omega_flag_histogram(x, want.override_primes, DIFF_TABLES)
+    got = ds.full_class_counts(x, ops, DIFF_TABLES)
+    assert got == want
+    # against the blocked kernel's histogram, with a block size below x
+    # that puts block edges inside the range, spread bin by bin
     with mock.patch.object(oracle, "HIST_BLOCK", 97):
         blocked = oracle.blocked_omega_flag_histogram(x, want.override_primes, DIFF_TABLES)
+    assert got.classes == oracle.spread_histogram(blocked)
+    # the two histogram oracles agree bit for bit
+    hist = oracle.omega_flag_histogram(x, want.override_primes, DIFF_TABLES)
     assert hist.dtype == blocked.dtype and np.array_equal(hist, blocked)
 
 
@@ -188,11 +190,11 @@ def test_histogram_route_wide_keys(r):
     # r > 4 and r > 12 take the uint16 and uint32 keys; two primes lie above x
     x = 5000
     ops = (*DIFF_PRIMES[: r - 2], 4999, DIFF_PRIMES[-1])
-    assert ds.full_class_counts(x, ops, DIFF_TABLES) == oracle.full_n_major(
-        x, ops, DIFF_TABLES)
-    assert np.array_equal(
-        sieve.omega_flag_histogram(x, ops, DIFF_TABLES),
-        oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES))
+    got = ds.full_class_counts(x, ops, DIFF_TABLES)
+    assert got == oracle.full_n_major(x, ops, DIFF_TABLES)
+    blocked = oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES)  # ops ascend
+    assert got.classes == oracle.spread_histogram(blocked)
+    assert np.array_equal(oracle.omega_flag_histogram(x, ops, DIFF_TABLES), blocked)
 
 
 # up to 16 override primes: small ones, any of the table's (often above
@@ -215,26 +217,31 @@ spread_override_sets = st.lists(
 @example(x=99991, ops=(2, 199999))
 def test_full_count_spread_equals_bin_by_bin_loop(x, ops):
     got = ds._full_omega_identity(x, ops, DIFF_TABLES)
-    want = oracle.spread_histogram(sieve.omega_flag_histogram(x, ops, DIFF_TABLES))
+    want = oracle.spread_histogram(oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES))
     assert got == dict(want)
     assert all(type(v) is int and type(om) is int and type(fl) is int for (om, fl), v in got.items())
 
 
 def test_histogram_with_sixteen_primes_peaks_below_blocked_kernel():
-    # the 16 smallest primes: 2**16 flag columns and about 24,000 products b
+    # the 16 smallest primes: 2**16 flag masks and about 24,000 products b
+    # with Omega(b) <= 9; the whole full count peaks below the blocked
+    # kernel alone, and within 24.7 MiB
     x = DIFF_TABLES.limit
     ops = tuple(DIFF_PRIMES[:16])
-    DIFF_TABLES.squarefree_rank(np.array([x]))  # the index is built once per table
-    peaks = []
-    for route in (sieve.omega_flag_histogram, oracle.blocked_omega_flag_histogram):
+    squarefree = int(DIFF_TABLES.squarefree_rank(np.array([x]))[0])  # the index is built once per table
+    peaks, results = [], []
+    for route in (ds.full_class_counts, oracle.blocked_omega_flag_histogram):
         tracemalloc.start()
         try:
-            hist = route(x, ops, DIFF_TABLES)
+            results.append(route(x, ops, DIFF_TABLES))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert hist.sum() == int(DIFF_TABLES.squarefree_rank(np.array([x]))[0])
-    assert peaks[0] <= peaks[1]
+    full, hist = results
+    assert hist.sum() == squarefree
+    assert full.classes[0, 0] == squarefree  # each n has the divisor 1
+    assert full.classes == oracle.spread_histogram(hist)
+    assert peaks[0] <= peaks[1] and peaks[0] <= 24.7 * 2**20
 
 
 # up to 4 override primes: small ones, any up to DIFF_LIMIT (often above

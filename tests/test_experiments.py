@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -21,6 +22,21 @@ def test_trend_report_validation():
         ex.TrendReport("x", [1, 2], [0.5], 1.0, "pass", "")
     with pytest.raises(ConfigurationError):
         ex.TrendReport("x", [2, 1], [0.5, 0.6], 1.0, "pass", "")
+
+
+def test_numpy_grid_points_are_ints(tables_medium):
+    # a NumPy grid gives int points, so the grid serialises; a float point is refused
+    grid = np.array([10**4, 10**5, 5 * 10**5, 9 * 10**5])
+    for report in (
+        ex.ratio_convergence(3, 0.3, grid, tables_medium),
+        ex.prop32_scan(100, grid, tables_medium),
+        ex.selberg_trend(1.0, False, grid, tables_medium),
+        ex.erdos_kac_distance(grid, tables_medium),
+    ):
+        assert json.loads(json.dumps(report.grid)) == grid.tolist()
+        assert all(type(g) is int for g in report.grid)
+    with pytest.raises(TypeError):
+        ex.ratio_convergence(3, 0.3, [10**4, 10**5, 5 * 10**5, 9.0 * 10**5], tables_medium)
 
 
 def test_ratio_convergence_tiny_weight_pins_ratio_near_one(tables_small):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from divisorlab import sieve
 from divisorlab.errors import ConfigurationError, DomainError, RangeError
@@ -282,6 +282,34 @@ def test_coprime_counts_shapes_and_validation(tables_small):
         coprime_squarefree_counts(100, 0, tables_small)
 
 
+# slot primes: small ones, which have many multiples below y, and two above every y drawn
+slot_primes = st.lists(
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 1009, 7919]), max_size=9, unique=True
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(st.integers(-3, 1000), slot_primes), min_size=1, max_size=4))
+@example(entries=[(1000, [2, 3, 5, 7, 11, 13, 17, 19, 23]), (1, []), (0, [2]), (-3, [3, 5])])
+@example(entries=[(500, [1009]), (999, [29, 7919])])
+def test_slot_multiples_are_every_a_of_each_entrys_primes(entries):
+    # {a <= y : rad(a) | d} by trial division, with Omega(a) and the slots of a's primes
+    y = np.array([b for b, _ in entries], dtype=np.int64)
+    width = max(len(ps) for _, ps in entries)
+    slots = (np.array([ps[j] if j < len(ps) else 1 for _, ps in entries]) for j in range(width))
+    got = sorted(zip(*(col.tolist() for col in sieve._slot_multiples(y, slots))))
+    want = []
+    for i, (b, ps) in enumerate(entries):
+        for a in range(1, b + 1):
+            m, omega, used = a, 0, 0
+            for j, p in enumerate(ps):
+                while m % p == 0:
+                    m, omega, used = m // p, omega + 1, used | 1 << j
+            if m == 1:
+                want.append((i, b // a, omega, used))
+    assert got == sorted(want)
+
+
 def test_coprime_range_count(tables_small):
     # n = d*m pairs used by the divisor-major route
     got = squarefree_coprime_count_range(4, 50, [2, 3], tables_small)
@@ -431,6 +459,14 @@ def index_bytes(tables, band):
     """The byte estimate of the table's band or squarefree rows."""
     lo, hi = sieve._value_range(tables.key)
     return sieve._index_bytes(tables.limit, hi - lo + 1, band)
+
+
+def test_both_row_sets_read_the_value_range_once():
+    tables = build_sieve(2**17 + 3)
+    with mock.patch.object(sieve, "_value_range", wraps=sieve._value_range) as value_range:
+        tables.squarefree_rank(np.array([tables.limit]))
+        tables._band_rank(np.array([tables.limit]), np.array([2]))
+    assert value_range.call_count == 1
 
 
 def test_index_memory_guard_rejects_before_allocating():
