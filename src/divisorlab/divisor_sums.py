@@ -186,8 +186,8 @@ def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
     divisible by every prime of a set T of override primes are t*m, t the
     product of T and m squarefree and coprime to t, and those m have the
     series prod_{p | t} (1 + z p**-s)**-1 times that of all squarefree m.
-    So with b over the products of override primes (sieve._slot_multiples;
-    Omega(b) <= 9, as N holds omega 0..9),
+    So with b over the products of override primes (sieve._slot_multiples,
+    which stops at Omega(b) = 9, as N holds omega 0..9),
 
         G[T, i] = sum over supp(b) = T of (-1)**Omega(b) * N_{i - Omega(b)}(x // b)
 
@@ -199,9 +199,7 @@ def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
     SieveTables.squarefree_omega_rank, read once per distinct x // b.
     """
     rows = _OMEGA_ROWS  # N_0 .. N_9
-    _, quot, omega, used = _slot_multiples(np.array([x]), (np.array([p]) for p in ops))
-    keep = np.flatnonzero(omega < rows)
-    quot, omega, used = quot[keep], omega[keep], used[keep]
+    _, quot, omega, used = _slot_multiples(np.array([x]), (np.array([p]) for p in ops), most=rows - 1)
     y, at = np.unique(quot, return_inverse=True)
     counts = tables.squarefree_omega_rank(y)  # N at each distinct x // b
     grid = np.zeros((1 << len(ops), rows), dtype=np.int64)  # G, then its spread

@@ -1,12 +1,14 @@
 """Exact arithmetic tables up to a configurable limit.
 
 Builds one byte per integer, key[n] = omega(n) | NOT_SQUAREFREE when n
-is not squarefree, in one pass over chunks of integers: a chunk's
-smallest prime factors come from a segmented sieve by the primes up to
-sqrt(limit) (Bays and Hudson, BIT 17, 1977) and live only as long as the
-chunk, and the key follows by the recurrence n -> n / spf(n) (Gries and
-Misra, CACM 21, 1978).  Every aggregate in the package reads this
-table; it is written once and frozen.
+is not squarefree, in one pass over chunks of integers, striking each
+chunk with the primes up to sqrt(limit) as a segmented sieve does (Bays
+and Hudson, BIT 17, 1977).  Each strike by p writes key[p*m] from the
+finished key[m] of an earlier chunk: one prime more than m has, unless p
+divides m, and then p*p divides p*m.  That holds for every prime of n,
+so the strikes need no order, no smallest prime factor and no division.
+Every aggregate in the package reads this table; it is written once and
+frozen.
 
 Counts up to y are read from a count index over the table (in the
 manner of Jacobson's rank index, "Space-efficient static trees and
@@ -27,6 +29,7 @@ divisor_sums, one lookup per distinct floor value x // b.
 """
 
 import mmap
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from math import isqrt, prod
@@ -37,14 +40,15 @@ from numpy.lib.stride_tricks import as_strided
 from .errors import ConfigurationError, DomainError, RangeError
 
 _LIMIT_MAX = 2**31
-# Widest chunk of the n -> n / spf(n) recurrences.
-CHUNK = 2**18
+# Widest chunk of the build's strikes.
+CHUNK = 2**20
 # The key bit of a non-squarefree n, above the four bits of omega(n) <= 9.
 NOT_SQUAREFREE = 16
-# What a build holds per integer: the key; a chunk of the sieve and the
-# recurrence adds about 32 bytes per integer.
+# What a build holds per integer: the key; and per integer of the widest
+# chunk, the strike's buffer of half a byte, with as much again for the
+# list of root primes (under 0.25 MB up to 2**31).
 _BYTES_PER_INT = 1
-_BYTES_PER_CHUNK_INT = 32
+_BYTES_PER_CHUNK_INT = 1
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,9 @@ def chunks(lo: int, hi: int):
     """Yield [a, b) covering [lo, hi), each at most a (and CHUNK) wide.
 
     Widths double from lo until they reach CHUNK.  Since b - a <= a, every
-    n // spf(n) <= n / 2 of a chunk lies below a, so a recurrence over
-    n -> n / spf(n) reads only entries of earlier chunks.
+    n / p <= n / 2 of a chunk, p a prime of n, lies below a, so a strike
+    that writes key[n] from key[n / p] reads only entries of earlier
+    chunks.
     """
     a = lo
     while a < hi:
@@ -362,6 +367,13 @@ def build_sieve(limit: int) -> SieveTables:
 
     The construction is deterministic plain integer sieving, so equal
     limits give identical tables.  It holds about 1 byte per integer.
+    Chunk by chunk, the n start at key 1, which the primes keep; each
+    root prime p <= sqrt(b - 1) of chunk [a, b) then sets, for its
+    multiples n = p*m >= p*p in the chunk, key[n] = key[m] + 1 where p
+    does not divide m, and key[m] | NOT_SQUAREFREE where it does: one add
+    of the finished run key[m0:m1] into a buffer, one strided bitwise or
+    over the m that p divides, and one strided store.  Every composite n
+    has such a p, and all its p write the same byte.
 
     Raises:
         ConfigurationError: if limit is outside [2, 2**31].
@@ -377,14 +389,19 @@ def build_sieve(limit: int) -> SieveTables:
             f"{have / 2**20:.0f} MB available"
         )
 
-    roots = primes_up_to(isqrt(limit))
+    roots = primes_up_to(isqrt(limit)).tolist()
     key = np.empty(limit + 1, dtype=np.uint8)
     key[:2] = NOT_SQUAREFREE, 0
+    buf = np.empty((CHUNK + 1) // 2, dtype=np.uint8)
     for a, b in chunks(2, limit + 1):
-        p = smallest_prime_factors(a, b, roots)
-        q = np.arange(a, b, dtype=np.uint32) // p
-        same = (q % p == 0).view(np.uint8)  # 1 where p | q: no new prime, and p*p | n
-        key[a:b] = (key[q] + 1 - same) | same * NOT_SQUAREFREE
+        key[a:b] = 1  # the primes keep it
+        for p in roots[: bisect_right(roots, isqrt(b - 1))]:
+            m0, m1 = max(-(-a // p), p), (b - 1) // p + 1  # n = p*m in [max(a, p*p), b)
+            # key[m] + 1, or key[m] | NOT_SQUAREFREE where p | m
+            new = np.add(key[m0:m1], 1, out=buf[: m1 - m0])
+            j = -m0 % p
+            np.bitwise_or(key[m0 + j : m1 : p], NOT_SQUAREFREE, out=new[j::p])
+            key[p * m0 : b : p] = new
 
     key.setflags(write=False)
     return SieveTables(limit=limit, key=key)
@@ -396,6 +413,7 @@ def smallest_prime_factors(a: int, b: int, roots: np.ndarray) -> np.ndarray:
     0, 1 and the primes keep spf[n] = n.  roots holds at least the primes
     up to isqrt(b - 1), ascending; they strike their multiples from p*p on
     in descending order, so each n ends with its smallest prime.
+    coprime_squarefree_counts reads the primes of its d from it.
     """
     spf = np.arange(a, b, dtype=np.uint32)
     for p in roots[: np.searchsorted(roots, isqrt(b - 1), side="right")][::-1].tolist():
@@ -480,32 +498,34 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
     return np.bincount(owner, weights=terms, minlength=len(y)).astype(np.int64).reshape(shape)
 
 
-def _slot_multiples(y: np.ndarray, slots) -> tuple[np.ndarray, ...]:
-    """Every a <= y_i built from the primes of entry i, as four int64 arrays
-    over the terms: the owner i, y_i // a, Omega(a) and the slots a uses
-    (bit j for slot j).
+def _slot_multiples(y: np.ndarray, slots, most: int = 63) -> tuple[np.ndarray, ...]:
+    """Every a <= y_i built from the primes of entry i, with Omega(a) <= most,
+    as four int64 arrays over the terms: the owner i, y_i // a, Omega(a) and
+    the slots a uses (bit j for slot j).
 
     y is a 1-D int64 array of bounds; slots yields, one slot at a time, an
     int64 array of one prime per entry, none equal to a prime of the same
     entry in another slot, or 1 where the entry has no prime in that slot.
     Each slot's prime p divides the terms once more per pass until
-    y_i // a falls below p: at most log2(y_i) passes per slot, which carry
-    only the term's index, its quotient and p.
+    y_i // a falls below p or Omega(a) reaches most: at most log2(y_i)
+    passes per slot, which carry only the term's index, its quotient, its
+    Omega before the slot and p.  The default most keeps every a (Omega(a)
+    <= log2(y_i) < 63).
     """
     owner = np.flatnonzero(y >= 1)  # a = 1, where y_i >= 1
     quot = y[owner]
     omega = used = np.zeros(len(owner), dtype=np.int64)
     for j, p in enumerate(slots):
         p = p[owner]
-        at = np.flatnonzero((p > 1) & (quot >= p))  # the terms p divides into
-        q, p = quot[at], p[at]
+        at = np.flatnonzero((p > 1) & (quot >= p) & (omega < most))  # the terms p divides into
+        q, p, w = quot[at], p[at], omega[at]
         hits, quots = [], [quot]  # per power e of p: the terms it divides, y_i // (a * p**e)
         while len(at):
             q = q // p
             hits.append(at)
             quots.append(q)
-            more = q >= p
-            at, q, p = at[more], q[more], p[more]
+            more = (q >= p) & (w < most - len(hits))
+            at, q, p, w = at[more], q[more], p[more], w[more]
         at = np.concatenate([*hits, at])  # at is empty here
         owner = np.concatenate([owner, owner[at]])
         quot = np.concatenate(quots)

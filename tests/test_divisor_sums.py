@@ -13,7 +13,7 @@ import divisorlab.experiments as ex
 import loop_oracles as oracle
 from divisorlab.cli import parse_and_dispatch
 from divisorlab.errors import DomainError, RangeError
-from divisorlab.sieve import CHUNK, build_sieve
+from divisorlab.sieve import build_sieve
 from divisorlab.weights import PrimeWeight
 
 
@@ -214,6 +214,7 @@ spread_override_sets = st.lists(
 @example(x=1, ops=(2, 3))
 @example(x=30, ops=())
 @example(x=2 * 10**5, ops=tuple(DIFF_PRIMES[:16]))
+@example(x=2**19 + 1, ops=tuple(DIFF_PRIMES[:8]))  # Omega(b) > 9 in reach: 2**10 <= x
 @example(x=99991, ops=(2, 199999))
 def test_full_count_spread_equals_bin_by_bin_loop(x, ops):
     got = ds._full_omega_identity(x, ops, DIFF_TABLES)
@@ -454,10 +455,10 @@ SERIES_CASES = (
 
 
 @pytest.mark.parametrize(
-    "x", [1, 2, 3, 4, 7, 8, 9, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3 * CHUNK, 1_500_000]
+    "x", [1, 2, 3, 4, 7, 8, 9, 2**18 - 1, 2**18, 2**18 + 1, 2**19 + 1, 3 * 2**18, 1_500_000]
 )
 def test_series_terms_match_loop_oracle(tables_large, x):
-    # x at the edges of the chunks of the g table, and at 1.5e6
+    # small x, x at and around powers of two, and at 1.5e6
     for w, p in SERIES_CASES:
         got = ds._series_terms(x, w, p, tables_large)
         assert got.tobytes() == oracle.series_terms(x, w, p, tables_large).tobytes()

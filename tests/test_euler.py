@@ -20,7 +20,7 @@ from divisorlab.euler import (
     predict_s_small,
     selberg_exact,
 )
-from divisorlab.sieve import CHUNK, build_sieve, primes_up_to
+from divisorlab.sieve import build_sieve, primes_up_to
 from divisorlab.weights import g_table
 
 
@@ -197,9 +197,9 @@ def test_selberg_exact_is_the_rounded_exact_class_sum(tables_small, z, x):
     assert selberg_exact(x, z, False, tables_small) == want
 
 
-@pytest.mark.parametrize("x", [1, 2, 3, 30, 1000, 99991, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("x", [1, 2, 3, 30, 1000, 99991, 2**18 - 1, 2**18, 2**18 + 1])
 def test_weighted_selberg_equals_per_prime_loop_oracle(tables_medium, x):
-    # x at the chunk edges of the g table
+    # small x, and x at and around 2**18
     for z in (0.5, 1.0, 1.7, 2.5, 4.0):
         terms = oracle.selberg_terms(x, z, tables_medium)
         assert selberg_exact(x, z, True, tables_medium) == math.fsum(terms)

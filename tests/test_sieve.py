@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -75,7 +76,12 @@ def test_smallest_case():
     assert t.key.tolist() == [NOT_SQUAREFREE, 0, 1]
 
 
-@pytest.mark.parametrize("limit", [1009, sieve.CHUNK - 1, sieve.CHUNK + 1, 2 * sieve.CHUNK + 1])
+# tables ending either side of the edges of the doubling chunks (powers
+# of two) and of the fixed-width ones (multiples of CHUNK)
+EDGE_LIMITS = [2**18 - 1, 2**18 + 1, 2**19 + 1, sieve.CHUNK - 1, sieve.CHUNK + 1, 2 * sieve.CHUNK + 1]
+
+
+@pytest.mark.parametrize("limit", [1009, *EDGE_LIMITS])
 def test_key_encodes_squarefree_and_omega(limit):
     # every n up to 1009, and the n around each chunk edge of the build
     tables = build_sieve(limit)
@@ -191,11 +197,11 @@ def test_coprime_count_against_enumeration(tables_small):
             assert squarefree_coprime_count(x, m, tables_small) == expected
 
 
-@pytest.mark.parametrize("limit", [2, 255, 4095, 4096, 10**4, 2**16 + 1, sieve.CHUNK + 65])
+@pytest.mark.parametrize("limit", [2, 255, 4095, 4096, 10**4, 2**16 + 1, 2**18 + 65])
 def test_squarefree_rank_counts_every_prefix(limit):
     # limits ending on bit 63 and bit 0 of a word, a table shorter than one
-    # 256-integer block, one past a superblock (2**16) and one past a
-    # packing chunk
+    # 256-integer block, one past a superblock (2**16) and one past a pass
+    # of the index build
     tables = build_sieve(limit)
     y = np.arange(limit + 1)
     squarefree = tables.key < NOT_SQUAREFREE
@@ -206,7 +212,7 @@ def test_squarefree_rank_counts_every_prefix(limit):
     assert [int(tables.squarefree_rank(e)) for e in edges] == want
 
 
-@pytest.mark.parametrize("limit", [2, 255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65])
+@pytest.mark.parametrize("limit", [2, 255, 256, 257, 10**4, 2**16 + 1, 2**18 + 65])
 def test_squarefree_omega_rank_counts_every_prefix(limit):
     # tables shorter than, equal to and one past a 256-integer block, one
     # past a superblock (2**16) and one past a pass of the index build
@@ -220,7 +226,7 @@ def test_squarefree_omega_rank_counts_every_prefix(limit):
 
 # a table of one block, one past it, one past a superblock (2**16) and one
 # past a pass of the index build
-RANK_LIMITS = [255, 256, 257, 10**4, 2**16 + 1, sieve.CHUNK + 65]
+RANK_LIMITS = [255, 256, 257, 10**4, 2**16 + 1, 2**18 + 65]
 
 
 def rank_queries(limit, rng):
@@ -310,6 +316,23 @@ def test_slot_multiples_are_every_a_of_each_entrys_primes(entries):
     assert got == sorted(want)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(st.integers(-3, 1000), slot_primes), min_size=1, max_size=4), most=st.integers(0, 9))
+@example(entries=[(1000, [2, 3, 5, 7, 11, 13, 17, 19, 23])], most=9)
+@example(entries=[(1000, [2, 3]), (999, [2])], most=0)
+def test_slot_multiples_stop_at_most_omega(entries, most):
+    # the capped expansion is the whole one less the a with Omega(a) > most
+    y = np.array([b for b, _ in entries], dtype=np.int64)
+    width = max(len(ps) for _, ps in entries)
+
+    def slots():
+        return (np.array([ps[j] if j < len(ps) else 1 for _, ps in entries]) for j in range(width))
+
+    got = sorted(zip(*(col.tolist() for col in sieve._slot_multiples(y, slots(), most))))
+    every = zip(*(col.tolist() for col in sieve._slot_multiples(y, slots())))
+    assert got == sorted(t for t in every if t[2] <= most)
+
+
 def test_coprime_range_count(tables_small):
     # n = d*m pairs used by the divisor-major route
     got = squarefree_coprime_count_range(4, 50, [2, 3], tables_small)
@@ -383,22 +406,23 @@ def test_primes_built_once_and_read_only():
         first[0] = 4
 
 
-@pytest.mark.parametrize("limit", [2, 3, sieve.CHUNK - 1, sieve.CHUNK + 1, 2 * sieve.CHUNK + 1])
+@pytest.mark.parametrize("limit", [2, 3, *EDGE_LIMITS])
 def test_primes_equal_primes_up_to(limit):
     primes = build_sieve(limit).primes()
     assert primes.dtype == np.int64
     assert np.array_equal(primes, primes_up_to(limit))
 
 
-def assert_tables_equal(got, want):
-    assert got.limit == want.limit
-    assert got.key.dtype == want.key.dtype == np.uint8
-    assert np.array_equal(got.key, want.key)
+def assert_key_is_loops(got):
+    # the per-prime loop's key up to any limit is a prefix of its key up to a larger one
+    want = loop_key()[: got.limit + 1]
+    assert got.key.dtype == want.dtype == np.uint8
+    assert np.array_equal(got.key, want)
     assert not got.key.flags.writeable
 
 
-# Every edge of the recurrence's chunks, one either side: the doubling
-# chunks end at powers of two, the fixed ones at multiples of CHUNK.
+# Every edge of the build's chunks, one either side: the doubling chunks
+# end at powers of two, the fixed ones at multiples of CHUNK.
 C = sieve.CHUNK
 BOUNDARY_LIMITS = sorted(
     {2**k + d for k in range(2, 20) for d in (-1, 1)}
@@ -406,18 +430,50 @@ BOUNDARY_LIMITS = sorted(
 )
 
 
+@functools.cache
+def loop_key():
+    """The per-prime loop's key up to the largest limit the build is compared at."""
+    return loop_build_sieve(max(BOUNDARY_LIMITS)).key
+
+
 @pytest.mark.parametrize("limit", list(range(2, 41)) + BOUNDARY_LIMITS + [10**6])
 def test_build_equals_per_prime_loop(limit):
-    assert_tables_equal(build_sieve(limit), loop_build_sieve(limit))
+    got = build_sieve(limit)
+    assert got.limit == limit
+    assert_key_is_loops(got)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(limit=st.integers(2, 2 * 10**5), chunk=st.sampled_from([2, 7, 64, C]))
-def test_build_equals_per_prime_loop_any_limit(limit, chunk):
-    # a small chunk puts many fixed-width chunks inside the range
+@given(chunk=st.sampled_from([2, 7, 64, C]), data=st.data())
+def test_build_equals_per_prime_loop_any_limit(chunk, data):
+    # a small chunk puts many fixed-width chunks inside the range; at most
+    # about 500 of them, as each runs a Python pass over the root primes
+    limit = data.draw(st.integers(2, min(2 * 10**5, 500 * chunk)), label="limit")
     with mock.patch.object(sieve, "CHUNK", chunk):
         got = build_sieve(limit)
-    assert_tables_equal(got, loop_build_sieve(limit))
+    assert_key_is_loops(got)
+
+
+IDENTITY_TABLES = build_sieve(2 * 10**5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(4, IDENTITY_TABLES.limit))
+@example(n=2**17 - 1)  # the last n of a chunk and the first of the next (the chunks double up to CHUNK)
+@example(n=2**17)
+@example(n=2**17 + 1)
+@example(n=2**16 * 3)
+@example(n=2**4 * 3**2 * 5 * 7 * 11)  # 110880: one repeated prime and one not, five primes
+@example(n=2 * 3 * 5 * 7 * 11 * 13)
+@example(n=IDENTITY_TABLES.limit)
+def test_key_follows_from_the_cofactor_of_every_prime(n):
+    # key[n] from key[n // p] for every prime p of n, not only the least:
+    # what lets the build strike its root primes in any order
+    key = IDENTITY_TABLES.key
+    for p in trial_factor(n):
+        m = n // p
+        repeated = m % p == 0
+        assert key[n] == (key[m] + (not repeated)) | repeated * NOT_SQUAREFREE, (n, p)
 
 
 def test_chunks_read_only_finished_entries():
@@ -431,7 +487,7 @@ def test_memory_guard_rejects_before_allocating():
     with mock.patch.object(sieve, "_available_bytes", return_value=2 * 2**30):
         tracemalloc.start()
         try:
-            with pytest.raises(RangeError, match=r"needs about 2056 MB; 2048 MB available"):
+            with pytest.raises(RangeError, match=r"needs about 2049 MB; 2048 MB available"):
                 build_sieve(2**31)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -441,7 +497,7 @@ def test_memory_guard_rejects_before_allocating():
 
 
 def test_build_peak_stays_below_two_bytes_per_integer():
-    # the key holds 1 byte per integer; spf lives one chunk at a time
+    # the key holds 1 byte per integer; the strike's buffer half a byte per chunk integer
     limit = 2**23
     tracemalloc.start()
     try:

@@ -5,7 +5,7 @@ import pytest
 
 from divisorlab.errors import DomainError, RangeError
 from divisorlab.weights import PrimeWeight, g_table
-from divisorlab.sieve import CHUNK, build_sieve
+from divisorlab.sieve import build_sieve
 from loop_oracles import e_of_m, g_eval, h_eval, loop_e_table, loop_g_table, mu_of, omega_of
 
 
@@ -116,15 +116,15 @@ def test_e_bound_sweep_vectorized(tables_small):
     assert np.all(table[idx] < 2.0 * tau[idx] ** (2.0 / 3.0))
 
 
-# Powers of two and multiples of CHUNK +-1, and p**2 - 1, p**2 and
+# Powers of two and multiples of 2**18 +-1, and p**2 - 1, p**2 and
 # p**2 + 1, where the primes split at sqrt(upper) gain or lose one; all
 # read from one table.
 PRODUCT_UPPERS = sorted(
     {2**k + d for k in range(1, 20) for d in (-1, 0, 1)}
-    | {m * CHUNK + d for m in (1, 2, 3) for d in (-1, 1)}
+    | {m * 2**18 + d for m in (1, 2, 3) for d in (-1, 1)}
     | {p * p + d for p in (2, 3, 5, 7, 31, 881) for d in (-1, 0, 1)}
 )
-PRODUCT_TABLES = build_sieve(3 * CHUNK + 1)
+PRODUCT_TABLES = build_sieve(3 * 2**18 + 1)
 
 
 @pytest.mark.parametrize("upper", PRODUCT_UPPERS)
