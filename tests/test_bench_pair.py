@@ -26,9 +26,9 @@ def test_summary_gives_each_sides_quartiles_and_the_pairs_the_change_won():
     assert got["failed_ops"] == {"parent": 2, "change": 0}
     assert set(got["metrics"]) == {"wall_s", "setup_s"}  # no run reports peak_rss_mb
     wall = got["metrics"]["wall_s"]
-    # inclusive quartiles: parent 1, 2, 3, 4, 5, 9 and change 1, 1.5, 3, 3.5, 6
-    assert wall["parent"] == {"median": 3.5, "q1": 2.25, "q3": 4.75, "n": 6}
-    assert wall["change"] == {"median": 3.0, "q1": 1.5, "q3": 3.5, "n": 5}
+    # exclusive quartiles, as in bench/steady.py: parent 1, 2, 3, 4, 5, 9 and change 1, 1.5, 3, 3.5, 6
+    assert wall["parent"] == {"median": 3.5, "q1": 1.75, "q3": 6.0, "n": 6}
+    assert wall["change"] == {"median": 3.0, "q1": 1.25, "q3": 4.75, "n": 5}
     assert (wall["pairs"], wall["change_wins"]) == (5, 2)
     setup = got["metrics"]["setup_s"]
     assert setup["change"]["median"] == 0.2 and (setup["pairs"], setup["change_wins"]) == (5, 5)

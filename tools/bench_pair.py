@@ -1,18 +1,19 @@
 """Benchmark two checkouts in alternated pairs and write one BENCH file.
 
     python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH_28.json \\
-        --workload ratio_scan --seeds 11 12 13 [--seconds 30]
+        --workload ratio_scan --seeds 11 12 13
 
 For each workload and seed, a pair runs
 
-    python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-once in each checkout, one process at a time.  The side that runs first
-alternates from pair to pair, so a drift of the host's speed falls on both
-sides alike.  The file is rewritten after every pair.  It holds every run
-and, per workload, side and end-to-end metric of BENCHMARK.json, the
-median and quartiles, with the pairs that the change won; and the seeds,
-each side's commit and a digest of its src/, the host and the command line.
+with T the "run_seconds" of BENCHMARK.json, once in each checkout, one
+process at a time.  The side that runs first alternates from pair to pair,
+so a drift of the host's speed falls on both sides alike.  The file is
+rewritten after every pair.  It holds every run and, per workload, side
+and end-to-end metric of BENCHMARK.json, the median and quartiles, with
+the pairs that the change won; and the seeds, each side's commit and a
+digest of its src/, the host and the command line.
 """
 
 import argparse
@@ -45,11 +46,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    """Median and quartiles (inclusive method) of the values."""
+    """Median and quartiles of the values, by the exclusive method of bench/steady.py."""
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        q1, med, q3 = statistics.quantiles(values, n=4)
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
@@ -96,7 +97,7 @@ def invocation(args) -> str:
     workloads = " ".join(f"--workload {w}" for w in args.workload)
     seeds = " ".join(map(str, args.seeds))
     return (f"python3 tools/bench_pair.py --parent <parent checkout> --change <change checkout> --out {args.out.name} "
-            f"{workloads} --seeds {seeds} --seconds {args.seconds:g}")
+            f"{workloads} --seeds {seeds}")
 
 
 def checkout_info(checkout: Path) -> dict:
@@ -131,13 +132,13 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="BENCH file to write")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=30)
     args = ap.parse_args(argv)
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds, end_to_end = bench["run_seconds"], bench["end_to_end"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
-        "command": bench_command("<workload>", "<seed>", args.seconds),
+        "command": bench_command("<workload>", "<seed>", seconds),
         "invocation": invocation(args),
         "host": host_info(),
         "seeds": args.seeds,
@@ -150,7 +151,7 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_bench(checkouts[side], workload, seed, args.seconds)
+                result = run_bench(checkouts[side], workload, seed, seconds)
                 record["runs"].append({"workload": workload, "seed": seed, "side": side,
                                        "first": side == order[0], "result": result})
                 print(f"{workload} seed {seed} {side}: {json.dumps(result)}", file=sys.stderr, flush=True)
