@@ -18,7 +18,7 @@ import numpy as np
 
 from .divisor_sums import integer_kth_root
 from .errors import DomainError, InsufficientPopulationError, RangeError
-from .sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree
+from .sieve import SieveTables, factor_squarefree, omega_class_counts
 
 _SYNTHETIC_POOL = 18  # primes that synthetic samples draw from
 
@@ -80,16 +80,6 @@ def census(n: int, k: int, tables: SieveTables) -> CensusRecord:
     return CensusRecord(n=n, k=k, tau_k=states, g_k=g_k, ratio=g_k / states, omega_n=om)
 
 
-def _population(omega_target: int, tables: SieveTables) -> np.ndarray:
-    if omega_target < 1:
-        raise InsufficientPopulationError(
-            "omega_target=0 selects only n=1, which sits outside the bound regime"
-        )
-    # no n has omega >= NOT_SQUAREFREE, but the key of a non-squarefree n may
-    key = tables.key if omega_target < NOT_SQUAREFREE else tables.key[:0]
-    return np.flatnonzero(key == omega_target)
-
-
 def census_sample(
     omega_target: int,
     k: int,
@@ -102,20 +92,28 @@ def census_sample(
     Sampling is uniform over the in-table population; if the population is
     smaller than count the draw is with replacement (and without it
     otherwise), so output is a pure function of (seed, count, limit).
+    The generator draws ranks in the population, whose size N_omega(limit)
+    the squarefree rows give, and each rank's n is read off those rows and
+    one block of keys: Generator.choice over the population itself draws
+    the same ranks, so it is the same sample.
 
     Raises:
         InsufficientPopulationError: if no such n exists in the tables.
     """
     if count < 1:
         raise DomainError(f"count={count} must be >= 1")
-    pop = _population(omega_target, tables)
-    if len(pop) == 0:
+    if omega_target < 1:
+        raise InsufficientPopulationError(
+            "omega_target=0 selects only n=1, which sits outside the bound regime"
+        )
+    size = omega_class_counts(tables.limit, tables).get(omega_target, 0)
+    if size == 0:
         raise InsufficientPopulationError(
             f"no squarefree n <= {tables.limit} with omega(n) = {omega_target}"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(pop, size=count, replace=len(pop) < count)
-    records = [census(int(n), k, tables) for n in chosen]
+    ranks = rng.choice(size, size=count, replace=size < count)
+    records = [census(n, k, tables) for n in tables._squarefree_omega_select(omega_target, ranks).tolist()]
     return records, _summarize(records, k, omega_target)
 
 

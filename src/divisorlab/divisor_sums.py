@@ -45,7 +45,7 @@ another caller reads.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, frexp, fsum, isqrt, ldexp
+from math import comb, frexp, fsum, inf, isqrt, ldexp
 import operator
 import struct
 import weakref
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .sieve import NOT_SQUAREFREE, SieveTables, _OMEGA_ROWS, _slot_multiples, coprime_squarefree_counts, superset_sums
-from .weights import PrimeWeight, g_table
+from .weights import _SERIES_BLOCK, PrimeWeight, g_table
 
 ClassKey = tuple[int, int]  # (distinct primes of d, override-divisibility bits)
 _BINOMIAL = np.array([[comb(i, j) for j in range(16)] for i in range(16)], dtype=np.int64)  # C(i, j)
@@ -392,7 +392,11 @@ def h_series_cumulative(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> 
     H = _held_series(x, w, p, tables)
     if H is not None:
         return H[: x + 1]
-    H = _prefix_fsum(_series_terms(x, w, p, tables))
+    # H before the terms: the terms, freed on return, then leave the malloc
+    # heap a free block of H's size for the next array of that size (the
+    # peak RSS of a series_tables bench worker fell from about 93 to 83 MB)
+    H = np.zeros(x + 1)
+    _prefix_fsum(_series_terms(x, w, p, tables), H)
     H.setflags(write=False)
     tables.memo["series"] = (_series_key(w, p), weakref.ref(H))
     return H
@@ -425,49 +429,56 @@ def _series_terms(x: int, w: PrimeWeight, p: int, tables: SieveTables) -> np.nda
     """terms[j] = ((c**e(j) * adjust(j)) * g(j)) / j on the summed j, else 0:
     the weight terms of _weight_terms over j, with the multiples of p zeroed.
     The callers check x and p first (_held_series)."""
-    terms = _weight_terms(x, w.base_c, w.overrides, tables)
-    np.divide(terms[1:], np.arange(1, x + 1, dtype=np.float64), out=terms[1:])
-    if p <= x:
-        terms[p::p] = 0.0
-    return terms
+    return _weight_terms(x, w.base_c, w.overrides, tables, p)
 
 
-def _weight_terms(x: int, base: float, overrides: dict[int, float], tables: SieveTables) -> np.ndarray:
+def _weight_terms(x: int, base: float, overrides: dict[int, float], tables: SieveTables, p: int = 0) -> np.ndarray:
     """terms[n] = (c**e(n) * adjust(n)) * g(n) for squarefree n <= x, else 0.
 
     c is base, e(n) counts the primes of n that overrides does not name,
     adjust(n) multiplies the overrides at the primes of n in ascending
     order, and g(n) = prod p/(p+1) over them; terms[0] = 0.  c**e(n) is
     taken from the 16 powers np.power(c, 0..15), which have the bits
-    np.power gives element by element over a whole exponent array.  Built
-    in place, so at most three float arrays of length x are alive at once.
-    The non-squarefree n are zeroed after the products, so a product that
-    overflows there leaves no NaN.
+    np.power gives element by element over a whole exponent array.  With
+    a prime p, each term is then divided by n and the multiples of p are
+    zeroed (the series terms).  All of it goes block by block
+    (_SERIES_BLOCK integers) into g_table's own array, so the only
+    length-x array is the result.  The non-squarefree n are zeroed after
+    the products, so a product that overflows there leaves no NaN.
     The per-integer sums build their terms here: h_series with the
-    weight and weighted euler.selberg_exact with base z and no overrides;
-    both check 1 <= x <= tables.limit first.
+    weight and p and weighted euler.selberg_exact with base z and no
+    overrides; both check 1 <= x <= tables.limit first.
     """
-    ops = [q for q in sorted(overrides) if q <= x]
-    # omega <= 9, and an override prime of n is a prime of n, so e(n) stays in 0..9.
-    exponent = tables.key[: x + 1] & (NOT_SQUAREFREE - 1)
-    for q in ops:
-        exponent[q::q] -= 1
-    terms = np.power(float(base), np.arange(NOT_SQUAREFREE, dtype=np.int16)).take(exponent)
-    del exponent
-    if ops:
-        adjust = np.ones(x + 1)
-        for q in ops:
-            adjust[q::q] *= overrides[q]
-        terms *= adjust
-        del adjust
-    terms *= g_table(x, tables)
-    terms[tables.key[: x + 1] >= NOT_SQUAREFREE] = 0.0
+    ops = [(q, overrides[q]) for q in sorted(overrides) if q <= x]
+    powers = np.power(float(base), np.arange(NOT_SQUAREFREE, dtype=np.int16))
+    terms = g_table(x, tables)
+    for lo in range(0, x + 1, _SERIES_BLOCK):
+        key = tables.key[lo : min(lo + _SERIES_BLOCK, x + 1)]
+        block = terms[lo : lo + len(key)]
+        # omega <= 9, and an override prime of n is a prime of n, so e(n) stays in 0..9.
+        exponent = key & (NOT_SQUAREFREE - 1)
+        starts = [max(q - lo, -lo % q) for q, _ in ops]  # the multiples of q from q on
+        for (q, _), at in zip(ops, starts):
+            exponent[at::q] -= 1
+        t = powers.take(exponent)
+        if ops:
+            adjust = np.ones(len(key))
+            for (q, v), at in zip(ops, starts):
+                adjust[at::q] *= v
+            t *= adjust
+        block *= t
+        np.putmask(block, key >= NOT_SQUAREFREE, 0.0)
+        if p:
+            block[lo == 0 :] /= np.arange(max(lo, 1), lo + len(key), dtype=np.float64)  # not n = 0
+            block[-lo % p :: p] = 0.0
     terms[0] = 0.0
     return terms
 
 
-def _prefix_fsum(t: np.ndarray) -> np.ndarray:
-    """P[j] = math.fsum(t[: j + 1]) for finite t >= 0 with a finite sum.
+def _prefix_fsum(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P[j] = math.fsum(t[: j + 1]) for t >= 0 whose finite terms have a
+    finite sum (inf from the first infinite term on), into out if given
+    (zeros of t's length).
 
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
     2008, Lemma 3.2): if |v_i| <= 2**(c-1) and sum |v_i| <= 2**(c-1), then
@@ -479,28 +490,38 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
     Algorithms, 2002, section 4.2).  Each prefix is rounded from both ends
     of its error interval; where the two roundings differ (a near or exact
     tie) it is recomputed by math.fsum over a few floats that hold the
-    exact sum of the blocks before it, plus its own block up to it.  Those
-    open prefixes go in ascending order, so the carry passes each block
-    once.  The work goes in blocks whose partial sums carry over, so it
-    holds two arrays of the length of t.
+    exact sum of the blocks before it, plus its own block up to it.  That
+    carry is an exact integer sum (Neal, arXiv:1505.05571): the mantissas
+    of each block, in two 26-bit halves, added up per exponent, and only
+    the blocks before the last open prefix are added.  The work goes in
+    blocks of _SERIES_BLOCK whose buffers are reused, each cumsum starting
+    from the carry in its first element, so it holds one array of the
+    length of t besides t.
     """
-    out = np.zeros(len(t))
+    out = np.zeros(len(t)) if out is None else out
     first = int(np.argmax(t > 0)) if len(t) else 0
     if not len(t) or t[first] == 0:
         return out
     v = t[first:]
-    a, b, bound = _extraction_grid(len(v), float(np.sum(v)))
-    carry = [0.0, 0.0, 0.0]
+    total = float(np.sum(v))
+    if total == inf:  # from the first infinite term on (an overflowing weight), P is inf
+        v = v[: np.argmax(v == inf)]
+        out[first + len(v) :] = inf
+        total = float(np.sum(v))
+    a, b, bound = _extraction_grid(len(v), total)
+    buffers = np.empty((5, min(len(v), _SERIES_BLOCK)))
+    carry = (0.0, 0.0, 0.0)
     ties = []
-    for lo in range(0, len(v), _PREFIX_BLOCK):
-        high, mid, rest = _split(v[lo : lo + _PREFIX_BLOCK], a, b)
-        for k, part in enumerate((high, mid, rest)):
+    for lo in range(0, len(v), _SERIES_BLOCK):
+        high, mid, rest, s, back = buffers[:, : len(v) - lo]
+        _split(v[lo : lo + _SERIES_BLOCK], a, b, (high, mid, rest))
+        for part, c in zip((high, mid, rest), carry):
+            part[0] += c
             np.cumsum(part, out=part)
-            part += carry[k]
-            carry[k] = float(part[-1])
+        carry = (high[-1], mid[-1], rest[-1])
         # TwoSum: high + mid == s + err exactly; tail = err + residual.
-        s = high + mid
-        back = s - high
+        np.add(high, mid, out=s)
+        np.subtract(s, high, out=back)
         mid -= back
         np.subtract(s, back, out=back)
         high -= back
@@ -512,26 +533,40 @@ def _prefix_fsum(t: np.ndarray) -> np.ndarray:
         high += bound
         high += s
         ties.extend((lo + np.flatnonzero(below != high)).tolist())
-    done, parts = 0, []  # the exact sum of v[:done] is that of parts
+    done, bins = 0, np.zeros((2, _EXPONENTS), dtype=np.int64)
     for j in ties:  # ascending
-        lo = j - j % _PREFIX_BLOCK
-        for start in range(done, lo, _PREFIX_BLOCK):
-            parts = _exact_parts(parts + v[start : start + _PREFIX_BLOCK].tolist())
+        lo = j - j % _SERIES_BLOCK
+        for start in range(done, lo, _SERIES_BLOCK):
+            _add_mantissas(bins, v[start : start + _SERIES_BLOCK])
         done = lo
-        out[first + j] = fsum(parts + v[lo : j + 1].tolist())
+        out[first + j] = fsum(_exact_floats(bins) + v[lo : j + 1].tolist())
     return out
 
 
-def _exact_parts(values: list) -> list:
-    """A few floats whose exact sum is that of values (finite, with a finite sum).
+# frexp exponents -1073 .. 1024 of the finite floats, shifted to 0 .. 2097
+_EXPONENTS = 2098
 
-    Each part is math.fsum of what the parts before it leave over, so each
-    is at most half an ulp of the one before, and the remainder reaches 0.
-    """
+
+def _add_mantissas(bins: np.ndarray, v: np.ndarray) -> None:
+    """Add the finite v >= 0 into bins exactly: v = m * 2**(e - 53) with an
+    integer m < 2**53, and bins[0, e + 1073] and bins[1, e + 1073] gather
+    m's high and low 26 bits.  A block's bincount of fewer than 2**26
+    halves is an exact float, and the int64 bins hold 2**31 terms."""
+    m, e = np.frexp(v)
+    m = np.ldexp(m, 53).astype(np.int64)
+    for k, half in enumerate((m >> 26, m & (2**26 - 1))):
+        bins[k] += np.bincount(e + 1073, half, _EXPONENTS).astype(np.int64)
+
+
+def _exact_floats(bins: np.ndarray) -> list:
+    """A few floats whose exact sum is that of the bins (finite)."""
+    # in units of 2**-1126 (bin e), of which every float holds 2**52
+    total = sum(((h << 26) + low) << e for e, (h, low) in enumerate(zip(*bins.tolist())) if h or low) >> 52
     parts = []
-    while part := fsum(values):
-        parts.append(part)
-        values.append(-part)
+    while total:  # 53 bits at a time, from the top
+        shift = max(total.bit_length() - 53, 0)
+        parts.append(ldexp(total >> shift, shift - 1074))
+        total &= (1 << shift) - 1
     return parts
 
 
@@ -547,9 +582,10 @@ def fsum_nonnegative(t: np.ndarray) -> float:
     if total == 0.0:
         return 0.0
     a, b, bound = _extraction_grid(len(t), total)
+    buffers = np.empty((3, min(len(t), _SERIES_BLOCK)))
     sums = [0.0, 0.0, 0.0]
-    for lo in range(0, len(t), _PREFIX_BLOCK):
-        for k, part in enumerate(_split(t[lo : lo + _PREFIX_BLOCK], a, b)):
+    for lo in range(0, len(t), _SERIES_BLOCK):
+        for k, part in enumerate(_split(t[lo : lo + _SERIES_BLOCK], a, b, buffers[:, : len(t) - lo])):
             sums[k] += float(np.sum(part))
     high, mid, rest = sums
     s = high + mid
@@ -559,7 +595,6 @@ def fsum_nonnegative(t: np.ndarray) -> float:
     return below if below == (tail + bound) + s else fsum(t)
 
 
-_PREFIX_BLOCK = 1 << 15
 # Keeps 1.5 * 2**c and the grid 2**(c - 52) of an extraction normal floats.
 _MIN_EXTRACT_EXP = -969
 
@@ -581,20 +616,21 @@ def _extraction_grid(n: int, total: float) -> tuple[int, int, float]:
     return a, b, bound
 
 
-def _split(v: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v as high + mid + rest: extracted at a, the remainder extracted at b."""
-    high = _extract(v, a)
-    rest = v - high
-    mid = _extract(rest, b)
+def _split(v: np.ndarray, a: int, b: int, out):
+    """v as high + mid + rest into the three arrays of out: extracted at a,
+    the remainder extracted at b."""
+    high, mid, rest = out
+    _extract(v, a, high)
+    np.subtract(v, high, out=rest)
+    _extract(rest, b, mid)
     rest -= mid
-    return high, mid, rest
+    return out
 
 
-def _extract(v: np.ndarray, c: int) -> np.ndarray:
+def _extract(v: np.ndarray, c: int, out: np.ndarray) -> None:
     sigma = ldexp(1.5, c)
-    q = v + sigma
-    q -= sigma
-    return q
+    np.add(v, sigma, out=out)
+    out -= sigma
 
 
 def abcd(x: int, k: int, w: PrimeWeight, p: int, tables: SieveTables) -> AbcdDecomposition:

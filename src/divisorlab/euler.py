@@ -62,14 +62,21 @@ def _squared_reciprocal_prime_tail(truncation: int, prime_count: int) -> float:
 
 
 def _euler_product(z: float, truncation: int, shift: int, linear_coeff: float) -> EulerConstant:
+    """The product over the primes up to truncation of (1 + z/(p+shift)) * (1 - 1/p)**z.
+
+    The log-factors are summed exactly and rounded once.  Each is
+    negative: in z, log(1 + z/(p+s)) + z*log(1 - 1/p) is 0 at z = 0 with
+    derivative 1/(p+s+z) + log(1 - 1/p) < 1/p + log(1 - 1/p) < 0.  So
+    their sum is -fsum_nonnegative of their negatives, which equals
+    math.fsum of them.
+    """
     if not 0.0 < z <= 4.0:
         raise DomainError(f"z={z} outside supported range (0, 4]")
     if truncation < 100:
         raise DomainError(f"truncation={truncation} must be >= 100")
     primes = _primes_cached(truncation)
     p = primes.astype(np.float64)
-    log_factors = np.log1p(z / (p + shift)) + z * np.log1p(-1.0 / p)
-    value = math.exp(math.fsum(log_factors))
+    value = math.exp(-fsum_nonnegative(-(np.log1p(z / (p + shift)) + z * np.log1p(-1.0 / p))))
     # Per-prime log factor beyond the cut is bounded by
     # (0.521*z^2 + linear_coeff*z) / p^2 once p >= 100 >= 25*z.
     coeff = 0.521 * z * z + linear_coeff * z
@@ -166,13 +173,22 @@ def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> floa
     rationals and round once, for every z.  The weighted variant (g(n) =
     prod p/(p+1) over p | n) is the correctly rounded sum of its float
     terms, which divisor_sums._weight_terms builds as it builds the
-    h_series terms: base z, no overrides.
+    h_series terms: base z, no overrides.  The one-point case of
+    _selberg_sums.
     """
+    return _selberg_sums([x], z, weighted, tables)[0]
+
+
+def _selberg_sums(xs: list[int], z: float, weighted: bool, tables: SieveTables) -> list[float]:
+    """selberg_exact at every x of xs.  The weighted terms do not depend on
+    how far they run, so they are built once, at the largest x, and each
+    x sums its prefix."""
     if not 0 < z < math.inf:  # NaN fails too
         raise DomainError(f"z={z} must be positive and finite")
-    if not 1 <= x <= tables.limit:
-        raise RangeError(f"x={x} outside table range 1..{tables.limit}")
+    for x in xs:
+        if not 1 <= x <= tables.limit:
+            raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not weighted:
-        counts = omega_class_counts(x, tables)
-        return float(sum(cnt * Fraction(z) ** j for j, cnt in counts.items()))
-    return fsum_nonnegative(_weight_terms(x, z, {}, tables))
+        return [float(sum(c * Fraction(z) ** j for j, c in omega_class_counts(x, tables).items())) for x in xs]
+    terms = _weight_terms(max(xs), z, {}, tables)
+    return [fsum_nonnegative(terms[: x + 1]) for x in xs]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import divisor_sums as dsums
 from .errors import ConfigurationError, DomainError, RangeError
-from .euler import f0, f1, gamma_fn, gaussian_window, selberg_exact
+from .euler import _selberg_sums, f0, f1, gamma_fn, gaussian_window
 from .sieve import NOT_SQUAREFREE, SieveTables, coprime_squarefree_counts, primes_up_to
 from .weights import PrimeWeight, g_table
 
@@ -540,7 +540,9 @@ def selberg_trend(z: float, weighted: bool, x_grid, tables: SieveTables) -> Tren
     with f = f1 for the weighted sum and f0 otherwise, both truncated at
     euler.DEFAULT_TRUNCATION.  Pass iff |observed - 1| is non-increasing
     over the last three points and the final value lies in [0.8, 1.2].
-    A grid point below 2 raises RangeError.
+    A grid point below 2 raises RangeError.  The exact sums are those of
+    euler.selberg_exact; the weighted ones sum prefixes of one term build
+    at the largest point.
     """
     xs = _check_grid(x_grid, tables, min_points=1)
     if xs[0] < 2:
@@ -549,11 +551,10 @@ def selberg_trend(z: float, weighted: bool, x_grid, tables: SieveTables) -> Tren
         raise DomainError(f"z={z} outside supported range (0, 4]")
     constant = (f1(z) if weighted else f0(z)).value
     gamma_z = gamma_fn(z)
-    observed = []
-    for x in xs:
-        exact = selberg_exact(x, z, weighted, tables)
-        predictor = x * math.log(x) ** (z - 1.0) / gamma_z * constant
-        observed.append(exact / predictor)
+    observed = [
+        exact / (x * math.log(x) ** (z - 1.0) / gamma_z * constant)
+        for x, exact in zip(xs, _selberg_sums(xs, z, weighted, tables))
+    ]
     if len(observed) >= 3:
         errors = [abs(v - 1.0) for v in observed]
         drift_ok = _drift_non_increasing(errors)

@@ -147,6 +147,28 @@ class SieveTables:
         at[:, 1:] -= at[:, :-1]
         return at
 
+    def _squarefree_omega_select(self, j: int, ranks: np.ndarray) -> np.ndarray:
+        """The squarefree n of each 0-based rank among those with omega(n) = j.
+
+        j >= 1 and every rank is below N_j(limit).  The count of such n
+        below each block is the squarefree rows' count with key <= j less
+        that with key <= j - 1; a rank's block is the last whose count is
+        at most the rank, and its n is found among the 256 keys from the
+        block's start (clipped to the table, where only keys past n
+        repeat).
+        """
+        head, high, low, _ = self._index(band=False)
+        blocks = np.arange(low.shape[1])
+
+        def below(v):  # the n with key <= v below each block; below the rows, n = 1 alone
+            r = v - len(head)
+            return high[r][blocks >> 8].astype(np.int64) + low[r] if r >= 0 else head[v] * (blocks > 0)
+
+        counts = below(j) - below(j - 1)
+        start = (np.searchsorted(counts, ranks, side="right") - 1) * _BLOCK
+        hits = self.key[np.minimum(start[:, None] + np.arange(_BLOCK), self.limit)] == j
+        return start + np.argmax(np.cumsum(hits, axis=1) > (ranks - counts[start // _BLOCK])[:, None], axis=1)
+
     def _band_rank(self, y: np.ndarray, band: np.ndarray) -> np.ndarray:
         """C_j(y), the number of n <= y with key[n] & 15 == j (int64).
 

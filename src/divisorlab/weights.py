@@ -13,6 +13,11 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .sieve import SieveTables
 
+# Integers per block of the series layer: g_table's windows and the bound
+# on its wheel, the weight terms of divisor_sums and its prefix sums
+# (256 KB of float64).
+_SERIES_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PrimeWeight:
@@ -64,25 +69,46 @@ def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
 
     out[0] = out[1] = 1.  The primes up to sqrt(upper) multiply into their
-    multiples in ascending order.  An m <= upper has at most one prime P
-    above sqrt(upper), its largest (m = s*P with s <= upper / P < P), so P
-    multiplies last, at step s for every P <= upper / s at once.  So the
-    factors meet in ascending prime order and every caller gets the bits
-    of the per-prime product; a non-squarefree m gets g(rad m).
+    multiples in ascending order.  The first few, whose product W fits in
+    a block (W = 30030 once upper >= 169), do so once, into a wheel of W
+    entries that the table repeats: each divides m exactly when it
+    divides m mod W.  An m <= upper has at most one prime P
+    above sqrt(upper), its largest (m = s*P with s <= upper / P < P), so
+    before P, out[s*P] holds the same ascending product as out[s], and
+    out[s*P] = out[s] * f_P is what multiplying P in last gives.  Those
+    entries are written one aligned window of _SERIES_BLOCK integers at a
+    time, for all s <= sqrt(upper) at once: the P of s in a window are
+    the run of large primes from the first with s*P in the window (above
+    sqrt(upper) in the first) to the first with s*P past it, found by
+    searchsorted.  So every caller gets the bits of the per-prime product
+    at any upper; a non-squarefree m gets g(rad m).
 
     Raises:
         RangeError: if upper exceeds the table limit.
     """
     if upper > tables.limit:
         raise RangeError(f"upper={upper} beyond table limit")
-    out = np.ones(upper + 1)
     primes, root = tables.primes(), isqrt(upper)
     cut, end = np.searchsorted(primes, [root, upper], side="right")
     factor = primes[:end] / (primes[:end] + 1.0)
-    for p, f in zip(primes[:cut].tolist(), factor[:cut].tolist()):
+    # the wheel: the first k root primes, whose product fits in a block
+    k = int(np.searchsorted(np.log(primes[:cut]).cumsum(), np.log(_SERIES_BLOCK), side="right"))
+    wheel = np.ones(int(np.prod(primes[:k])))
+    for p, f in zip(primes[:k].tolist(), factor[:k].tolist()):
+        wheel[::p] *= f
+    out = np.resize(wheel, upper + 1)
+    out[0] = 1.0
+    for p, f in zip(primes[k:cut].tolist(), factor[k:cut].tolist()):
         out[p::p] *= f
     big, f_big = primes[cut:end], factor[cut:]
-    for s in range(1, root + 1):
-        n = np.searchsorted(big, upper // s, side="right")
-        out[s * big[:n]] *= f_big[:n]
+    s = np.arange(1, root + 1)
+    first = np.searchsorted(big, -(-(root + 1) // s))
+    for lo in range((root + 1) // _SERIES_BLOCK * _SERIES_BLOCK, upper + 1, _SERIES_BLOCK):
+        # the run of s ends at the first P >= hi / s; the next window starts there
+        stop = np.searchsorted(big, -(-min(lo + _SERIES_BLOCK, upper + 1) // s))
+        count = stop - first
+        i, at = np.repeat([first - np.cumsum(count) + count, s], count, axis=1)
+        i += np.arange(len(i))
+        out[at * big[i]] = out[at] * f_big[i]
+        first = stop
     return out

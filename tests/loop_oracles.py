@@ -23,10 +23,13 @@ These are the earlier production routes and the per-value references:
   into the histogram by a superset sum and a sign pass
   (omega_flag_histogram); the full class counts spread each bin of it
   over the submasks of its flags (spread_histogram);
-- the census walks all k**omega(n) assignments of primes to slots;
+- the census walks all k**omega(n) assignments of primes to slots, and
+  its sample's population is one comparison over the whole key
+  (census_population);
 - the series terms and the weighted Selberg terms are built from
-  whole-length temporaries, the latter with the per-prime g table, and
-  the Kolmogorov distance evaluates math.erf at every sample point;
+  whole-length temporaries, the latter with the per-prime g table, the
+  Euler products sum their log-factors by math.fsum, and the Kolmogorov
+  distance evaluates math.erf at every sample point;
 - the Erdos-Kac statistic of every n <= x, block by block, and the
   distance of its sorted sample through Phi interpolated on nodes
   (erdos_kac_statistic, kolmogorov_distance).
@@ -39,7 +42,7 @@ from math import isqrt
 import numpy as np
 
 from divisorlab.divisor_sums import ClassCounts, integer_kth_root
-from divisorlab.errors import DomainError
+from divisorlab.errors import DomainError, InsufficientPopulationError
 from divisorlab.weights import PrimeWeight, g_table
 from divisorlab.sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree, primes_up_to, superset_sums
 
@@ -379,6 +382,18 @@ def spread_histogram(hist: np.ndarray) -> Counter:
 # census
 
 
+def census_population(omega_target: int, tables: SieveTables) -> np.ndarray:
+    """The squarefree n <= limit with omega_target primes, by one comparison
+    over the whole key (the population census_sample draws from)."""
+    if omega_target < 1:
+        raise InsufficientPopulationError(
+            "omega_target=0 selects only n=1, which sits outside the bound regime"
+        )
+    # no n has omega >= NOT_SQUAREFREE, but the key of a non-squarefree n may
+    key = tables.key if omega_target < NOT_SQUAREFREE else tables.key[:0]
+    return np.flatnonzero(key == omega_target)
+
+
 def count_small_parts_walk(primes, k, r) -> int:
     """Small slots (product <= r) summed over every assignment of primes to k slots."""
     slots = [1] * k
@@ -429,6 +444,13 @@ def selberg_terms(x, z, tables) -> np.ndarray:
     omega = omega_of(tables)[1 : x + 1].astype(np.float64)
     terms = np.power(z, omega) * loop_g_table(x)[1:]
     return np.where(tables.key[1 : x + 1] < NOT_SQUAREFREE, terms, 0.0)
+
+
+def euler_product_fsum(z: float, truncation: int, shift: int) -> float:
+    """The product of euler.f0 (shift 0) or f1 (shift 1): exp of math.fsum
+    over the same float log-factors, a Python pass over every prime."""
+    p = primes_up_to(truncation).astype(np.float64)
+    return math.exp(math.fsum(np.log1p(z / (p + shift)) + z * np.log1p(-1.0 / p)))
 
 
 def kolmogorov_distance_erf(sorted_stat: np.ndarray) -> float:

@@ -10,12 +10,11 @@ from divisorlab.census import (
     census,
     census_sample,
     census_sample_synthetic,
-    _population,
 )
 from divisorlab.divisor_sums import integer_kth_root
 from divisorlab.errors import DomainError, InsufficientPopulationError, RangeError
 from divisorlab.sieve import NOT_SQUAREFREE, build_sieve, factor_squarefree, primes_up_to
-from loop_oracles import count_small_parts_walk
+from loop_oracles import census_population, count_small_parts_walk
 
 
 def test_census_pair_example(tables_small):
@@ -171,9 +170,37 @@ def test_population_equals_trial_division():
     tables = build_sieve(10**5)
     for omega_target in range(1, 7):
         want = _trial_division_population(10**5, omega_target)
-        assert _population(omega_target, tables).tolist() == want, omega_target
-    assert _population(7, tables).size == 0  # 510510 is the first with 7 primes
-    assert _population(17, tables).size == 0  # not a key with the flag set
+        assert census_population(omega_target, tables).tolist() == want, omega_target
+    assert census_population(7, tables).size == 0  # 510510 is the first with 7 primes
+    assert census_population(17, tables).size == 0  # not a key with the flag set
+
+
+@pytest.fixture(scope="module")
+def census_tables(tables_large):
+    return [build_sieve(10**5), build_sieve(10**6 + 3), tables_large]
+
+
+def test_sample_equals_choice_over_the_population(census_tables):
+    # the ranks drawn from the population's size and read off the squarefree
+    # rows give the n that Generator.choice draws from the population itself
+    replace_modes = set()
+    for tables in census_tables:
+        for omega in range(1, 9):
+            pop = census_population(omega, tables)
+            for seed, count in ((s, c) for s in (1, 7, 42, 2**31 - 1, 123456789) for c in (1, 20, 50)):
+                if len(pop) == 0:
+                    with pytest.raises(InsufficientPopulationError):
+                        census_sample(omega, 3, count, seed, tables)
+                    continue
+                replace_modes.add(len(pop) < count)
+                want = np.random.default_rng(seed).choice(pop, size=count, replace=len(pop) < count)
+                records, summary = census_sample(omega, 3, count, seed, tables)
+                assert records == [census(n, 3, tables) for n in want.tolist()]
+                assert summary.count == count
+        for omega in (0, 10):
+            with pytest.raises(InsufficientPopulationError):
+                census_sample(omega, 3, 5, 1, tables)
+    assert replace_modes == {False, True}
 
 
 def test_sample_rejects_empty_population(tables_small):

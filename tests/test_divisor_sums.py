@@ -451,17 +451,26 @@ SERIES_CASES = (
     (PrimeWeight(0.5), 2),
     (PrimeWeight(0.3, {3: 0.2}, k_context=3), 5),
     (PrimeWeight(0.7, {2: 0.1, 5: 0.9, 7: 0.0}), 11),
+    # primes at the block edges: 32749 < 2**15 < 32771 and 65537 = 2**16 + 1,
+    # and 2, whose multiples sit on every edge; 1e200 * 1e200 overflows at 6
+    (PrimeWeight(0.6, {2: 0.1, 32749: 0.9}, strict_mode=False), 65537),
+    (PrimeWeight(0.3, {65537: 0.2, 32771: 0.0}), 32749),
+    (PrimeWeight(0.3, {2: 1e200, 3: 1e200}, strict_mode=False), 32771),
 )
+B = ds._SERIES_BLOCK
 
 
 @pytest.mark.parametrize(
     "x", [1, 2, 3, 4, 7, 8, 9, 2**18 - 1, 2**18, 2**18 + 1, 2**19 + 1, 3 * 2**18, 1_500_000]
+    + [k * B + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 )
 def test_series_terms_match_loop_oracle(tables_large, x):
-    # small x, x at and around powers of two, and at 1.5e6
+    # small x, x at and around powers of two and the block edges, and at 1.5e6
     for w, p in SERIES_CASES:
-        got = ds._series_terms(x, w, p, tables_large)
-        assert got.tobytes() == oracle.series_terms(x, w, p, tables_large).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ds._series_terms(x, w, p, tables_large)
+            want = oracle.series_terms(x, w, p, tables_large)
+        assert got.tobytes() == want.tobytes()
 
 
 SERIES_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -508,6 +517,18 @@ def test_overflowing_overrides_leave_no_nan(tables_small):
         assert not np.isnan(terms).any()
         assert terms[12] == 0.0 and terms[6] == math.inf
         assert ds.h_series(1000, w, 5, tables_small) == math.inf
+
+
+def test_overflowing_terms_make_the_cumulative_series_inf_from_there(tables_small):
+    # the terms are inf from n = 6 on (1e200 * 1e200); H is their correctly
+    # rounded sum before 6 and inf from 6 on, as h_series is inf at 1000
+    w = PrimeWeight(0.3, {2: 1e200, 3: 1e200}, strict_mode=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = ds._series_terms(1000, w, 5, tables_small)
+        H = ds.h_series_cumulative(1000, w, 5, tables_small)
+        assert ds.fsum_nonnegative(terms) == math.inf
+    assert H[:6].tolist() == [math.fsum(terms[: j + 1]) for j in range(6)]
+    assert np.all(H[6:] == math.inf)
 
 
 def test_held_series_is_read_only(tables_small):
@@ -678,7 +699,7 @@ def test_prefix_fsum_carries_the_residual_across_blocks(block):
     u = 2.0**-53
     t = np.zeros(1 << 15)
     t[:12] = [1.0, u - 2.0**-90] + [2.0**-93] * 10
-    with mock.patch.object(ds, "_PREFIX_BLOCK", block):
+    with mock.patch.object(ds, "_SERIES_BLOCK", block):
         P = ds._prefix_fsum(t)
     assert P[:12].tolist() == [math.fsum(t[: j + 1]) for j in range(12)]
     assert P[:12].tolist() == [1.0] * 10 + [1.0 + 2 * u] * 2
@@ -694,10 +715,43 @@ def test_prefix_fsum_resolves_open_prefixes_in_late_blocks(block):
     t[rng.random(3000) < 0.2] = 0.0
     t[:5] = 0.0  # a leading run of zeros is skipped
     grid = ds._extraction_grid
-    with mock.patch.object(ds, "_PREFIX_BLOCK", block), \
+    with mock.patch.object(ds, "_SERIES_BLOCK", block), \
             mock.patch.object(ds, "_extraction_grid", lambda n, total: (*grid(n, total)[:2], math.inf)):
         P = ds._prefix_fsum(t)
     assert P.tolist() == [math.fsum(t[: j + 1]) for j in range(len(t))]
+
+
+def test_prefix_fsum_resolves_ties_through_exact_block_totals():
+    # Exact midpoints 1 + k*u (odd k, u = 2**-53) are open prefixes, here in
+    # blocks 0 to 9 of 64 terms.  A 2**-300 in block 1 lies far below every
+    # extraction grid, so only an exact carry of the blocks before turns the
+    # ties at k = 5 from 1 + 4u (half to even) into 1 + 6u.
+    u = 2.0**-53
+    t = np.zeros(640)
+    t[0] = 1.0
+    t[[5, 130, 200, 400, 401]] = u
+    t[70] = 2.0**-300
+    with mock.patch.object(ds, "_SERIES_BLOCK", 64), mock.patch.object(ds, "fsum", wraps=math.fsum) as spy:
+        P = ds._prefix_fsum(t)
+    assert spy.call_count >= 3 * 64  # every prefix from 5 on but k = 2 and k = 6
+    assert P.tolist() == [math.fsum(t[: j + 1]) for j in range(len(t))]
+    assert P[4] == 1.0 and P[5] == 1.0 and P[130] == 1.0 + 2 * u
+    assert P[200] == 1.0 + 4 * u and P[401] == P[-1] == 1.0 + 6 * u
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 3000), low=st.integers(-1074, 900))
+@example(seed=3, size=3000, low=-1074)  # subnormals and zeros
+def test_exact_block_totals_hold_every_bit(seed, size, low):
+    rng = np.random.default_rng(seed)
+    t = np.ldexp(rng.random(size), rng.integers(low, 901, size))
+    t[rng.random(size) < 0.1] = 0.0
+    bins = np.zeros((2, ds._EXPONENTS), dtype=np.int64)
+    for lo in range(0, size, 1000):
+        ds._add_mantissas(bins, t[lo : lo + 1000])
+    parts = ds._exact_floats(bins)
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, t.tolist()))
+    assert all(abs(b) < abs(a) for a, b in zip(parts, parts[1:]))
 
 
 def test_h_series_requires_prime(tables_small):

@@ -20,8 +20,9 @@ from divisorlab.euler import (
     predict_s_small,
     selberg_exact,
 )
+from divisorlab.experiments import selberg_trend
 from divisorlab.sieve import build_sieve, primes_up_to
-from divisorlab.weights import g_table
+from divisorlab.weights import _SERIES_BLOCK, g_table
 
 
 def test_f0_at_one_telescopes_to_inverse_zeta2():
@@ -75,6 +76,14 @@ def test_f_values_against_slow_oracle():
         for p in map(float, primes):
             direct *= (1.0 + z / p) * (1.0 - 1.0 / p) ** z
         assert f0(z, 10**4).value == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("truncation", [100, 10**4, 10**6])
+def test_f_values_equal_the_fsum_oracle(truncation):
+    # the vectorised sum of the negated log-factors rounds as math.fsum does
+    for z in (1e-300, 0.3, 1.0, 2.0, 4.0):
+        assert f0(z, truncation).value == oracle.euler_product_fsum(z, truncation, 0)
+        assert f1(z, truncation).value == oracle.euler_product_fsum(z, truncation, 1)
 
 
 def test_gamma_classical_values():
@@ -203,6 +212,21 @@ def test_weighted_selberg_equals_per_prime_loop_oracle(tables_medium, x):
     for z in (0.5, 1.0, 1.7, 2.5, 4.0):
         terms = oracle.selberg_terms(x, z, tables_medium)
         assert selberg_exact(x, z, True, tables_medium) == math.fsum(terms)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+def test_selberg_trend_equals_per_point_sums(tables_medium, weighted):
+    # one term build at the largest point; each point sums its own prefix
+    B = _SERIES_BLOCK
+    grid = [2, 3, B - 1, B, B + 1, 2 * B + 1, 3 * B, 600_000]
+    for z in (0.5, 1.7, 2.5):
+        rep = selberg_trend(z, weighted, grid, tables_medium)
+        constant, gamma_z = (f1(z) if weighted else f0(z)).value, gamma_fn(z)
+        want = [
+            selberg_exact(x, z, weighted, tables_medium) / (x * math.log(x) ** (z - 1.0) / gamma_z * constant)
+            for x in grid
+        ]
+        assert [v.hex() for v in rep.observed] == [v.hex() for v in want]
 
 
 def test_weighted_selberg_peak_stays_below_twenty_bytes_per_integer():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divisorlab.errors import DomainError, RangeError
-from divisorlab.weights import PrimeWeight, g_table
+from divisorlab.weights import _SERIES_BLOCK, PrimeWeight, g_table
 from divisorlab.sieve import build_sieve
 from loop_oracles import e_of_m, g_eval, h_eval, loop_e_table, loop_g_table, mu_of, omega_of
 
@@ -116,12 +116,13 @@ def test_e_bound_sweep_vectorized(tables_small):
     assert np.all(table[idx] < 2.0 * tau[idx] ** (2.0 / 3.0))
 
 
-# Powers of two and multiples of 2**18 +-1, and p**2 - 1, p**2 and
-# p**2 + 1, where the primes split at sqrt(upper) gain or lose one; all
-# read from one table.
+# Powers of two, multiples of 2**18 +-1 and of the window width
+# _SERIES_BLOCK = 2**15 +-1, and p**2 - 1, p**2 and p**2 + 1, where the
+# primes split at sqrt(upper) gain or lose one; all read from one table.
 PRODUCT_UPPERS = sorted(
     {2**k + d for k in range(1, 20) for d in (-1, 0, 1)}
     | {m * 2**18 + d for m in (1, 2, 3) for d in (-1, 1)}
+    | {m * _SERIES_BLOCK + d for m in (1, 2, 3) for d in (-1, 0, 1)}
     | {p * p + d for p in (2, 3, 5, 7, 31, 881) for d in (-1, 0, 1)}
 )
 PRODUCT_TABLES = build_sieve(3 * 2**18 + 1)
@@ -141,3 +142,25 @@ def test_g_and_e_tables_equal_per_prime_loop_at_scale():
 def test_product_tables_reject_upper_beyond_limit(tables_small):
     with pytest.raises(RangeError):
         g_table(10**4 + 1, tables_small)
+
+
+def _radical(m: int) -> int:
+    rad, q = 1, 2
+    while q * q <= m:
+        if m % q == 0:
+            rad *= q
+            while m % q == 0:
+                m //= q
+        q += 1
+    return rad * m
+
+
+def test_g_table_gives_a_non_squarefree_m_the_value_of_its_radical():
+    # on both sides of each edge of the windows that write the large primes
+    upper = 3 * _SERIES_BLOCK + 40
+    got = g_table(upper, PRODUCT_TABLES)
+    near = {m for e in range(_SERIES_BLOCK, upper, _SERIES_BLOCK) for m in range(e - 40, e + 40)}
+    squareful = [m for m in sorted(near) if _radical(m) != m]
+    assert len(squareful) > 40
+    for m in squareful:
+        assert got[m] == got[_radical(m)]
