@@ -7,6 +7,8 @@ first reducing the (d, n) pairs to exact integer counts per class
 (omega(d), override-divisibility flags).  Weights enter only at the final
 combine, done in exact rational arithmetic with a single rounding to
 float, so any independent enumeration of the pairs must agree bit-for-bit.
+Every float weight is an integer over a power of two, so that arithmetic
+is integer sums over one common power of two, made a Fraction once.
 
 The counts do not depend on the weight, so they are built once per
 (x, override set) and weighted per request: ratio_from_counts and
@@ -21,8 +23,11 @@ x // b, spread each flag set's signed sums over divisor classes by
 binomials and add them up over the flag supersets in one pass.  The small
 counts take, for all squarefree d <= x**(1/k) at once, the squarefree
 cofactors coprime to d from sieve.coprime_squarefree_counts and bin them
-by the class of d.  The per-n and per-d enumerations and the
-(omega, flags) histograms they are checked against live in the tests.
+by the class of d.  Both kernels take an array of x, so a trend
+(experiments.ratio_convergence) counts all its grid points in one call
+each; the one-x functions are its one-point case.  The per-n and per-d
+enumerations and the (omega, flags) histograms they are checked against
+live in the tests.
 
 The per-d counts of the small route do not depend on the override set,
 so each table keeps the last few of them (SieveTables.memo, keyed by
@@ -169,17 +174,32 @@ def full_class_counts(
     coefficients (for an empty override set this is exactly the statement
     that a squarefree n with omega(n) = i has C(i, j) divisors with j
     prime factors); _full_omega_identity does this for all n <= x at once.
+    The one-point case of _full_counts_along.
     """
-    x = operator.index(x)  # a NumPy integer becomes an int; a float raises TypeError
-    if not 1 <= x <= tables.limit:
-        raise RangeError(f"x={x} outside table range 1..{tables.limit}")
+    return _full_counts_along([x], override_primes, tables)[0]
+
+
+def _full_counts_along(xs, override_primes: tuple[int, ...], tables: SieveTables) -> list[ClassCounts]:
+    """full_class_counts at every x of xs, from one _full_omega_identity call."""
+    xs = _check_points(xs, tables)
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    return ClassCounts(x=x, override_primes=ops, classes=_full_omega_identity(x, ops, tables))
+    classes = _full_omega_identity(np.array(xs, dtype=np.int64), ops, tables)
+    return [ClassCounts(x=x, override_primes=ops, classes=c) for x, c in zip(xs, classes)]
 
 
-def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
-    """The full class counts, from the products b of the override primes.
+def _check_points(xs, tables: SieveTables) -> list[int]:
+    """xs as ints (a NumPy integer becomes an int; a float raises TypeError), each in 1..limit."""
+    xs = [operator.index(x) for x in xs]
+    for x in xs:
+        if not 1 <= x <= tables.limit:
+            raise RangeError(f"x={x} outside table range 1..{tables.limit}")
+    return xs
+
+
+def _full_omega_identity(xs, ops, tables) -> list[dict[ClassKey, int]]:
+    """The full class counts at each x of the int64 array xs, from the
+    products b of the override primes.
 
     A squarefree n with omega(n) = i and override flags f has
     C(i - |f|, J - |s|) divisors of class (J, s) for each s <= f.  The n
@@ -196,23 +216,29 @@ def _full_omega_identity(x, ops, tables) -> dict[ClassKey, int]:
     (J, s) is (-1)**|s| times the sum over T >= s of
     sum_i G[T, i] * C(i - |T|, J - |T|): each row of G spreads by
     binomials, and one superset sum over the 2**r masks adds them up.  N is
-    SieveTables.squarefree_omega_rank, read once per distinct x // b.
+    SieveTables.squarefree_omega_rank, read once per distinct x // b over
+    all of xs; G holds one row block per x, behind the mask axis.
     """
     rows = _OMEGA_ROWS  # N_0 .. N_9
-    _, quot, omega, used = _slot_multiples(np.array([x]), (np.array([p]) for p in ops), most=rows - 1)
+    slots = (np.full(len(xs), p, dtype=np.int64) for p in ops)
+    owner, quot, omega, used = _slot_multiples(xs, slots, most=rows - 1)
     y, at = np.unique(quot, return_inverse=True)
     counts = tables.squarefree_omega_rank(y)  # N at each distinct x // b
-    grid = np.zeros((1 << len(ops), rows), dtype=np.int64)  # G, then its spread
-    for e in range(int(omega.max()) + 1):
-        b = np.flatnonzero(omega == e)
-        np.add.at(grid, (used[b, None], np.arange(e, rows)), (-1) ** e * counts[at[b], : rows - e])
+    col = np.arange(rows) - omega[:, None]  # b's term in column i is N_{i - Omega(b)}
+    terms = np.where(col >= 0, counts[at[:, None], col], 0)  # a column below 0 wraps, then is dropped
+    terms *= 1 - 2 * (omega[:, None] & 1)
+    grid = np.zeros((1 << len(ops), len(xs), rows), dtype=np.int64)  # G, then its spread
+    np.add.at(grid.reshape(-1, rows), used * len(xs) + owner, terms)  # row (T, x) of G
     size = np.bitwise_count(np.arange(len(grid))).astype(np.int64)  # |T|
     for t in range(min(len(ops), rows - 1) + 1):  # G[T, i] = 0 for i < |T| <= Omega(b)
         T = np.flatnonzero(size == t)
-        grid[T, t:] = grid[T, t:] @ _BINOMIAL[: rows - t, : rows - t]
+        grid[T, :, t:] = grid[T, :, t:] @ _BINOMIAL[: rows - t, : rows - t]
     superset_sums(grid)
-    masks, js = np.nonzero(grid)
-    return dict(zip(zip(js.tolist(), masks.tolist()), (grid[masks, js] * (-1) ** size[masks]).tolist()))
+    points, masks, js = np.nonzero(grid.transpose(1, 0, 2))
+    values = (grid[masks, points, js] * (-1) ** size[masks]).tolist()
+    keys = list(zip(js.tolist(), masks.tolist()))
+    ends = np.searchsorted(points, np.arange(len(xs) + 1)).tolist()  # points ascend
+    return [dict(zip(keys[a:b], values[a:b])) for a, b in zip(ends, ends[1:])]
 
 
 def small_class_counts(
@@ -226,41 +252,59 @@ def small_class_counts(
     Each squarefree d <= x**(1/k) counts its squarefree cofactors m coprime
     to d with d**k <= d*m <= x, all d at once by coprime_squarefree_counts.
     The per-d counts are kept per (x, k) and binned by the class of d on
-    each request.
+    each request.  The one-point case of _small_counts_along.
     """
-    x = operator.index(x)  # a NumPy integer becomes an int; a float raises TypeError
-    if not 1 <= x <= tables.limit:
-        raise RangeError(f"x={x} outside table range 1..{tables.limit}")
+    return _small_counts_along([x], k, override_primes, tables)[0]
+
+
+def _small_counts_along(xs, k: int, override_primes: tuple[int, ...], tables: SieveTables) -> list[ClassCounts]:
+    """small_class_counts at every x of xs; the per-d counts that the memo
+    lacks come from one _small_coprime_ranks call."""
+    xs = _check_points(xs, tables)
     if k < 2:
         raise DomainError(f"k={k} must be >= 2")
     ops = tuple(sorted(override_primes))
     _check_override_primes(ops, tables)
-    d, pairs = _remembered(tables, ("small", x, k), lambda: _small_coprime_ranks(x, k, tables))
-    key = tables.key[d].astype(np.int64)  # omega(d): d is squarefree
-    for i, p in enumerate(ops):
-        key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
-    # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
-    counts = np.bincount(key, weights=pairs)
-    classes = {(int(b) & 15, int(b) >> 4): int(counts[b]) for b in np.flatnonzero(counts)}
-    return ClassCounts(x=x, override_primes=ops, classes=classes)
+    wanted = list(dict.fromkeys(xs))
+    missing = [x for x in wanted if ("small", x, k) not in tables.memo]
+    fresh = dict(zip(missing, _small_coprime_ranks(np.array(missing, dtype=np.int64), k, tables))) if missing else {}
+    # the kept ones first, so that keeping the fresh ones cannot drop them unread
+    per_d = {x: _remembered(tables, ("small", x, k), lambda: fresh[x]) for x in wanted if x not in fresh}
+    per_d.update((x, _remembered(tables, ("small", x, k), lambda: fresh[x])) for x in missing)
+    out = []
+    for x in xs:
+        d, pairs = per_d[x]
+        key = tables.key[d].astype(np.int64)  # omega(d): d is squarefree
+        for i, p in enumerate(ops):
+            key[d % p == 0] |= 1 << (4 + i)  # omega(d) <= 9 fits in 4 bits
+        # The counts add up to at most x * (1 + ln x) < 2**53, so the float sums are exact.
+        counts = np.bincount(key, weights=pairs)
+        classes = {(int(b) & 15, int(b) >> 4): int(counts[b]) for b in np.flatnonzero(counts)}
+        out.append(ClassCounts(x=x, override_primes=ops, classes=classes))
+    return out
 
 
-def _small_coprime_ranks(x, k, tables) -> tuple[np.ndarray, np.ndarray]:
-    """The squarefree d <= x**(1/k) and the pairs (d, m) of each (float64).
+def _small_coprime_ranks(xs, k, tables) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per x of the int64 array xs: the squarefree d <= x**(1/k) and the
+    pairs (d, m) of each (float64).
 
     n = d*m with d**k <= n <= x means m in [d**(k-1), x // d], so d adds
-    Q(x // d; d) - Q(d**(k-1) - 1; d) pairs; both ranks of every d come
-    from one call.
+    Q(x // d; d) - Q(d**(k-1) - 1; d) pairs; both ranks of every d at
+    every x come from one call.
     """
-    k = min(k, x.bit_length())  # a larger k also leaves d = 1 alone; keeps k - 1 an int64
-    d = np.flatnonzero(tables.key[: integer_kth_root(x, k) + 1] < NOT_SQUAREFREE).astype(np.int64)
+    k = min(k, int(xs.max()).bit_length())  # a larger k also leaves d = 1 alone; keeps k - 1 an int64
+    roots = [integer_kth_root(x, k) for x in xs.tolist()]
+    squarefree = np.flatnonzero(tables.key[: max(roots) + 1] < NOT_SQUAREFREE).astype(np.int64)
+    lengths = np.searchsorted(squarefree, roots, side="right")
+    d = np.concatenate([squarefree[:n] for n in lengths])
     ranks = coprime_squarefree_counts(
-        np.concatenate([x // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
+        np.concatenate([np.repeat(xs, lengths) // d, d ** (k - 1) - 1]), np.concatenate([d, d]), tables
     ).reshape(2, -1)
     pairs = (ranks[0] - ranks[1]).astype(np.float64)
     for arr in (d, pairs):
         arr.setflags(write=False)
-    return d, pairs
+    cuts = np.cumsum(lengths)[:-1]
+    return list(zip(np.split(d, cuts), np.split(pairs, cuts)))
 
 
 # Small-count entries a table keeps in SieveTables.memo (the series entry
@@ -295,24 +339,42 @@ def weighted_total(counts: ClassCounts, w: PrimeWeight) -> Fraction:
     """Exact rational value of the weighted aggregate.
 
     Weights are taken at their exact binary-float values, so algebraic
-    identities between aggregates hold with no rounding at all.
+    identities between aggregates hold with no rounding at all.  Each
+    value is m / 2**e with integers m and e >= 0, so the value of class
+    (omega, flags), base**(omega - |flags|) times the overrides at the
+    flags, is an integer product of mantissas over a power of two, and
+    _dyadic_total adds the classes up as integers.
     """
     missing = set(w.overrides) - set(counts.override_primes)
     if missing:
         raise DomainError(
             f"counts were built without override primes {sorted(missing)}"
         )
-    base = Fraction(w.base_c)
-    ov = [Fraction(w.value_at(p)) for p in counts.override_primes]
-    total = Fraction(0)
+    base_m, base_e = _dyadic(w.base_c)
+    ov = [_dyadic(w.value_at(p)) for p in counts.override_primes]
+    terms = []
     for (om, fl), count in counts.classes.items():
         free = om - fl.bit_count()
-        val = base**free if free else Fraction(1)
-        for i, vf in enumerate(ov):
+        m, e = base_m**free, base_e * free
+        for i, (vm, ve) in enumerate(ov):
             if fl >> i & 1:
-                val *= vf
-        total += count * val
-    return total
+                m, e = m * vm, e + ve
+        terms.append((count * m, e))
+    return _dyadic_total(terms)
+
+
+def _dyadic(v: float) -> tuple[int, int]:
+    """(m, e) with v == m / 2**e exactly and e >= 0 (v finite)."""
+    m, d = v.as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def _dyadic_total(terms) -> Fraction:
+    """The sum of m / 2**e over the (m, e) of terms, as one Fraction: every
+    m is shifted to the largest e and the integers are added."""
+    terms = list(terms)
+    top = max((e for _, e in terms), default=0)
+    return Fraction(sum(m << (top - e) for m, e in terms), 1 << top)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +633,20 @@ def _exact_floats(bins: np.ndarray) -> list:
 
 
 def fsum_nonnegative(t: np.ndarray) -> float:
-    """math.fsum(t) for finite t >= 0 with a finite sum, the total of _prefix_fsum.
+    """math.fsum(t) for t >= 0, the total of _prefix_fsum.
 
     The same two extractions split t: the sums of the two extracted parts
     are exact in any order, and np.sum of the residual errs by no more than
     its cumsum, so the total is rounded from both ends of the same error
-    interval; math.fsum decides where the two roundings differ.
+    interval; math.fsum decides where the two roundings differ.  A t whose
+    float total is infinite (an infinite term, or a sum that overflows)
+    goes to math.fsum at once, which returns inf or raises OverflowError.
     """
     total = float(np.sum(t))
     if total == 0.0:
         return 0.0
+    if total == inf:
+        return fsum(t)
     a, b, bound = _extraction_grid(len(t), total)
     buffers = np.empty((3, min(len(t), _SERIES_BLOCK)))
     sums = [0.0, 0.0, 0.0]

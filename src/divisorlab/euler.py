@@ -4,18 +4,17 @@ The two product constants are evaluated as compensated sums of
 log-factors over sieved primes, exponentiated once, and carry an analytic
 bound on the omitted tail so different truncations can be compared
 honestly.  The exact Selberg sums that the predictors are checked against
-weight the omega-class counts in exact rationals (unweighted) or sum the
+weight the omega-class counts exactly (unweighted) or sum the
 per-integer weight terms of divisor_sums (weighted).
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .divisor_sums import _weight_terms, fsum_nonnegative
+from .divisor_sums import _dyadic, _dyadic_total, _weight_terms, fsum_nonnegative
 from .errors import DomainError, RangeError
 from .sieve import SieveTables, omega_class_counts, primes_up_to
 
@@ -169,12 +168,12 @@ def _check_predict_args(x: float, c: float) -> None:
 def selberg_exact(x: int, z: float, weighted: bool, tables: SieveTables) -> float:
     """Exact sum over squarefree n <= x of z**omega(n), optionally times g(n).
 
-    Unweighted sums weight the omega-class counts by z**j in exact
-    rationals and round once, for every z.  The weighted variant (g(n) =
-    prod p/(p+1) over p | n) is the correctly rounded sum of its float
-    terms, which divisor_sums._weight_terms builds as it builds the
-    h_series terms: base z, no overrides.  The one-point case of
-    _selberg_sums.
+    Unweighted sums weight the omega-class counts by z**j exactly, as
+    divisor_sums weights its class counts (_dyadic_total), and round once,
+    for every z.  The weighted variant (g(n) = prod p/(p+1) over p | n) is
+    the correctly rounded sum of its float terms, which
+    divisor_sums._weight_terms builds as it builds the h_series terms:
+    base z, no overrides.  The one-point case of _selberg_sums.
     """
     return _selberg_sums([x], z, weighted, tables)[0]
 
@@ -189,6 +188,10 @@ def _selberg_sums(xs: list[int], z: float, weighted: bool, tables: SieveTables) 
         if not 1 <= x <= tables.limit:
             raise RangeError(f"x={x} outside table range 1..{tables.limit}")
     if not weighted:
-        return [float(sum(c * Fraction(z) ** j for j, c in omega_class_counts(x, tables).items())) for x in xs]
+        zm, ze = _dyadic(z)
+        return [
+            float(_dyadic_total((c * zm**j, ze * j) for j, c in omega_class_counts(x, tables).items()))
+            for x in xs
+        ]
     terms = _weight_terms(max(xs), z, {}, tables)
     return [fsum_nonnegative(terms[: x + 1]) for x in xs]

@@ -69,15 +69,20 @@ def ratio_convergence(
     """Small-to-full ratio along an x grid, judged against k**(-c).
 
     overrides sets the weight at finitely many primes, as in PrimeWeight;
-    the target stays k**(-c).  Pass requires |R - k^-c| non-increasing
-    over the last three grid points and the final R within 15% of k^-c.
+    the target stays k**(-c).  The full and the small counts of all grid
+    points come from one kernel call each.  Pass requires |R - k^-c|
+    non-increasing over the last three grid points and the final R within
+    15% of k^-c.
     The implied comparison constant s_full/s_small is reported against 2
     (informational only).
     """
     xs = _check_grid(x_grid, tables, min_points=4)
     w = PrimeWeight(c, overrides or {}, k_context=k, strict_mode=strict)
     target = float(k) ** (-c)
-    reports = [dsums.ratio(x, k, w, tables) for x in xs]
+    ops = w.override_primes()
+    full = dsums._full_counts_along(xs, ops, tables)
+    small = dsums._small_counts_along(xs, k, ops, tables)
+    reports = [dsums.ratio_from_counts(f, s, k, w) for f, s in zip(full, small)]
     observed = [r.ratio for r in reports]
     errors = [abs(r - target) for r in observed]
     final_ok = abs(observed[-1] - target) <= 0.15 * target

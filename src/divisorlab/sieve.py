@@ -429,17 +429,17 @@ def build_sieve(limit: int) -> SieveTables:
     return SieveTables(limit=limit, key=key)
 
 
-def smallest_prime_factors(a: int, b: int, roots: np.ndarray) -> np.ndarray:
-    """spf[n - a], the smallest prime factor of n, for n in [a, b) (uint32).
+def smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m], the smallest prime factor of m, for m in [0, n] (uint32).
 
-    0, 1 and the primes keep spf[n] = n.  roots holds at least the primes
-    up to isqrt(b - 1), ascending; they strike their multiples from p*p on
-    in descending order, so each n ends with its smallest prime.
-    coprime_squarefree_counts reads the primes of its d from it.
+    0, 1 and the primes keep spf[m] = m.  The primes up to isqrt(n)
+    strike their multiples from p*p on in descending order, so each m ends
+    with its smallest prime.  coprime_squarefree_counts reads the primes
+    of its d from it.
     """
-    spf = np.arange(a, b, dtype=np.uint32)
-    for p in roots[: np.searchsorted(roots, isqrt(b - 1), side="right")][::-1].tolist():
-        spf[max(p * p, -(-a // p) * p) - a :: p] = p
+    spf = np.arange(n + 1, dtype=np.uint32)
+    for p in primes_up_to(isqrt(n))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf
 
 
@@ -495,29 +495,41 @@ def coprime_squarefree_counts(y, d, tables: SieveTables) -> np.ndarray:
 
     with Q = SieveTables.squarefree_rank and lambda(a) = (-1)**Omega(a).
     The a come from _slot_multiples, slot j of entry i holding the j-th
-    smallest prime of d_i.
+    smallest prime of d_i, _COPRIME_GROUP entries at a time.
     """
     y, d = np.broadcast_arrays(np.asarray(y, dtype=np.int64), np.asarray(d, dtype=np.int64))
     shape = y.shape
     y, d = y.ravel(), d.ravel()
+    out = np.zeros(len(y), dtype=np.int64)
     if len(y) == 0:
-        return np.zeros(shape, dtype=np.int64)
+        return out.reshape(shape)
     if y.max() > tables.limit or not 1 <= d.min() <= d.max() <= tables.limit:
         raise RangeError(f"y or d outside table range 1..{tables.limit}")
     if (tables.key[d] >= NOT_SQUAREFREE).any():
         raise DomainError("every d must be squarefree")
-    spf = smallest_prime_factors(0, d.max() + 1, primes_up_to(isqrt(d.max())))
+    spf = smallest_prime_factors(int(d.max()))
 
     def slots(rem):  # the primes of each rem, ascending
         while (p := spf[rem].astype(np.int64)).max() > 1:
             rem = rem // p
             yield p
 
-    owner, quot, omega, _ = _slot_multiples(y, slots(d))
-    # The terms of entry i add up in size to at most y_i * (1 + ln y_i) <
-    # 2**53 (y_i <= 2**31), so every float partial sum is an exact integer.
-    terms = (tables.squarefree_rank(quot) * (1 - 2 * (omega & 1))).astype(np.float64)
-    return np.bincount(owner, weights=terms, minlength=len(y)).astype(np.int64).reshape(shape)
+    for lo in range(0, len(y), _COPRIME_GROUP):
+        part = slice(lo, lo + _COPRIME_GROUP)
+        owner, quot, omega, _ = _slot_multiples(y[part], slots(d[part]))
+        # The terms of entry i add up in size to at most y_i * (1 + ln y_i) <
+        # 2**53 (y_i <= 2**31), so every float partial sum is an exact integer.
+        terms = (tables.squarefree_rank(quot) * (1 - 2 * (omega & 1))).astype(np.float64)
+        out[part] = np.bincount(owner, weights=terms, minlength=len(out[part]))
+    return out.reshape(shape)
+
+
+# Entries per expansion of coprime_squarefree_counts.  The terms of a
+# group, and so its temporaries, then stay below the size from which malloc
+# maps fresh pages for an array (128 KB by default) and the groups reuse
+# the heap's pages: the small counts at k = 2 near 1e7 expand 85.7k terms
+# in all, the first 256 entries (the smallest d, the largest y) about 10k.
+_COPRIME_GROUP = 256
 
 
 def _slot_multiples(y: np.ndarray, slots, most: int = 63) -> tuple[np.ndarray, ...]:

@@ -2,7 +2,9 @@
 
 These are the earlier production routes and the per-value references:
 - the sieve fills omega with one strided pass per prime up to limit/2 and
-  strikes the multiples of each p*p for the squarefree flag, and the g
+  strikes the multiples of each p*p for the squarefree flag, from primes
+  read off a smallest-prime-factor table that fills each entry once
+  (loop_smallest_prime_factors), and the g
   table multiplies in one factor per prime up to upper; mu_of and
   omega_of read mu and omega back off a table's key;
 - the e table (criterion 04's sums of 1/sqrt(d) over the divisors d) is
@@ -16,6 +18,8 @@ These are the earlier production routes and the per-value references:
   every n from one strided pass per prime;
 - the inverse of the prime split (compose_decomposition), which must
   give the counts back;
+- the weighting of class counts as a running Fraction sum
+  (weighted_total_fractions, selberg_fractions);
 - the omega classes are a bincount of omega gathered over a length-x
   squarefree mask, and the (omega, flags) histogram counts one key per
   n <= x, block by block (blocked_omega_flag_histogram), or reads the
@@ -37,6 +41,7 @@ These are the earlier production routes and the per-value references:
 
 import math
 from collections import Counter
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -47,17 +52,22 @@ from divisorlab.weights import PrimeWeight, g_table
 from divisorlab.sieve import NOT_SQUAREFREE, SieveTables, factor_squarefree, primes_up_to, superset_sums
 
 
-def loop_build_sieve(limit: int) -> SieveTables:
+def loop_smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] for n = 0..limit (uint32); 0, 1 and the primes are their own."""
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    root = isqrt(limit)
-    for p in range(2, root + 1):
+    for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
             seg = spf[p * p :: p]
             seg[seg == 0] = p
     # Untouched entries are 0, 1 and the primes: each is its own spf.
     rest = np.flatnonzero(spf == 0)
     spf[rest] = rest
+    return spf
 
+
+def loop_build_sieve(limit: int) -> SieveTables:
+    spf = loop_smallest_prime_factors(limit)
+    root = isqrt(limit)
     idx = np.arange(limit + 1, dtype=np.uint32)
     is_prime = (spf == idx) & (idx >= 2)
     primes = np.flatnonzero(is_prime)
@@ -254,6 +264,26 @@ def compose_decomposition(part_with_p: ClassCounts, part_without_p: ClassCounts,
     for (om, fl), count in part_without_p.classes.items():
         classes[(om, fl)] += count
     return ClassCounts(x=part_with_p.x, override_primes=ops, classes=dict(classes))
+
+
+def weighted_total_fractions(counts: ClassCounts, w: PrimeWeight) -> Fraction:
+    """The weighted aggregate as a running Fraction sum, one class at a time."""
+    base = Fraction(w.base_c)
+    ov = [Fraction(w.value_at(p)) for p in counts.override_primes]
+    total = Fraction(0)
+    for (om, fl), count in counts.classes.items():
+        free = om - fl.bit_count()
+        val = base**free if free else Fraction(1)
+        for i, vf in enumerate(ov):
+            if fl >> i & 1:
+                val *= vf
+        total += count * val
+    return total
+
+
+def selberg_fractions(x: int, z: float, tables: SieveTables) -> float:
+    """The unweighted Selberg sum at x: the omega classes times Fraction(z)**j, rounded once."""
+    return float(sum(c * Fraction(z) ** j for j, c in omega_class_counts_masked(x, tables).items()))
 
 
 def omega_class_counts_masked(x, tables) -> dict[int, int]:

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -217,7 +218,7 @@ spread_override_sets = st.lists(
 @example(x=2**19 + 1, ops=tuple(DIFF_PRIMES[:8]))  # Omega(b) > 9 in reach: 2**10 <= x
 @example(x=99991, ops=(2, 199999))
 def test_full_count_spread_equals_bin_by_bin_loop(x, ops):
-    got = ds._full_omega_identity(x, ops, DIFF_TABLES)
+    (got,) = ds._full_omega_identity(np.array([x]), ops, DIFF_TABLES)
     want = oracle.spread_histogram(oracle.blocked_omega_flag_histogram(x, ops, DIFF_TABLES))
     assert got == dict(want)
     assert all(type(v) is int and type(om) is int and type(fl) is int for (om, fl), v in got.items())
@@ -357,6 +358,56 @@ def test_memo_keeps_a_bounded_number_of_counts():
     assert ("small", 6, 2) in tables.memo and len(tables.memo) == ds._MEMO_ENTRIES
 
 
+# grids of 1 to 6 points, repeats and any order allowed, and up to 4 override
+# primes: small ones, and 524287, above every x drawn
+grid_override_sets = st.lists(
+    st.sampled_from(DIFF_PRIMES[:10] + [int(DIFF_TABLES.primes()[-1])]), max_size=4, unique=True
+).map(tuple)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(xs=st.lists(st.integers(1, 2 * 10**5), min_size=1, max_size=6), k=st.integers(2, 6), ops=grid_override_sets)
+@example(xs=[1, 2, 3, 2 * 10**5], k=2, ops=(2, 3, 5, 7))
+@example(xs=[99991, 7, 99991], k=6, ops=(524287,))
+def test_counts_along_a_grid_equal_per_x_counts(xs, k, ops):
+    tables = DIFF_TABLES
+    tables.memo.clear()
+    full = ds._full_counts_along(xs, ops, tables)
+    small = ds._small_counts_along(xs, k, ops, tables)
+    assert [c.x for c in full] == [c.x for c in small] == xs
+    for x, f, s in zip(xs, full, small):
+        tables.memo.clear()  # the per-x small counts counted afresh
+        assert f == ds.full_class_counts(x, ops, tables)
+        assert s == ds.small_class_counts(x, k, ops, tables)
+
+
+def test_trend_counts_with_one_kernel_call_each():
+    tables = build_sieve(10**5)
+    grid = [1000, 10_000, 50_000, 100_000]
+    with mock.patch.object(ds, "_full_omega_identity", wraps=ds._full_omega_identity) as full, \
+            mock.patch.object(ds, "_small_coprime_ranks", wraps=ds._small_coprime_ranks) as small:
+        rep = ex.ratio_convergence(3, 0.3, grid, tables, overrides={2: 0.0, 7: 0.1})
+        assert full.call_count == small.call_count == 1
+        ex.ratio_convergence(3, 0.2, grid, tables)  # the small counts are kept per (x, k)
+        assert full.call_count == 2 and small.call_count == 1
+    w = PrimeWeight(0.3, {2: 0.0, 7: 0.1}, k_context=3)
+    assert rep.observed == [ds.ratio(x, 3, w, tables).ratio for x in grid]
+
+
+def test_small_counts_at_k2_near_1e7_stay_small(tables_large):
+    # about 1.6 MiB traced; one expansion of all 85.7k terms held 5.3 MiB
+    x = 9_982_270
+    tables_large.squarefree_rank(np.array([x]))  # the index is built once per table
+    tables_large.memo.pop(("small", x, 2), None)
+    tracemalloc.start()
+    try:
+        ds.small_class_counts(x, 2, (), tables_large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
 def test_weight_one_total_counts_all_pairs(tables_small):
     x = 2000
     counts = ds.full_class_counts(x, (), tables_small)
@@ -397,6 +448,47 @@ def test_weighted_total_rejects_missing_override(tables_small):
     w = PrimeWeight(0.3, {2: 0.1}, k_context=3)
     with pytest.raises(DomainError):
         ds.weighted_total(counts, w)
+
+
+# weights at their edges: both zeros, subnormals, the smallest normal and a
+# value whose fifteenth power is far beyond any float
+edge_weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-320, 2.2250738585072014e-308, 1e200, 0.3, 1.0]),
+    st.floats(0.0, 1e200),
+)
+
+
+@st.composite
+def weighted_counts(draw):
+    """Class counts over up to 16 override primes with omega <= 15, and a
+    weight at edge values over a subset of those primes."""
+    r = draw(st.integers(0, 16))
+    ops = tuple(DIFF_PRIMES[:r])
+    classes = {}
+    for _ in range(draw(st.integers(0, 40))):
+        flags = draw(st.integers(0, (1 << r) - 1))
+        if flags.bit_count() > 15:
+            flags &= flags - 1
+        classes[draw(st.integers(flags.bit_count(), 15)), flags] = draw(st.integers(0, 2**62))
+    named = draw(st.lists(st.booleans(), min_size=r, max_size=r))
+    overrides = {p: draw(edge_weights) for p, on in zip(ops, named) if on}
+    w = PrimeWeight(draw(edge_weights), overrides, strict_mode=False)
+    return ds.ClassCounts(x=1, override_primes=ops, classes=classes), w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=weighted_counts())
+@example(case=(
+    ds.ClassCounts(x=1, override_primes=tuple(DIFF_PRIMES[:16]),
+                   classes={(15, 2**15 - 1): 3, (15, 2**16 - 2): 2**62, (15, 0): 1, (0, 0): 7}),
+    PrimeWeight(1e200, {p: v for p, v in zip(DIFF_PRIMES[:16], [0.0, -0.0, 5e-324, 1e200] * 4)},
+                strict_mode=False),
+))
+def test_dyadic_weighting_equals_the_fraction_oracle(case):
+    counts, w = case
+    got = ds.weighted_total(counts, w)
+    assert type(got) is Fraction
+    assert got == oracle.weighted_total_fractions(counts, w)
 
 
 def test_zero_weight_counts_only_unit_divisor(tables_small):
@@ -529,6 +621,19 @@ def test_overflowing_terms_make_the_cumulative_series_inf_from_there(tables_smal
         assert ds.fsum_nonnegative(terms) == math.inf
     assert H[:6].tolist() == [math.fsum(terms[: j + 1]) for j in range(6)]
     assert np.all(H[6:] == math.inf)
+
+
+def test_infinite_terms_sum_without_an_invalid_value(tables_small):
+    # an infinite term goes to math.fsum before the extractions, which would
+    # subtract inf from inf; only the weight's own overflow at n = 6 warns
+    w = PrimeWeight(0.3, {2: 1e200, 3: 1e200}, strict_mode=False)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        terms = ds._series_terms(1000, w, 5, tables_small)
+        assert ds.h_series(1000, w, 5, tables_small) == math.fsum(terms) == math.inf
+        assert ds.fsum_nonnegative(terms) == math.inf
+        with pytest.raises(OverflowError):  # finite terms whose sum overflows, as math.fsum
+            ds.fsum_nonnegative(np.array([1.5e308, 1.5e308]))
 
 
 def test_held_series_is_read_only(tables_small):

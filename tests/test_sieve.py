@@ -108,9 +108,11 @@ def test_is_prime_matches_trial_division():
     "a, b", [(0, 2), (0, 100), (2, 3), (97, 98), (1000, 1300), (2**18 - 7, 2**18 + 600)]
 )
 def test_smallest_prime_factors_of_a_segment(a, b):
-    spf = sieve.smallest_prime_factors(a, b, primes_up_to(math.isqrt(b)))
+    # the table on [0, b - 1] against the loop oracle, and its segment [a, b) by trial division
+    spf = sieve.smallest_prime_factors(b - 1)
     assert spf.dtype == np.uint32
-    assert spf.tolist() == [n if n < 2 else trial_factor(n)[0] for n in range(a, b)]
+    assert np.array_equal(spf, oracle.loop_smallest_prime_factors(b - 1))
+    assert spf[a:].tolist() == [n if n < 2 else trial_factor(n)[0] for n in range(a, b)]
 
 
 def test_omega_30(tables_small):
@@ -286,6 +288,21 @@ def test_coprime_counts_shapes_and_validation(tables_small):
         coprime_squarefree_counts(10**4 + 1, 6, tables_small)
     with pytest.raises(RangeError):
         coprime_squarefree_counts(100, 0, tables_small)
+
+
+@pytest.mark.parametrize("entries", [sieve._COPRIME_GROUP + e for e in (-1, 0, 1)] + [2 * sieve._COPRIME_GROUP + 1])
+def test_grouped_coprime_counts_equal_one_group_and_the_oracle(tables_small, entries):
+    # one group short of, at and past the bound, and two groups and one entry
+    rng = np.random.default_rng(entries)
+    squarefree = np.flatnonzero(mu_of(tables_small)[:2311])
+    d = rng.choice(squarefree, entries)
+    d[:2] = 1, 2310  # no prime, and the five smallest
+    y = rng.integers(-2, tables_small.limit + 1, entries)
+    got = coprime_squarefree_counts(y, d, tables_small)
+    with mock.patch.object(sieve, "_COPRIME_GROUP", entries):
+        whole = coprime_squarefree_counts(y, d, tables_small)
+    want = [squarefree_coprime_count(int(b), int(m), tables_small) if b >= 1 else 0 for b, m in zip(y, d)]
+    assert got.tolist() == whole.tolist() == want
 
 
 # slot primes: small ones, which have many multiples below y, and two above every y drawn
