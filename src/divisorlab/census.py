@@ -13,6 +13,7 @@ produces evidence.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .divisor_sums import integer_kth_root
 from .errors import DomainError, InsufficientPopulationError, RangeError
 from .sieve import SieveTables, factor_squarefree, omega_class_counts
 
-_SYNTHETIC_POOL = 18  # primes that synthetic samples draw from
+# Synthetic samples draw from the first 18 primes, those up to 61.
+_SYNTHETIC_POOL, _SYNTHETIC_TOP = 18, 61
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,24 @@ class CensusSummary:
 def census(n: int, k: int, tables: SieveTables) -> CensusRecord:
     """Count the small parts over all k**omega(n) ordered factorizations of squarefree n.
 
-    g_k = k * sum over divisors d of n with d**k <= n of
-    (k-1)**(omega(n)-omega(d)), in exact integers.  The divisors are walked
-    depth first over the ascending primes of n, and a branch stops at the
-    first prime that takes d past the integer k-th root of n.
-
     Raises:
         DomainError: if k < 2, or n is not squarefree or not factorable
             over the table.
         RangeError: if omega(n) > 25.
     """
+    return _census(n, k, factor_squarefree(n, tables))
+
+
+def _census(n: int, k: int, primes: list[int]) -> CensusRecord:
+    """The census of squarefree n, given its distinct primes in ascending order.
+
+    g_k = k * sum over divisors d of n with d**k <= n of
+    (k-1)**(omega(n)-omega(d)), in exact integers.  The divisors are walked
+    depth first over the ascending primes of n, and a branch stops at the
+    first prime that takes d past the integer k-th root of n.
+    """
     if k < 2:
         raise DomainError(f"k={k} must be >= 2")
-    primes = factor_squarefree(n, tables)
     om = len(primes)
     if om > 25:
         raise RangeError(f"omega(n)={om} exceeds the supported 25")
@@ -130,13 +137,19 @@ def census_sample_synthetic(
     sieve limit (the 12-prime primorial is already ~7.4e12).  Each n is a
     product of omega_target primes drawn without replacement from the
     first 18 primes; the pool is fixed so that a seed always yields the
-    same products.
+    same products.  The census reads n's primes from the draw, so n is
+    never factored.
+
+    Raises:
+        RangeError: if the table holds fewer than 18 primes.
     """
     if count < 1:
         raise DomainError(f"count={count} must be >= 1")
     if omega_target < 1:
         raise InsufficientPopulationError("omega_target must be >= 1")
-    pool = _primes_prefix(_SYNTHETIC_POOL, tables)
+    pool = tables.primes(_SYNTHETIC_TOP)
+    if len(pool) < _SYNTHETIC_POOL:
+        raise RangeError(f"table holds only {len(pool)} primes; {_SYNTHETIC_POOL} requested")
     if omega_target > len(pool):
         raise InsufficientPopulationError(
             f"prime pool of {len(pool)} cannot supply omega = {omega_target}"
@@ -144,19 +157,9 @@ def census_sample_synthetic(
     rng = np.random.default_rng(seed)
     records = []
     for _ in range(count):
-        chosen = rng.choice(pool, size=omega_target, replace=False)
-        n = 1
-        for p in chosen:
-            n *= int(p)
-        records.append(census(n, k, tables))
+        primes = sorted(rng.choice(pool, size=omega_target, replace=False).tolist())
+        records.append(_census(prod(primes), k, primes))
     return records, _summarize(records, k, omega_target)
-
-
-def _primes_prefix(count: int, tables: SieveTables) -> np.ndarray:
-    primes = tables.primes()
-    if len(primes) < count:
-        raise RangeError(f"table holds only {len(primes)} primes; {count} requested")
-    return primes[:count]
 
 
 def _summarize(records, k, omega_target) -> CensusSummary:

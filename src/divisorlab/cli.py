@@ -19,9 +19,9 @@ from typing import Callable
 from .census import census, census_sample, census_sample_synthetic
 from . import divisor_sums as dsums
 from . import experiments as ex
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError, RangeError
 from .euler import f0, f1, predict_s_full, predict_s_small
-from .sieve import build_sieve, omega_class_counts
+from .sieve import build_sieve, omega_class_counts, primes_up_to
 from .weights import PrimeWeight
 
 
@@ -89,7 +89,7 @@ class Flag:
 # the JSON "inputs" echo.
 FLAGS = {
     "config": Flag("--config", help="key = value file; flags take precedence"),
-    "limit": Flag("--limit", int, help="sieve extent (default: largest x or named prime needed; "
+    "limit": Flag("--limit", int, help="sieve extent (default: largest x, or --prime or --m-max if larger; "
                   "census --omega: 1000000; census --n N: isqrt(N)+1, at most 1000000; "
                   "sieve-stats: required)"),
     "format": Flag("--format", default="csv", choices=("csv", "json")),
@@ -189,10 +189,6 @@ def _max_x(args) -> int:
     return max(args.x)
 
 
-def _ratio_extent(args) -> int:
-    return max([*args.x, *(p for p, _ in map(_parse_override, args.override))])
-
-
 def _sieve_stats_extent(args) -> int:
     if args.limit is None:
         raise ConfigurationError("sieve-stats requires --limit")
@@ -225,6 +221,15 @@ def _run_ratio(args, tables, out):
     overrides = dict(map(_parse_override, args.override))
     if len(overrides) < len(args.override):
         raise ConfigurationError(f"--override gives a prime more than once: {args.override}")
+    PrimeWeight(args.c, overrides, k_context=args.k, strict_mode=args.strict)  # checks every value
+    # A named prime above the table divides no counted n: check it by trial
+    # division, and leave it out of the weight the library gets.
+    for p in [p for p in overrides if p > tables.limit]:
+        if p > 2**31:
+            raise RangeError(f"override prime {p} beyond the supported 2**31")
+        if (p % primes_up_to(isqrt(p)) == 0).any():
+            raise DomainError(f"override key {p} is not prime")
+        del overrides[p]
     w = PrimeWeight(args.c, overrides, k_context=args.k, strict_mode=args.strict)
     if len(xs) >= 4:
         rep = ex.ratio_convergence(args.k, args.c, xs, tables,
@@ -342,7 +347,7 @@ COMMANDS = {
     "ratio": Command(
         "small/full divisor-sum ratio (trend if --x repeated)",
         ("x", "k", "c", "override"), ("x",),
-        ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _ratio_extent, _run_ratio),
+        ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _max_x, _run_ratio),
     "monotone": Command(
         "ratio as a function of the weight at one prime",
         ("x", "k", "c", "prime", "v"), ("x", "prime"),

@@ -32,6 +32,7 @@ import mmap
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt, prod
 
 import numpy as np
@@ -94,22 +95,13 @@ class SieveTables:
         """Whether p is a prime <= limit; p < 2 is not (key[-1] is key[limit])."""
         return bool(2 <= p <= self.limit and self.key[p] == 1)
 
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64, read-only).
+    def primes(self, n: int) -> np.ndarray:
+        """The primes <= min(n, limit), ascending (int64), read off the key.
 
-        Read off the key on the first call, chunk by chunk, and kept
-        on the instance, so a table that is never asked for its primes
-        holds no prime list.
+        A fresh array per call: the table keeps no prime list, so a caller
+        pays only for the prefix of the key it asks for.
         """
-        primes = self.__dict__.get("_primes")
-        if primes is None:
-            primes = np.concatenate([
-                a + np.flatnonzero(self.key[a:b] == 1)
-                for a, b in chunks(2, self.limit + 1)
-            ]).astype(np.int64, copy=False)
-            primes.setflags(write=False)
-            self.__dict__["_primes"] = primes  # frozen: bypass __setattr__
-        return primes
+        return np.flatnonzero(self.key[: min(max(n, 0), self.limit) + 1] == 1).astype(np.int64, copy=False)
 
     def squarefree_rank(self, y: np.ndarray) -> np.ndarray:
         """Q(y), the number of squarefree n <= y, at every entry of y (int64).
@@ -215,26 +207,26 @@ class SieveTables:
         return at
 
     def _index(self, band: bool) -> tuple:
-        """The table's band or squarefree rows, built on the first call and kept.
+        """The table's band or squarefree rows, built on the first call and kept."""
+        return self._band_rows if band else self._squarefree_rows
 
-        RangeError first if they would not fit in the available memory.
-        """
+    # Each row set, and the value range that one read of the key gives both.
+    _squarefree_rows = cached_property(lambda self: self._build_rows(band=False))
+    _band_rows = cached_property(lambda self: self._build_rows(band=True))
+    _row_span = cached_property(lambda self: _value_range(self.key))
+
+    def _build_rows(self, band: bool) -> tuple:
+        """One row set; RangeError first if it would not fit in the available memory."""
         name = "band rows" if band else "squarefree rows"
-        index = self.__dict__.get(name)
-        if index is None:
-            if "value range" not in self.__dict__:  # one read of the key serves both sets
-                self.__dict__["value range"] = _value_range(self.key)  # frozen: bypass __setattr__
-            lo, hi = self.__dict__["value range"]
-            need = _index_bytes(self.limit, hi - lo + 1, band)
-            have = _available_bytes()
-            if have is not None and need > have:
-                raise RangeError(
-                    f"the {name} of a {self.limit} table need about "
-                    f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
-                )
-            index = _build_index(self.key, lo, hi, band)
-            self.__dict__[name] = index  # frozen: bypass __setattr__
-        return index
+        lo, hi = self._row_span
+        need = _index_bytes(self.limit, hi - lo + 1, band)
+        have = _available_bytes()
+        if have is not None and need > have:
+            raise RangeError(
+                f"the {name} of a {self.limit} table need about "
+                f"{need / 2**20:.0f} MB; {have / 2**20:.0f} MB available"
+            )
+        return _build_index(self.key, lo, hi, band)
 
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:
@@ -450,10 +442,10 @@ def distinct_primes(n: int, tables: SieveTables) -> list[int]:
 
 
 def _trial_divide(m: int, tables: SieveTables) -> list[int]:
-    """The primes p of tables.primes() dividing m >= 1, ascending, then the
-    cofactor left (if > 1) once p*p exceeds it or the primes run out."""
+    """The primes p <= sqrt(m) of the table dividing m >= 1, ascending, then
+    the cofactor left (if > 1) once p*p exceeds it or the primes run out."""
     primes = []
-    for p in map(int, tables.primes()):
+    for p in tables.primes(isqrt(m)).tolist():
         if p * p > m:
             break
         if m % p == 0:

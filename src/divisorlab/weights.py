@@ -68,8 +68,9 @@ class PrimeWeight:
 def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     """Table of g(m) = prod p/(p+1) over the distinct primes p of m, m = 0..upper.
 
-    out[0] = out[1] = 1.  The primes up to sqrt(upper) multiply into their
-    multiples in ascending order.  The first few, whose product W fits in
+    out[0] = out[1] = 1.  The primes up to upper are read off the table's
+    key, and those up to sqrt(upper) multiply into their multiples in
+    ascending order.  The first few, whose product W fits in
     a block (W = 30030 once upper >= 169), do so once, into a wheel of W
     entries that the table repeats: each divides m exactly when it
     divides m mod W.  An m <= upper has at most one prime P
@@ -88,9 +89,9 @@ def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     """
     if upper > tables.limit:
         raise RangeError(f"upper={upper} beyond table limit")
-    primes, root = tables.primes(), isqrt(upper)
-    cut, end = np.searchsorted(primes, [root, upper], side="right")
-    factor = primes[:end] / (primes[:end] + 1.0)
+    primes, root = tables.primes(upper), isqrt(upper)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    factor = primes / (primes + 1.0)
     # the wheel: the first k root primes, whose product fits in a block
     k = int(np.searchsorted(np.log(primes[:cut]).cumsum(), np.log(_SERIES_BLOCK), side="right"))
     wheel = np.ones(int(np.prod(primes[:k])))
@@ -100,7 +101,7 @@ def g_table(upper: int, tables: SieveTables) -> np.ndarray:
     out[0] = 1.0
     for p, f in zip(primes[k:cut].tolist(), factor[k:cut].tolist()):
         out[p::p] *= f
-    big, f_big = primes[cut:end], factor[cut:]
+    big, f_big = primes[cut:], factor[cut:]
     s = np.arange(1, root + 1)
     first = np.searchsorted(big, -(-(root + 1) // s))
     for lo in range((root + 1) // _SERIES_BLOCK * _SERIES_BLOCK, upper + 1, _SERIES_BLOCK):

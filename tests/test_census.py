@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from divisorlab.census import (
 )
 from divisorlab.divisor_sums import integer_kth_root
 from divisorlab.errors import DomainError, InsufficientPopulationError, RangeError
+from divisorlab.experiments import prop32_scan
 from divisorlab.sieve import NOT_SQUAREFREE, build_sieve, factor_squarefree, primes_up_to
 from loop_oracles import census_population, count_small_parts_walk
 
@@ -110,7 +112,7 @@ def test_census_of_a_billion_factorizations(tables_medium):
 
 
 def test_census_omega_cap(tables_small):
-    n = math.prod(int(p) for p in tables_small.primes()[:26])
+    n = math.prod(int(p) for p in tables_small.primes(tables_small.limit)[:26])
     with pytest.raises(RangeError, match="omega"):
         census(n, 2, tables_small)
 
@@ -226,6 +228,43 @@ def test_synthetic_sample_deterministic(tables_small):
 def test_synthetic_pool_guard(tables_small):
     with pytest.raises(InsufficientPopulationError):
         census_sample_synthetic(19, 3, 2, 1, tables_small)
+
+
+def test_synthetic_records_are_the_census_of_their_products(tables_small):
+    recs, _ = census_sample_synthetic(7, 4, 10, 3, tables_small)
+    assert recs == [census(rec.n, 4, tables_small) for rec in recs]
+
+
+def test_synthetic_pool_needs_the_first_18_primes():
+    with pytest.raises(RangeError, match=r"^table holds only 17 primes; 18 requested$"):
+        census_sample_synthetic(3, 3, 2, 1, build_sieve(60))
+    recs, _ = census_sample_synthetic(18, 2, 1, 1, build_sieve(61))
+    assert recs[0].n == math.prod(primes_up_to(61).tolist())
+    with pytest.raises(DomainError, match="k=1"):
+        census_sample_synthetic(3, 1, 2, 1, build_sieve(61))
+
+
+@pytest.fixture
+def tables_2_24():  # fresh for each scan: a kept prime list would serve the next
+    tables = build_sieve(2**24)
+    tables.squarefree_rank(np.array([tables.limit]))  # the rows, in mappings tracemalloc does not see
+    return tables
+
+
+@pytest.mark.parametrize("scan", [
+    lambda t: prop32_scan(1000, [10**4, 10**6, 2**24], t),
+    lambda t: census_sample(6, 3, 20, 7, t),
+    lambda t: census_sample_synthetic(10, 3, 2, 7, t),
+], ids=["prop32_scan", "census_sample", "census_sample_synthetic"])
+def test_pointwise_scans_read_only_the_primes_they_need(tables_2_24, scan):
+    # the table's 1,077,871 primes would take 8.6 MB as one list
+    tracemalloc.start()
+    try:
+        scan(tables_2_24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_census_submodule_is_not_shadowed_by_the_function():

@@ -407,7 +407,7 @@ def test_gamma_lemma_h_table_limit_below_n_exits_one(capsys):
 
 
 @pytest.mark.parametrize("argv, prime", [
-    (["ratio", "--x", "100", "--override", "101=0.1"], 101),
+    (["adbc", "--x", "100", "--prime", "101"], 101),
     (["monotone", "--x", "5", "--prime", "7"], 7),
     (["adbc", "--x", "10", "--prime", "11", "--k", "2"], 11),
     (["gamma-lemma", "--n", "1000", "--f", "h_table", "--prime", "1009"], 1009),
@@ -421,7 +421,7 @@ def test_named_primes_size_the_table(capsys, argv, prime):
     assert f"below required extent {prime}" in err
 
 
-def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
+def record_limits(monkeypatch):
     limits = []
 
     def recording_build(limit):
@@ -429,6 +429,42 @@ def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
         return build_sieve(limit)
 
     monkeypatch.setattr(cli, "build_sieve", recording_build)
+    return limits
+
+
+@pytest.mark.parametrize("xs", [["100"], ["100", "200", "300", "400"]])
+def test_override_prime_above_the_table_is_left_out(capsys, monkeypatch, xs):
+    # 1009 and 100000007 divide no n <= 400: the table stops at max(x), and
+    # the rows are those of a table that reaches the key, or of no override
+    limits = record_limits(monkeypatch)
+    argv = ["ratio", *(a for x in xs for a in ("--x", x)), "--k", "3", "--c", "0.3"]
+    for fmt in ("csv", "json"):
+        def rows(*extra):
+            code, out, err = run(capsys, *argv, *extra, "--format", fmt)
+            assert code == 0, err
+            return json.loads(out)["rows"] if fmt == "json" else out
+
+        near = ("--override", "2=0.1", "--override", "1009=0.2")
+        assert rows(*near) == rows(*near, "--limit", "1009")
+        assert rows("--override", "100000007=0.1") == rows()
+    top = int(xs[-1])
+    assert limits == [top, 1009, top, top] * 2
+
+
+@pytest.mark.parametrize("key, message", [
+    ("91", "override key 91 is not prime"),  # in the table
+    ("1007", "override key 1007 is not prime"),  # 19 * 53, above it
+    ("100000006", "override key 100000006 is not prime"),
+    ("2147483659", "override prime 2147483659 beyond the supported 2**31"),  # a prime
+])
+def test_override_key_above_the_table_is_checked(capsys, key, message):
+    code, out, err = run(capsys, "ratio", "--x", "100", "--override", f"{key}=0.1")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_census_by_n_builds_a_table_to_its_root(capsys, monkeypatch):
+    limits = record_limits(monkeypatch)
     code, out, _ = run(capsys, "census", "--n", "30030", "--k", "3")
     assert code == 0
     assert out.splitlines()[1] == "30030,3,6,729,1128,1.5473251028806585"

@@ -151,7 +151,7 @@ def test_small_routes_agree_exactly(tables_small, ops):
 DIFF_LIMIT = 2 * 10**4
 # The table reaches 2**19 + 1 for the kernel's block-edge examples.
 DIFF_TABLES = build_sieve(2**19 + 1)
-DIFF_PRIMES = [int(q) for q in DIFF_TABLES.primes() if q <= DIFF_LIMIT]
+DIFF_PRIMES = DIFF_TABLES.primes(DIFF_LIMIT).tolist()
 # small primes flag many n; the rest of the table's primes often lie above x
 override_sets = st.lists(
     st.one_of(st.sampled_from(DIFF_PRIMES[:15]), st.sampled_from(DIFF_PRIMES)),
@@ -203,8 +203,8 @@ def test_histogram_route_wide_keys(r):
 spread_override_sets = st.lists(
     st.one_of(
         st.sampled_from(DIFF_PRIMES[:20]),
-        st.sampled_from([int(q) for q in DIFF_TABLES.primes()]),
-        st.just(int(DIFF_TABLES.primes()[-1])),
+        st.sampled_from(DIFF_TABLES.primes(DIFF_TABLES.limit).tolist()),
+        st.just(int(DIFF_TABLES.primes(DIFF_TABLES.limit)[-1])),
     ),
     max_size=16, unique=True,
 ).map(lambda ops: tuple(sorted(ops)))
@@ -252,7 +252,7 @@ small_override_sets = st.lists(
     st.one_of(
         st.sampled_from(DIFF_PRIMES[:15]),
         st.sampled_from(DIFF_PRIMES),
-        st.just(int(DIFF_TABLES.primes()[-1])),
+        st.just(int(DIFF_TABLES.primes(DIFF_TABLES.limit)[-1])),
     ),
     max_size=4, unique=True,
 ).map(tuple)
@@ -361,7 +361,7 @@ def test_memo_keeps_a_bounded_number_of_counts():
 # grids of 1 to 6 points, repeats and any order allowed, and up to 4 override
 # primes: small ones, and 524287, above every x drawn
 grid_override_sets = st.lists(
-    st.sampled_from(DIFF_PRIMES[:10] + [int(DIFF_TABLES.primes()[-1])]), max_size=4, unique=True
+    st.sampled_from(DIFF_PRIMES[:10] + [int(DIFF_TABLES.primes(DIFF_TABLES.limit)[-1])]), max_size=4, unique=True
 ).map(tuple)
 
 

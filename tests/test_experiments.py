@@ -420,7 +420,7 @@ def test_erdos_kac_distance_rejects_wrong_omega(tables_medium):
     n = np.arange(tables_medium.limit + 1)
     omega = oracle.omega_of(tables_medium).astype(np.int16)
     big_omega = omega.copy()  # prime factors counted with multiplicity
-    for p in tables_medium.primes():
+    for p in tables_medium.primes(tables_medium.limit):
         if p * p > tables_medium.limit:
             break
         q = p * p

@@ -71,7 +71,7 @@ def test_mu_matches_trial_division_oracle(tables_small):
 
 def test_smallest_case():
     t = build_sieve(2)
-    assert t.primes().tolist() == [2]
+    assert t.primes(2).tolist() == [2]
     assert [t.is_prime(n) for n in (-1, 0, 1, 2, 3)] == [False, False, False, True, False]
     assert t.key.tolist() == [NOT_SQUAREFREE, 0, 1]
 
@@ -387,7 +387,7 @@ def test_squarefree_density_classical_bound(tables_small):
 
 def test_build_is_deterministic(tables_small):
     again = build_sieve(10**4)
-    assert np.array_equal(again.primes(), tables_small.primes())
+    assert np.array_equal(again.primes(again.limit), tables_small.primes(tables_small.limit))
     assert np.array_equal(again.key, tables_small.key)
 
 
@@ -414,20 +414,22 @@ def test_primes_up_to():
     assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_primes_built_once_and_read_only():
+def test_primes_are_read_fresh_and_not_kept():
     tables = build_sieve(10**4)
-    first = tables.primes()
-    assert tables.primes() is first
-    assert np.array_equal(first, primes_up_to(10**4))
-    with pytest.raises(ValueError):
-        first[0] = 4
+    first = tables.primes(10**4)
+    assert tables.primes(10**4) is not first
+    first[0] = 4  # the caller's own array
+    assert np.array_equal(tables.primes(10**4), primes_up_to(10**4))
+    assert set(vars(tables)) == {"limit", "key", "memo"}
 
 
 @pytest.mark.parametrize("limit", [2, 3, *EDGE_LIMITS])
 def test_primes_equal_primes_up_to(limit):
-    primes = build_sieve(limit).primes()
-    assert primes.dtype == np.int64
-    assert np.array_equal(primes, primes_up_to(limit))
+    tables = build_sieve(limit)
+    for n in (-1, 0, 1, 2, 3, limit // 3, limit, limit + 1, 2 * limit):
+        primes = tables.primes(n)
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, primes_up_to(min(n, limit))), n
 
 
 def assert_key_is_loops(got):
