@@ -7,6 +7,8 @@ census, and trend-style experiments over doubling ranges -- all grounded
 in exact integer class counts from a shared sieve.
 """
 
+from types import ModuleType as _ModuleType
+
 from .census import (
     CensusRecord,
     CensusSummary,
@@ -69,52 +71,7 @@ from .weights import PrimeWeight
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbcdDecomposition",
-    "CensusRecord",
-    "CensusSummary",
-    "ClassCounts",
-    "ConfigurationError",
-    "DomainError",
-    "EulerConstant",
-    "InsufficientPopulationError",
-    "PrimeWeight",
-    "RangeError",
-    "RatioReport",
-    "SieveTables",
-    "TrendReport",
-    "WEIGHT_ERROR_THRESHOLD",
-    "ZETA2",
-    "abcd",
-    "abcd_from_counts",
-    "build_sieve",
-    "census_sample",
-    "census_sample_synthetic",
-    "counts_for_split",
-    "distinct_primes",
-    "erdos_kac_distance",
-    "erdos_kac_histogram",
-    "f0",
-    "f1",
-    "full_class_counts",
-    "gamma_fn",
-    "gamma_lemma_check",
-    "gaussian_window",
-    "h_series",
-    "h_series_cumulative",
-    "integer_kth_root",
-    "monotonicity_scan",
-    "omega_class_counts",
-    "predict_s_full",
-    "predict_s_small",
-    "prop32_scan",
-    "ratio",
-    "ratio_convergence",
-    "ratio_from_counts",
-    "s_full",
-    "s_small",
-    "selberg_exact",
-    "selberg_trend",
-    "small_class_counts",
-    "weighted_total",
-]
+# The public names are the classes, functions and constants imported above;
+# the submodules that the imports bind are left out.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -89,9 +89,9 @@ class Flag:
 # the JSON "inputs" echo.
 FLAGS = {
     "config": Flag("--config", help="key = value file; flags take precedence"),
-    "limit": Flag("--limit", int, help="sieve extent (default: largest x, or --prime or --m-max if larger; "
-                  "census --omega: 1000000; census --n N: isqrt(N)+1, at most 1000000; "
-                  "sieve-stats: required)"),
+    "limit": Flag("--limit", int, help="sieve extent (default: the largest of x, --prime, --m-max and "
+                  "gamma-lemma's --n; census --omega: 1000000; census --n N: isqrt(N)+1, at most "
+                  "1000000; sieve-stats: required; predict: the largest x it accepts)"),
     "format": Flag("--format", default="csv", choices=("csv", "json")),
     "output": Flag("--output", help="write here instead of stdout"),
     "seed": Flag("--seed", int, 0),
@@ -122,7 +122,8 @@ FLAGS = {
     "weighted": Flag("--weighted", _switch, False, switch=True),
 }
 
-COMMON = ("config", "limit", "format", "output", "seed", "check", "strict")
+# Every run reads these; a subcommand lists the rest, each where it is read.
+COMMON = ("config", "format", "output")
 
 
 def _load_config_file(path: str) -> dict:
@@ -325,11 +326,12 @@ def _run_selberg(args, tables, out):
 class Command:
     """One subcommand.
 
-    `flags` come after the common ones; those in `required` must be on
-    the command line.  `header` names the CSV columns and the JSON row
-    keys.  `extent(args)` gives the sieve limit the run needs, or None when
-    the run builds no table; a command that never builds one has no
-    extent.  `run(args, tables, out)` fills the output.
+    `flags` follow the common ones: each is read by the extent, the
+    runner or `_dispatch`.  Those in `required` must be on the command
+    line.  `header` names the CSV columns and the JSON row keys.
+    `extent(args)` gives the sieve limit the run needs, or None when the
+    run builds no table; a command that never builds one has no extent.
+    `run(args, tables, out)` fills the output.
     """
 
     description: str
@@ -342,19 +344,19 @@ class Command:
 
 COMMANDS = {
     "sieve-stats": Command(
-        "squarefree counts per omega class", (), (),
+        "squarefree counts per omega class", ("limit",), (),
         ("omega", "count"), _sieve_stats_extent, _run_sieve_stats),
     "ratio": Command(
         "small/full divisor-sum ratio (trend if --x repeated)",
-        ("x", "k", "c", "override"), ("x",),
+        ("x", "k", "c", "override", "limit", "check", "strict"), ("x",),
         ("x", "k", "c", "s_full", "s_small", "ratio", "k_pow_neg_c"), _max_x, _run_ratio),
     "monotone": Command(
         "ratio as a function of the weight at one prime",
-        ("x", "k", "c", "prime", "v"), ("x", "prime"),
+        ("x", "k", "c", "prime", "v", "limit", "check"), ("x", "prime"),
         ("v", "ratio", "predicted_ratio"), lambda a: max(*a.x, a.prime), _run_monotone),
     "adbc": Command(
         "prime-split decomposition of both aggregates",
-        ("x", "k", "c", "prime"), ("x", "prime"),
+        ("x", "k", "c", "prime", "limit", "strict"), ("x", "prime"),
         ("A", "B", "C", "D", "ad_minus_bc", "identity_residual_small", "identity_residual_full"),
         lambda a: max(*a.x, a.prime), _run_adbc),
     "euler": Command(
@@ -363,27 +365,27 @@ COMMANDS = {
         ("which", "z", "value", "trunc", "tail_bound"), None, _run_euler),
     "predict": Command(
         "main-term predictors for both aggregates",
-        ("x", "k", "c"), ("x",),
+        ("x", "k", "c", "limit"), ("x",),
         ("x", "k", "c", "predict_s_full", "predict_s_small", "ratio"), None, _run_predict),
     "prop32": Command(
         "error-constant sweep for coprime squarefree counts",
-        ("m_max", "x"), ("x",),
+        ("m_max", "x", "limit", "check"), ("x",),
         ("x", "max_constant", "argmax_m"), lambda a: max(max(a.x), a.m_max), _run_prop32),
     "census": Command(
         "ordered k-fold factorization census",
-        ("n", "k", "omega", "samples", "synthetic"), (),
+        ("n", "k", "omega", "samples", "synthetic", "limit", "seed"), (),
         ("n", "k", "omega", "tau_k", "g_k", "ratio"), _census_extent, _run_census),
     "erdos-kac": Command(
         "normalized distinct-prime-count window mass",
-        ("x", "a", "b"), ("x",),
+        ("x", "a", "b", "limit"), ("x",),
         ("x", "a", "b", "fraction", "normal_mass", "abs_diff", "skipped"), _max_x, _run_erdos_kac),
     "gamma-lemma": Command(
         "f(x) f(N/x) decrease check beyond sqrt(N)",
-        ("bign", "f", "prime", "c", "points"), ("bign",),
+        ("bign", "f", "prime", "c", "points", "limit", "check"), ("bign",),
         ("x", "gamma"), _gamma_lemma_extent, _run_gamma_lemma),
     "selberg": Command(
         "exact omega-power sums vs their predictor",
-        ("x", "z", "weighted"), ("x",),
+        ("x", "z", "weighted", "limit", "check"), ("x",),
         ("x", "observed_over_predictor"), _max_x, _run_selberg),
 }
 
@@ -445,7 +447,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[_Emitter, int]:
             raise ConfigurationError(f"limit={limit} below required extent {needed}")
         tables = build_sieve(max(limit, 2))
     cmd.run(args, tables, out)
-    return out, 2 if args.check and out.verdict == "fail" else 0
+    return out, 2 if getattr(args, "check", False) and out.verdict == "fail" else 0
 
 
 def parse_and_dispatch(argv: list[str]) -> int:

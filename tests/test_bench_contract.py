@@ -5,6 +5,9 @@ but CheckFailed: in set-up, in a round's checks, or while it digests or
 writes a round's results.  A public name removed or renamed, a changed
 signature or return type, or a record that is not JSON does that on any
 path the workloads reach.  This round shows it in the test suite first.
+
+A traced run reports one metric per layer and work counter; the layers
+must be those that BENCHMARK.json declares, and the values strict JSON.
 """
 
 import json
@@ -17,10 +20,11 @@ import pytest
 import divisorlab
 import divisorlab.cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-sys.path.insert(0, str(BENCH))  # the harness imports its modules from there
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))  # the harness imports its modules from there
 
 import run as harness  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -34,3 +38,21 @@ def test_one_round_runs_and_checks_clean(name, tables_large):
     harness.digest(outs)
     assert wl.check(q, outs, tables_large) == 0
     json.dumps(wl.records)
+
+
+def test_traced_metrics_are_the_declared_per_layer_set():
+    # a target that no longer resolves is skipped, and its layer's metrics
+    # then go missing from a traced run's result
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    layers = {layer: 0.01 for layer in tracer.layers}
+    counts = {"pairs": 10, "count_calls": 2, "distinct_requests": 1, "series_terms": 100,
+              "assignments": 8, "primes_calls": 3}
+    rounds = [{"layers": layers, "counts": counts}]
+    metrics = tracing.summarize(tracer.layers, rounds, [(1000, 0.01)], [0.2], [0.1], 1.0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(metrics) == {m["name"] for m in declared}
+    json.dumps(metrics, allow_nan=False)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -284,22 +285,24 @@ def test_predict_cli(capsys):
 RUNS = [
     ("sieve-stats", {"limit": "300"}),
     ("ratio", {"x": ["1000"], "limit": "2000", "k": "2", "c": "0.2",
-               "override": ["2=0.1", "5=0.2"]}),
+               "override": ["2=0.1", "5=0.2"], "check": True, "strict": True}),
     ("monotone", {"x": ["1000"], "prime": "3", "k": "2", "c": "0.2", "v": ["0.1", "0.3"],
-                  "limit": "2000"}),
-    ("adbc", {"x": ["1000"], "prime": "3", "k": "4", "c": "0.1", "limit": "1000"}),
-    ("euler", {"which": "f1", "z": "1.5", "trunc": "1000", "limit": "50"}),
+                  "limit": "2000", "check": True}),
+    ("adbc", {"x": ["1000"], "prime": "3", "k": "4", "c": "0.1", "limit": "1000",
+              "strict": True}),
+    ("euler", {"which": "f1", "z": "1.5", "trunc": "1000"}),
     ("predict", {"x": ["1000", "5000"], "k": "4", "c": "0.2", "limit": "5000"}),
-    ("prop32", {"x": ["1000"], "m_max": "30", "limit": "1500"}),
-    ("census", {"n": "30", "k": "2", "limit": "100"}),
-    ("census", {"omega": "3", "k": "2", "samples": "4", "synthetic": True, "limit": "3000"}),
+    ("prop32", {"x": ["1000"], "m_max": "30", "limit": "1500", "check": True}),
+    ("census", {"n": "30", "k": "2", "limit": "100", "seed": "7"}),
+    ("census", {"omega": "3", "k": "2", "samples": "4", "synthetic": True, "limit": "3000",
+                "seed": "7"}),
     ("erdos-kac", {"x": ["10000"], "a": "-0.5", "b": "0.5", "limit": "12000"}),
     ("gamma-lemma", {"bign": "1000", "f": "h_table", "prime": "3", "c": "0.2", "points": "8",
-                     "limit": "1100"}),
+                     "limit": "1100", "check": True}),
     ("selberg", {"x": ["100", "1000", "10000"], "z": "1.5", "weighted": True,
-                 "limit": "10000"}),
+                 "limit": "10000", "check": True}),
 ]
-COMMON_VALUES = {"seed": "7", "check": True, "strict": True, "format": "json"}
+COMMON_VALUES = {"format": "json"}
 RUN_IDS = [f"{cmd}-{i}" for i, (cmd, _) in enumerate(RUNS)]
 
 
@@ -375,16 +378,81 @@ def test_csv_and_json_carry_the_same_rows(cmd, values, capsys):
     argv = _argv(cmd, values)
     code_csv, csv_out, err = run(capsys, *argv, "--format", "csv")
     code_json, json_out, _ = run(capsys, *argv, "--format", "json")
-    assert code_csv == code_json == 0, err
+    payload = json.loads(json_out)
+    # --check turns a fail verdict (gamma-lemma's h_table, criterion 10) into exit 2
+    assert code_csv == code_json == (2 if values.get("check") and payload["verdict"] == "fail" else 0), err
     header, *body = csv_out.splitlines()
     header = header.split(",")
     rows = [line.split(",") for line in body if not line.startswith("#")]
     verdicts = [line[len("# verdict="):] for line in body if line.startswith("# verdict=")]
-    payload = json.loads(json_out)
     assert header == list(cli.COMMANDS[cmd].header)
     assert rows and all(list(row) == header for row in payload["rows"])
     assert [[_cell(v) for v in row.values()] for row in payload["rows"]] == rows
     assert verdicts == ([] if payload["verdict"] is None else [payload["verdict"]])
+
+
+def _flags_read(argv):
+    """The flags that the extent, the runner and _dispatch read for argv."""
+    seen = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            value = super().__getattribute__(name)
+            if name in cli.FLAGS:
+                seen.add(name)
+            return value
+
+    args = cli._PARSER.parse_args(argv, namespace=Recording())
+    cli._fill(args)  # reads every flag, so the record starts after it
+    seen.clear()
+    cli._check_x(args)
+    cli._dispatch(args)
+    return seen
+
+
+def test_every_flag_a_subcommand_takes_is_read():
+    reads = {name: set() for name in cli.COMMANDS}
+    for cmd, values in RUNS:
+        reads[cmd] |= _flags_read(_argv(cmd, {**COMMON_VALUES, **values}))
+    for name, command in cli.COMMANDS.items():
+        # the config, the format and the output are read around _dispatch
+        assert reads[name] == set(cli.COMMON + command.flags) - {"config", "format", "output"}, name
+
+
+# The flags that no run of a subcommand reads; each is not an option of it.
+NOT_TAKEN = {
+    "--seed": ("sieve-stats", "ratio", "monotone", "adbc", "euler", "predict", "prop32",
+               "erdos-kac", "gamma-lemma", "selberg"),
+    "--check": ("sieve-stats", "adbc", "euler", "predict", "census", "erdos-kac"),
+    "--no-strict": ("sieve-stats", "monotone", "euler", "predict", "prop32", "census",
+                    "erdos-kac", "gamma-lemma", "selberg"),
+    "--limit": ("euler",),
+}
+SMALL_RUN = {
+    "sieve-stats": ["--limit", "100"],
+    "ratio": ["--x", "1000"],
+    "monotone": ["--x", "1000", "--prime", "3"],
+    "adbc": ["--x", "1000", "--prime", "3"],
+    "euler": ["--which", "f0", "--z", "1"],
+    "predict": ["--x", "1000"],
+    "prop32": ["--x", "1000"],
+    "census": ["--n", "30"],
+    "erdos-kac": ["--x", "10000"],
+    "gamma-lemma": ["--n", "1000"],
+    "selberg": ["--x", "1000"],
+}
+VALUE = {"--seed": ["3"], "--check": [], "--no-strict": [], "--limit": ["50"]}
+NOT_TAKEN_PAIRS = [(cmd, option) for option, cmds in NOT_TAKEN.items() for cmd in cmds]
+
+
+@pytest.mark.parametrize("cmd,option", NOT_TAKEN_PAIRS, ids=[f"{c}{o}" for c, o in NOT_TAKEN_PAIRS])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(cmd, option, capsys, monkeypatch):
+    limits = record_limits(monkeypatch)
+    extra = [option, *VALUE[option]]
+    code, out, err = run(capsys, cmd, *SMALL_RUN[cmd], *extra)
+    assert (code, out, limits) == (1, "", [])
+    assert err.splitlines() == [f"usage error: unrecognized arguments: {' '.join(extra)}"]
+    assert run(capsys, cmd, *SMALL_RUN[cmd])[0] == 0
 
 
 def test_gamma_lemma_log_shift_builds_no_table(capsys, monkeypatch):
